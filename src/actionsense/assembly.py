@@ -15,7 +15,9 @@ import string
 from dataclasses import dataclass, field
 from typing import Mapping, Protocol
 
-from .corpus import Corpus, FrameRef, ObjectAnnotation, middle_frame, slice_transcript
+from .atomic import write_atomic
+from .corpus import FLAG_NO_TRANSCRIPT, Corpus, FrameRef, ObjectAnnotation
+from .corpus import middle_frame, slice_transcript
 from .triplets import SegmentTriplet
 
 GOAL_TEMPLATES = ("Make {}", "Cook {}", "Prepare {}")
@@ -32,7 +34,6 @@ MAX_EFFECT_TOKENS = 5
 
 FLAG_TEXT_ONLY = "text-only"
 FLAG_NO_OBJECTS = "no_objects"
-FLAG_NO_TRANSCRIPT = "no_transcript"
 
 OBJECT_TAG_RE = re.compile(r"\[Object(\d+)\]")
 _DETERMINERS = frozenset({"a", "an", "the", "some"})
@@ -562,9 +563,9 @@ def instance_from_dict(raw: dict) -> CommonsenseInstance:
 
 
 def write_dataset(instances, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for instance in instances:
-            fh.write(json.dumps(instance_to_dict(instance), ensure_ascii=False) + "\n")
+    write_atomic(
+        path, (json.dumps(instance_to_dict(i), ensure_ascii=False) + "\n" for i in instances)
+    )
 
 
 def read_dataset(path) -> list[CommonsenseInstance]:

@@ -14,14 +14,13 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import sys
-import tempfile
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from . import assembly, extraction, generation, metrics, stubs, triplets
+from .atomic import write_atomic as _write_atomic
 from .corpus import Corpus, MalformedAnnotation
 from .generation import (
     InferenceType,
@@ -45,9 +44,6 @@ from .providers import (
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_PROVIDER = 3
-
-STAGE_ORDER = ("ingest", "extract", "triplets", "assemble", "generate", "evaluate")
-_STAGE_REQUIRES = {"generate": "assemble", "evaluate": "generate"}
 
 
 class ConfigError(Exception):
@@ -108,20 +104,20 @@ def load_config(path, overrides: dict | None = None) -> RunConfig:
     if unknown:
         raise ConfigError(f"unknown config fields in {path}: {sorted(unknown)}")
     cfg = replace(cfg, **raw)
-    for key, value in (overrides or {}).items():
-        if value is not None:
-            setattr(cfg, key, value)
 
     base = path.parent
-    for attr in ("annotation_file", "recipe_file"):
+    for attr in ("annotation_file", "recipe_file", "out_dir"):
         value = getattr(cfg, attr)
         if value:
             setattr(cfg, attr, _resolve_path(value, base))
     for spec in cfg.providers.values():
         if "path" in spec:
             spec["path"] = _resolve_path(spec["path"], base)
-    if cfg.out_dir:
-        cfg.out_dir = str(Path(cfg.out_dir) if Path(cfg.out_dir).is_absolute() else base / cfg.out_dir)
+    # Overrides come from the command line, so a relative --out stays relative
+    # to the working directory.
+    for key, value in (overrides or {}).items():
+        if value is not None:
+            setattr(cfg, key, value)
     return cfg
 
 
@@ -139,9 +135,7 @@ class Manifest:
         return manifest
 
     def save(self) -> None:
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        with open(self.path, "w", encoding="utf-8") as fh:
-            json.dump(self.data, fh, indent=1)
+        _write_atomic(self.path, (json.dumps(self.data, indent=1),))
 
     def mark_stage(self, stage: str, **info) -> None:
         self.data["stages"][stage] = info
@@ -207,26 +201,15 @@ def _fail(message: str, code: int) -> int:
     return code
 
 
-def _write_atomic(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-    with os.fdopen(fd, "w", encoding="utf-8") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
-
-
-def _require_stage(manifest: Manifest, stage: str) -> str | None:
-    needed = _STAGE_REQUIRES.get(stage)
-    if needed and not manifest.has_stage(needed):
-        return f"stage {stage!r} requires completed stage {needed!r}; run the pipeline in order"
-    return None
+def _retry(cfg: RunConfig, fn):
+    return with_retries(fn, attempts=cfg.retries, base_delay=cfg.retry_base_delay)
 
 
 # ---------------------------------------------------------------------------
 # build-dataset
 
 
-def run_build_dataset(cfg: RunConfig) -> int:
+def run_build_dataset(cfg: RunConfig) -> None:
     run_dir = Path(cfg.out_dir)
     run_dir.mkdir(parents=True, exist_ok=True)
     manifest = Manifest(run_dir, cfg.hash())
@@ -234,19 +217,12 @@ def run_build_dataset(cfg: RunConfig) -> int:
     for attr, label in (("annotation_file", "annotation"), ("recipe_file", "recipe index")):
         value = getattr(cfg, attr)
         if not value or not Path(value).exists():
-            return _fail(f"{label} file not found: {value or '<unset>'}", EXIT_CONFIG)
+            raise ConfigError(f"{label} file not found: {value or '<unset>'}")
 
-    try:
-        corpus = Corpus.load(cfg.annotation_file, cfg.recipe_file)
-    except MalformedAnnotation as exc:
-        return _fail(str(exc), EXIT_CONFIG)
-
-    try:
-        providers = make_providers(cfg, run_dir / "cache")
-    except ConfigError as exc:
-        return _fail(str(exc), EXIT_CONFIG)
+    corpus = Corpus.load(cfg.annotation_file, cfg.recipe_file)
+    providers = make_providers(cfg, run_dir / "cache")
     if providers.coref is None or providers.parse is None:
-        return _fail("build-dataset needs coref and parse providers", EXIT_CONFIG)
+        raise ConfigError("build-dataset needs coref and parse providers")
 
     manifest.mark_stage("ingest", videos=len(corpus.videos))
 
@@ -258,17 +234,16 @@ def run_build_dataset(cfg: RunConfig) -> int:
             for seg, sentence in zip(video.segments, sentences):
                 resolved[(video.video_id, seg.index)] = sentence.resolved
                 pairs.extend(
-                    with_retries(
+                    _retry(
+                        cfg,
                         lambda s=sentence, v=video, i=seg.index: extraction.extract_verb_ingredient_pairs(
                             s.resolved, providers.parse, v.video_id, i
                         ),
-                        attempts=cfg.retries,
-                        base_delay=cfg.retry_base_delay,
                     )
                 )
     except ProviderError as exc:
         manifest.record_failure(f"extract: {exc}")
-        return _fail(f"parse provider failed after retries: {exc}", EXIT_PROVIDER)
+        raise ProviderError(f"parse provider failed after retries: {exc}") from exc
 
     counts = extraction.count_lemma_frequencies(pairs)
     kept = extraction.filter_pairs_by_frequency(pairs, counts, cfg.min_count)
@@ -280,59 +255,78 @@ def run_build_dataset(cfg: RunConfig) -> int:
     triplets.write_triplets(triplet_list, triplets_path)
     manifest.mark_stage("triplets", count=len(triplet_list), file=str(triplets_path))
 
-    instances = []
     try:
-        for triplet in triplet_list:
-            instances.append(
-                with_retries(
-                    lambda t=triplet: assembly.build_instance(
-                        t, corpus, rc=providers.rc, resolved=resolved, fps=cfg.fps
-                    ),
-                    attempts=cfg.retries,
-                    base_delay=cfg.retry_base_delay,
-                )
+        instances = [
+            _retry(
+                cfg,
+                lambda t=triplet: assembly.build_instance(
+                    t, corpus, rc=providers.rc, resolved=resolved, fps=cfg.fps
+                ),
             )
+            for triplet in triplet_list
+        ]
     except ProviderError as exc:
         manifest.record_failure(f"assemble: {exc}")
-        return _fail(f"rc provider failed after retries: {exc}", EXIT_PROVIDER)
+        raise ProviderError(f"rc provider failed after retries: {exc}") from exc
 
     merged = sorted(assembly.merge_by_action_object(instances), key=lambda i: i.instance_id)
     dataset_path = run_dir / "dataset.jsonl"
     assembly.write_dataset(merged, dataset_path)
     stats = assembly.compute_statistics(merged)
-    _write_atomic(run_dir / "stats.json", json.dumps(stats.to_dict(), indent=1) + "\n")
+    _write_atomic(run_dir / "stats.json", (json.dumps(stats.to_dict(), indent=1) + "\n",))
     manifest.mark_stage(
         "assemble", instances=len(merged), dataset=str(dataset_path), stats=str(run_dir / "stats.json")
     )
     print(f"wrote {len(merged)} instances to {dataset_path}")
-    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
 # stats
 
 
-def run_stats(dataset_path: str) -> int:
-    path = Path(dataset_path)
+def _read_dataset(path: Path) -> list:
     if not path.exists():
-        return _fail(f"dataset not readable: {path}", EXIT_CONFIG)
+        raise ConfigError(f"dataset not readable: {path}")
     try:
-        instances = assembly.read_dataset(path)
+        return assembly.read_dataset(path)
     except (json.JSONDecodeError, KeyError) as exc:
-        return _fail(f"dataset not readable: {path}: {exc}", EXIT_CONFIG)
-    report = assembly.compute_statistics(instances)
+        raise ConfigError(f"dataset not readable: {path}: {exc}") from exc
+
+
+def run_stats(dataset_path: str) -> None:
+    report = assembly.compute_statistics(_read_dataset(Path(dataset_path)))
     width = max(len(label) for label, _ in report.rows())
     for label, value in report.rows():
         print(f"{label.ljust(width)}  {value}")
-    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
-# generate
+# the generate -> evaluate grid, shared by generate, evaluate and ablate
 
 
-def _cell_key(mask_label: str, variant: int) -> str:
-    return f"{mask_label}__P{variant}"
+@dataclass
+class _Run:
+    """An opened run directory: manifest, providers and the built dataset."""
+
+    dir: Path
+    manifest: Manifest
+    providers: Providers
+    instances: list
+
+
+def _open_run(cfg: RunConfig, command: str, after: str | None, dataset_path=None) -> _Run:
+    """Open the run for ``command``, which needs stage ``after`` done (if given) and an LM."""
+    run_dir = Path(cfg.out_dir)
+    manifest = Manifest.load(run_dir)
+    if after and not manifest.has_stage(after):
+        raise ConfigError(
+            f"stage {command!r} requires completed stage {after!r}; run the pipeline in order"
+        )
+    instances = _read_dataset(Path(dataset_path or run_dir / "dataset.jsonl"))
+    providers = make_providers(cfg, run_dir / "cache")
+    if providers.lm is None:
+        raise ConfigError(f"{command} needs an lm provider")
+    return _Run(run_dir, manifest, providers, instances)
 
 
 def _generate_for_instance(cfg: RunConfig, providers: Providers, instance, mask, variant):
@@ -342,7 +336,8 @@ def _generate_for_instance(cfg: RunConfig, providers: Providers, instance, mask,
     for itype in InferenceType:
         spec = PromptSpec(itype, variant, mask)
         try:
-            texts = with_retries(
+            texts = _retry(
+                cfg,
                 lambda: generation.generate_inferences(
                     instance,
                     spec,
@@ -352,18 +347,15 @@ def _generate_for_instance(cfg: RunConfig, providers: Providers, instance, mask,
                     nucleus_p=cfg.nucleus_p,
                     max_new=cfg.max_new_tokens,
                 ),
-                attempts=cfg.retries,
-                base_delay=cfg.retry_base_delay,
             )
         except generation.MissingModality:
             continue
         scored = [
-            with_retries(
+            _retry(
+                cfg,
                 lambda t=text: generation.score_candidate(
                     instance, spec, t, providers.lm, vision=providers.vision
                 ),
-                attempts=cfg.retries,
-                base_delay=cfg.retry_base_delay,
             )
             for text in texts
         ]
@@ -382,101 +374,50 @@ def _generate_for_instance(cfg: RunConfig, providers: Providers, instance, mask,
     return lines
 
 
-def _generate_cells(
-    cfg: RunConfig,
-    run_dir: Path,
-    manifest: Manifest,
-    providers: Providers,
-    instances,
-    masks,
-    variants,
-    resume: bool,
-    phase: str,
-) -> tuple[Path | None, list[str]]:
-    """Generate and score per-cell files; return the combined file and failures."""
-    cell_dir = run_dir / f"gen_cells_{phase}"
-    cell_dir.mkdir(parents=True, exist_ok=True)
-    failures: list[str] = []
+def _generate(cfg: RunConfig, run: _Run, masks, variants, resume: bool, phase: str) -> Path:
+    """Generate and score each (mask, variant) cell, combine them and mark ``generate``."""
+    failures = 0
     cell_paths: list[Path] = []
-
     for mask in masks:
-        label = combo_label(mask)
         for variant in variants:
-            key = f"{phase}:{_cell_key(label, variant)}"
-            cell_path = cell_dir / f"{_cell_key(label, variant)}.jsonl"
+            cell = f"{combo_label(mask)}__P{variant}"
+            key = f"{phase}:{cell}"
+            cell_path = run.dir / f"gen_cells_{phase}" / f"{cell}.jsonl"
             cell_paths.append(cell_path)
-            if resume and manifest.cell_done(key):
+            if resume and run.manifest.cell_done(key):
                 continue
+            work = lambda i: _generate_for_instance(cfg, run.providers, i, mask, variant)
             try:
                 if cfg.workers > 1:
                     # ordered collection keeps parallel runs byte-identical
                     with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-                        groups = list(
-                            pool.map(
-                                lambda i: _generate_for_instance(cfg, providers, i, mask, variant),
-                                instances,
-                            )
-                        )
+                        groups = list(pool.map(work, run.instances))
                 else:
-                    groups = [
-                        _generate_for_instance(cfg, providers, i, mask, variant)
-                        for i in instances
-                    ]
+                    groups = [work(i) for i in run.instances]
             except ProviderError as exc:
-                failures.append(f"{key}: {exc}")
-                manifest.record_failure(f"{key}: {exc}")
+                failures += 1
+                run.manifest.record_failure(f"{key}: {exc}")
                 continue
-            lines = [line for group in groups for line in group]
             _write_atomic(
                 cell_path,
-                "".join(json.dumps(line, ensure_ascii=False) + "\n" for line in lines),
+                (json.dumps(line, ensure_ascii=False) + "\n" for group in groups for line in group),
             )
-            manifest.mark_cell(key, str(cell_path))
+            run.manifest.mark_cell(key, str(cell_path))
 
     if failures:
-        return None, failures
-    combined = run_dir / f"generations_{phase}.jsonl"
-    _write_atomic(combined, "".join(p.read_text(encoding="utf-8") for p in cell_paths))
-    return combined, []
-
-
-def run_generate(cfg: RunConfig, resume: bool = False, phase: str = "main") -> int:
-    run_dir = Path(cfg.out_dir)
-    manifest = Manifest.load(run_dir)
-    blocked = _require_stage(manifest, "generate")
-    if blocked:
-        return _fail(blocked, EXIT_CONFIG)
-    try:
-        providers = make_providers(cfg, run_dir / "cache")
-    except ConfigError as exc:
-        return _fail(str(exc), EXIT_CONFIG)
-    if providers.lm is None:
-        return _fail("generate needs an lm provider", EXIT_CONFIG)
-
-    instances = assembly.read_dataset(run_dir / "dataset.jsonl")
-    masks = cfg.mask_list()
-    combined, failures = _generate_cells(
-        cfg, run_dir, manifest, providers, instances, masks, cfg.variants, resume, phase
-    )
-    if failures:
-        return _fail(
-            f"{len(failures)} generation cells failed after retries (see manifest)",
-            EXIT_PROVIDER,
-        )
-    manifest.mark_stage(
+        raise ProviderError(f"{failures} generation cells failed after retries (see manifest)")
+    combined = run.dir / f"generations_{phase}.jsonl"
+    _write_atomic(combined, (p.read_text(encoding="utf-8") for p in cell_paths))
+    run.manifest.mark_stage(
         "generate",
         file=str(combined),
         masks=[combo_label(m) for m in masks],
-        variants=list(cfg.variants),
-        request_groups=len(masks) * len(cfg.variants) * len(instances),
+        variants=list(variants),
+        request_groups=len(masks) * len(variants) * len(run.instances),
         phase=phase,
     )
     print(f"wrote generations to {combined}")
-    return EXIT_OK
-
-
-# ---------------------------------------------------------------------------
-# evaluate
+    return combined
 
 
 def _read_generations(path: Path) -> list[dict]:
@@ -518,8 +459,8 @@ def _cell_metrics(cfg: RunConfig, entries, by_id, itype: str, mask, variant, lm)
         pools.append(
             metrics.score_pool(
                 pool,
-                lambda text, i=instance, s=spec: generation.score_candidate(
-                    i, s, text, lm
+                lambda text, i=instance, s=spec: _retry(
+                    cfg, lambda: generation.score_candidate(i, s, text, lm)
                 ).perplexity,
             )
         )
@@ -538,6 +479,9 @@ def _cell_metrics(cfg: RunConfig, entries, by_id, itype: str, mask, variant, lm)
         "unique": metrics.uniqueness(all_texts) if all_texts else 0.0,
         "novel": metrics.novelty(all_texts, training_refs) if all_texts else 0.0,
     }
+
+
+INFERENCE_TYPE_NAMES = tuple(t.value for t in InferenceType)
 
 
 def _evaluate_grid(cfg: RunConfig, generations, instances, lm, masks, variants):
@@ -560,9 +504,6 @@ def _evaluate_grid(cfg: RunConfig, generations, instances, lm, masks, variants):
                     cfg, entries, by_id, itype, mask, variant, lm
                 )
     return cells
-
-
-INFERENCE_TYPE_NAMES = tuple(t.value for t in InferenceType)
 
 
 def _modality_report(cells, masks, variant: int) -> metrics.EvalReport:
@@ -600,196 +541,93 @@ def _prompt_report(cells, mask, variants) -> metrics.EvalReport:
     return metrics.EvalReport(rows=tuple(rows))
 
 
-def _write_report(report: metrics.EvalReport, run_dir: Path, name: str) -> None:
-    _write_atomic(run_dir / f"{name}.json", report.to_json() + "\n")
-    _write_atomic(run_dir / f"{name}.txt", report.to_text() + "\n")
+def _evaluate(cfg: RunConfig, run: _Run, generations_path, masks=None, variants=None):
+    """Score the grid into a modality, prompt or full report, write it, mark ``evaluate``.
 
-
-def run_evaluate(
-    cfg: RunConfig,
-    generations_path: str | None = None,
-    dataset_path: str | None = None,
-) -> int:
-    run_dir = Path(cfg.out_dir)
-    manifest = Manifest.load(run_dir)
-    if generations_path is None:
-        blocked = _require_stage(manifest, "evaluate")
-        if blocked:
-            return _fail(blocked, EXIT_CONFIG)
-        record = manifest.data["stages"]["generate"]
-        generations_path = record["file"]
-        masks = [parse_combo_label(l) for l in record["masks"]]
-        variants = record["variants"]
-    else:
-        masks = None
-        variants = None
-
-    dataset_file = Path(dataset_path or run_dir / "dataset.jsonl")
-    if not dataset_file.exists():
-        return _fail(f"dataset not found: {dataset_file}", EXIT_CONFIG)
-    generations_file = Path(generations_path)
-    if not generations_file.exists():
-        return _fail(f"generations not found: {generations_file}", EXIT_CONFIG)
-
-    generations = _read_generations(generations_file)
-    instances = assembly.read_dataset(dataset_file)
+    Without masks and variants the grid is the one the generations cover.
+    """
+    generations_path = Path(generations_path)
+    if not generations_path.exists():
+        raise ConfigError(f"generations not found: {generations_path}")
+    generations = _read_generations(generations_path)
     if masks is None:
-        seen = []
-        for line in generations:
-            pair = (line["condition"], line["variant"])
-            if pair not in seen:
-                seen.append(pair)
-        masks = []
-        variants = []
-        for condition, variant in seen:
-            mask = parse_combo_label(condition)
-            if mask not in masks:
-                masks.append(mask)
-            if variant not in variants:
-                variants.append(variant)
+        pairs = dict.fromkeys((line["condition"], line["variant"]) for line in generations)
+        masks = list(dict.fromkeys(parse_combo_label(condition) for condition, _ in pairs))
+        variants = list(dict.fromkeys(variant for _, variant in pairs))
 
     try:
-        providers = make_providers(cfg, run_dir / "cache")
-    except ConfigError as exc:
-        return _fail(str(exc), EXIT_CONFIG)
-    if providers.lm is None:
-        return _fail("evaluate needs an lm provider for pool scoring", EXIT_CONFIG)
-
-    try:
-        cells = _evaluate_grid(cfg, generations, instances, providers.lm, masks, variants)
+        cells = _evaluate_grid(cfg, generations, run.instances, run.providers.lm, masks, variants)
     except metrics.MissingCell as exc:
-        return _fail(f"incomplete grid, missing cell {exc}", EXIT_CONFIG)
-    except metrics.InsufficientNegatives as exc:
-        return _fail(f"{exc}; lower pool_size for desk-scale runs", EXIT_CONFIG)
+        raise ConfigError(f"incomplete grid, missing cell {exc}") from exc
+    except ProviderError as exc:
+        run.manifest.record_failure(f"evaluate: {exc}")
+        raise ProviderError(f"pool scoring failed after retries: {exc}") from exc
 
     if len(masks) > 1 and len(variants) == 1:
-        report = _modality_report(cells, masks, variants[0])
-        name = "modality_report"
+        report, name = _modality_report(cells, masks, variants[0]), "modality_report"
     elif len(masks) == 1:
-        report = _prompt_report(cells, masks[0], variants)
-        name = "prompt_report"
+        report, name = _prompt_report(cells, masks[0], variants), "prompt_report"
     else:
-        scores = {
-            (t, f"{label}|P{v}"): cell for (t, label, v), cell in cells.items()
-        }
-        report = metrics.aggregate_report(scores)
-        name = "report"
-    _write_report(report, run_dir, name)
-    manifest.mark_stage("evaluate", report=str(run_dir / f"{name}.json"))
-    print(f"wrote {run_dir / (name + '.json')}")
-    return EXIT_OK
+        scores = {(t, f"{label}|P{v}"): cell for (t, label, v), cell in cells.items()}
+        report, name = metrics.aggregate_report(scores), "report"
+    report_path = run.dir / f"{name}.json"
+    _write_atomic(report_path, (report.to_json() + "\n",))
+    _write_atomic(run.dir / f"{name}.txt", (report.to_text() + "\n",))
+    run.manifest.mark_stage("evaluate", report=str(report_path))
+    print(f"wrote {report_path}")
+    return report
 
 
-# ---------------------------------------------------------------------------
-# ablate
+def run_generate(cfg: RunConfig, resume: bool = False) -> None:
+    run = _open_run(cfg, "generate", "assemble")
+    _generate(cfg, run, cfg.mask_list(), cfg.variants, resume, "main")
 
 
-def run_ablate(cfg: RunConfig, resume: bool = False, modalities_only: bool = False) -> int:
-    run_dir = Path(cfg.out_dir)
-    manifest = Manifest.load(run_dir)
-    blocked = _require_stage(manifest, "generate")
-    if blocked:
-        return _fail(blocked, EXIT_CONFIG)
-    try:
-        providers = make_providers(cfg, run_dir / "cache")
-    except ConfigError as exc:
-        return _fail(str(exc), EXIT_CONFIG)
-    if providers.lm is None:
-        return _fail("ablate needs an lm provider", EXIT_CONFIG)
+def run_evaluate(cfg: RunConfig, generations_path=None, dataset_path=None) -> None:
+    run = _open_run(cfg, "evaluate", None if generations_path else "generate", dataset_path)
+    if generations_path:
+        _evaluate(cfg, run, generations_path)
+    else:
+        record = run.manifest.data["stages"]["generate"]
+        masks = [parse_combo_label(label) for label in record["masks"]]
+        _evaluate(cfg, run, record["file"], masks, record["variants"])
 
-    instances = assembly.read_dataset(run_dir / "dataset.jsonl")
-    masks = list(MODALITY_COMBOS)
-    variant = cfg.modality_stage_variant
 
-    combined, failures = _generate_cells(
-        cfg, run_dir, manifest, providers, instances, masks, [variant], resume, "modality"
-    )
-    if failures:
-        return _fail(f"{len(failures)} modality cells failed (see manifest)", EXIT_PROVIDER)
-    manifest.mark_stage(
-        "generate",
-        file=str(combined),
-        masks=[combo_label(m) for m in masks],
-        variants=[variant],
-        request_groups=len(masks) * len(instances),
-        phase="modality",
-    )
-
-    generations = _read_generations(combined)
-    try:
-        cells = _evaluate_grid(cfg, generations, instances, providers.lm, masks, [variant])
-    except metrics.MissingCell as exc:
-        return _fail(f"incomplete modality grid, missing cell {exc}", EXIT_CONFIG)
-    except metrics.InsufficientNegatives as exc:
-        return _fail(f"{exc}; lower pool_size for desk-scale runs", EXIT_CONFIG)
-    modality_report = _modality_report(cells, masks, variant)
-    _write_report(modality_report, run_dir, "modality_report")
-    manifest.mark_stage("evaluate", report=str(run_dir / "modality_report.json"), phase="modality")
-    print(f"wrote {run_dir / 'modality_report.json'}")
-
+def run_ablate(cfg: RunConfig, resume: bool = False, modalities_only: bool = False) -> None:
+    """The modality grid at one prompt variant, then every variant on its best row."""
+    run = _open_run(cfg, "ablate", "assemble")
+    masks, variants = list(MODALITY_COMBOS), [cfg.modality_stage_variant]
+    combined = _generate(cfg, run, masks, variants, resume, "modality")
+    modality_report = _evaluate(cfg, run, combined, masks, variants)
     if modalities_only:
-        return EXIT_OK
-
+        return
     # Best modality row: argmax of mean(B, M, C, A50) on the display scale.
-    def row_score(row: metrics.ReportRow) -> float:
-        return (row.B * 100 + row.M * 100 + row.C * 10 + row.A50 * 100) / 4
-
-    best_row = max(modality_report.rows, key=row_score)
-    best_mask = parse_combo_label(best_row.condition)
-
-    combined, failures = _generate_cells(
-        cfg, run_dir, manifest, providers, instances, [best_mask], cfg.variants, resume, "prompt"
+    best = max(
+        modality_report.rows, key=lambda r: (r.B * 100 + r.M * 100 + r.C * 10 + r.A50 * 100) / 4
     )
-    if failures:
-        return _fail(f"{len(failures)} prompt cells failed (see manifest)", EXIT_PROVIDER)
-    manifest.mark_stage(
-        "generate",
-        file=str(combined),
-        masks=[combo_label(best_mask)],
-        variants=list(cfg.variants),
-        request_groups=len(cfg.variants) * len(instances),
-        phase="prompt",
-    )
-
-    generations = _read_generations(combined)
-    try:
-        cells = _evaluate_grid(cfg, generations, instances, providers.lm, [best_mask], cfg.variants)
-    except metrics.MissingCell as exc:
-        return _fail(f"incomplete prompt grid, missing cell {exc}", EXIT_CONFIG)
-    prompt_report = _prompt_report(cells, best_mask, cfg.variants)
-    _write_report(prompt_report, run_dir, "prompt_report")
-    manifest.mark_stage("evaluate", report=str(run_dir / "prompt_report.json"), phase="prompt")
-    print(f"wrote {run_dir / 'prompt_report.json'} (best modality: {best_row.condition})")
-    return EXIT_OK
+    best_mask = parse_combo_label(best.condition)
+    combined = _generate(cfg, run, [best_mask], cfg.variants, resume, "prompt")
+    _evaluate(cfg, run, combined, [best_mask], cfg.variants)
+    print(f"best modality: {best.condition}")
 
 
 # ---------------------------------------------------------------------------
 # report
 
 
-def run_report(report_path: str, as_csv: bool = False) -> int:
+def run_report(report_path: str, as_csv: bool = False) -> None:
     path = Path(report_path)
     if not path.exists():
-        return _fail(f"report not found: {path}", EXIT_CONFIG)
-    with open(path, encoding="utf-8") as fh:
-        data = json.load(fh)
-    rows = data.get("rows", [])
-    if not rows:
-        return _fail(f"report {path} has no rows", EXIT_CONFIG)
-    columns = ["type", "condition", *metrics.METRIC_COLUMNS]
-    if as_csv:
-        import csv
-
-        writer = csv.DictWriter(sys.stdout, fieldnames=columns)
-        writer.writeheader()
-        for row in rows:
-            writer.writerow({c: row[c] for c in columns})
-    else:
-        table = [tuple(columns)] + [tuple(str(row[c]) for c in columns) for row in rows]
-        widths = [max(len(r[i]) for r in table) for i in range(len(columns))]
-        for row in table:
-            print("  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip())
-    return EXIT_OK
+        raise ConfigError(f"report not found: {path}")
+    try:
+        with open(path, encoding="utf-8") as fh:
+            rows = json.load(fh).get("rows")
+        if not rows:
+            raise ConfigError(f"report {path} has no rows")
+        text = metrics.format_csv(rows) if as_csv else metrics.format_table(rows) + "\n"
+    except (json.JSONDecodeError, AttributeError, KeyError, TypeError) as exc:
+        raise ConfigError(f"report {path} is not a report JSON: {exc}") from exc
+    sys.stdout.write(text)
 
 
 # ---------------------------------------------------------------------------
@@ -851,23 +689,28 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command; the only place errors become exit codes."""
     args = build_parser().parse_args(argv)
     try:
         if args.command == "build-dataset":
-            return run_build_dataset(_load(args))
-        if args.command == "stats":
-            return run_stats(args.dataset)
-        if args.command == "generate":
-            return run_generate(_load(args), resume=args.resume)
-        if args.command == "evaluate":
-            return run_evaluate(_load(args), args.generations, args.dataset)
-        if args.command == "ablate":
-            return run_ablate(_load(args), resume=args.resume, modalities_only=args.modalities_only)
-        if args.command == "report":
-            return run_report(args.report, as_csv=args.csv)
-    except ConfigError as exc:
+            run_build_dataset(_load(args))
+        elif args.command == "stats":
+            run_stats(args.dataset)
+        elif args.command == "generate":
+            run_generate(_load(args), resume=args.resume)
+        elif args.command == "evaluate":
+            run_evaluate(_load(args), args.generations, args.dataset)
+        elif args.command == "ablate":
+            run_ablate(_load(args), resume=args.resume, modalities_only=args.modalities_only)
+        elif args.command == "report":
+            run_report(args.report, as_csv=args.csv)
+    except (ConfigError, MalformedAnnotation) as exc:
         return _fail(str(exc), EXIT_CONFIG)
-    raise AssertionError(f"unhandled command {args.command}")
+    except metrics.InsufficientNegatives as exc:
+        return _fail(f"{exc}; lower pool_size for desk-scale runs", EXIT_CONFIG)
+    except ProviderError as exc:
+        return _fail(str(exc), EXIT_PROVIDER)
+    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -33,7 +33,7 @@ class MalformedAnnotation(Exception):
         super().__init__(f"{path} (record {record_index}): {message}")
 
 
-class DuplicateVideoId(Exception):
+class DuplicateVideoId(MalformedAnnotation):
     pass
 
 
@@ -179,8 +179,7 @@ class Corpus:
     @classmethod
     def load(cls, annotation_file, recipe_index_file) -> "Corpus":
         index = load_recipe_index(recipe_index_file)
-        videos = load_corpus(annotation_file, recipe_index_file)
-        return cls(videos=tuple(videos), index=index)
+        return cls(videos=tuple(load_corpus(annotation_file, index)), index=index)
 
 
 def load_recipe_index(path) -> RecipeIndex:
@@ -304,13 +303,15 @@ def _parse_video(raw, path, record_index, index: RecipeIndex | None) -> VideoRec
     )
 
 
-def load_corpus(annotation_file, recipe_index_file) -> list[VideoRecord]:
+def load_corpus(annotation_file, recipe_index) -> list[VideoRecord]:
     """Load and validate a corpus annotation file against its recipe index.
 
-    Videos with missing media or transcripts load fine and come back flagged.
-    Schema violations raise MalformedAnnotation naming the file and record.
+    ``recipe_index`` is a loaded RecipeIndex or the path of its file. Videos
+    with missing media or transcripts load fine and come back flagged. Schema
+    violations raise MalformedAnnotation naming the file and record.
     """
-    index = load_recipe_index(recipe_index_file)
+    if not isinstance(recipe_index, RecipeIndex):
+        recipe_index = load_recipe_index(recipe_index)
     with open(annotation_file, encoding="utf-8") as fh:
         raw = json.load(fh)
     if not isinstance(raw, dict) or "videos" not in raw:
@@ -319,9 +320,9 @@ def load_corpus(annotation_file, recipe_index_file) -> list[VideoRecord]:
     videos = []
     seen = set()
     for i, raw_video in enumerate(raw["videos"]):
-        record = _parse_video(raw_video, annotation_file, i, index)
+        record = _parse_video(raw_video, annotation_file, i, recipe_index)
         if record.video_id in seen:
-            raise DuplicateVideoId(record.video_id)
+            raise DuplicateVideoId(annotation_file, i, f"duplicate video_id {record.video_id!r}")
         seen.add(record.video_id)
         videos.append(record)
     return videos

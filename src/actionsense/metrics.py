@@ -16,7 +16,8 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
-OBJECT_TAG_RE = re.compile(r"\[Object\d+\]")
+from .assembly import OBJECT_TAG_RE
+
 OBJECT_PLACEHOLDER = "[Object]"
 
 SMOOTH_EPSILON = 1e-9  # stands in for zero n-gram precisions
@@ -437,26 +438,34 @@ class EvalReport:
         return json.dumps({"rows": [self._scaled(r) for r in self.rows]}, indent=1)
 
     def to_text(self) -> str:
-        header = ("type", "condition", *METRIC_COLUMNS)
-        table = [header] + [
-            tuple(str(v) for v in self._scaled(r).values()) for r in self.rows
-        ]
-        widths = [max(len(row[i]) for row in table) for i in range(len(header))]
-        lines = []
-        for row in table:
-            lines.append("  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip())
-        return "\n".join(lines)
+        return format_table([self._scaled(r) for r in self.rows])
 
     def to_csv(self) -> str:
-        import csv
-        import io
+        return format_csv([self._scaled(r) for r in self.rows])
 
-        buf = io.StringIO()
-        writer = csv.DictWriter(buf, fieldnames=["type", "condition", *METRIC_COLUMNS])
-        writer.writeheader()
-        for row in self.rows:
-            writer.writerow(self._scaled(row))
-        return buf.getvalue()
+
+REPORT_HEADER = ("type", "condition", *METRIC_COLUMNS)
+
+
+def format_table(rows: Sequence[Mapping]) -> str:
+    """Display-scale report rows as a left-aligned text table with a header."""
+    table = [REPORT_HEADER] + [tuple(str(row[c]) for c in REPORT_HEADER) for row in rows]
+    widths = [max(len(row[i]) for row in table) for i in range(len(REPORT_HEADER))]
+    return "\n".join(
+        "  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip() for row in table
+    )
+
+
+def format_csv(rows: Sequence[Mapping]) -> str:
+    """Display-scale report rows as CSV with a header; other keys are ignored."""
+    import csv
+    import io
+
+    buf = io.StringIO()
+    writer = csv.DictWriter(buf, fieldnames=REPORT_HEADER, extrasaction="ignore")
+    writer.writeheader()
+    writer.writerows(rows)
+    return buf.getvalue()
 
 
 def aggregate_report(

@@ -20,13 +20,14 @@ write-once, which makes them safe under concurrent writers.
 from __future__ import annotations
 
 import hashlib
+import http.client
 import json
 import os
-import tempfile
 import time
-import urllib.error
 import urllib.request
 from pathlib import Path
+
+from .atomic import write_atomic
 
 CREDENTIALS_ENV_VAR = "ACTIONSENSE_PROVIDER_TOKEN"
 
@@ -64,20 +65,7 @@ class ResponseCache:
         path = self._path(content_key(payload))
         if path.exists():  # first writer wins
             return
-        path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                json.dump(response, fh, ensure_ascii=False)
-            os.replace(tmp, path)
-        finally:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-
-    def digest(self) -> str:
-        """Combined digest over all cached keys, for run manifests."""
-        names = sorted(p.stem for p in self.root.glob("*/*.json"))
-        return hashlib.sha256("\n".join(names).encode("utf-8")).hexdigest()
+        write_atomic(path, (json.dumps(response, ensure_ascii=False),))
 
 
 def with_retries(fn, attempts: int = 3, base_delay: float = 0.1, sleep=time.sleep):
@@ -105,7 +93,8 @@ def _post_json(url: str, payload, timeout: float = 30.0):
             if resp.status != 200:
                 raise ProviderError(f"{url} returned HTTP {resp.status}")
             return json.loads(resp.read().decode("utf-8"))
-    except urllib.error.URLError as exc:
+    except (OSError, http.client.HTTPException) as exc:
+        # URLError and read timeouts are OSErrors; a cut-off body is an HTTPException.
         raise ProviderError(f"request to {url} failed: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ProviderError(f"{url} returned invalid JSON: {exc}") from exc

@@ -10,6 +10,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
+from .atomic import write_atomic
+
 
 @dataclass(frozen=True)
 class EventRef:
@@ -155,9 +157,7 @@ def all_triplets(buckets: dict[str, dict[str, list[EventRef]]]) -> list[SegmentT
 
 
 def write_triplets(triplets, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for t in triplets:
-            fh.write(json.dumps(t.to_dict(), ensure_ascii=False) + "\n")
+    write_atomic(path, (json.dumps(t.to_dict(), ensure_ascii=False) + "\n" for t in triplets))
 
 
 def read_triplets(path) -> list[SegmentTriplet]:

@@ -38,6 +38,38 @@ class TestBuildDataset:
         assert code == 2
         assert "missing.json" in capsys.readouterr().err
 
+    def test_duplicate_video_id_exits_2(self, fixture_config, tmp_path, capsys):
+        from actionsense.stubs import fixture_path
+
+        raw = json.loads(fixture_path("annotations.json").read_text())
+        raw["videos"].append(raw["videos"][0])
+        annotations = tmp_path / "dup.json"
+        annotations.write_text(json.dumps(raw))
+        cfg = json.loads(fixture_config.read_text())
+        cfg["annotation_file"] = str(annotations)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(cfg))
+        code = cli.main(["build-dataset", "--config", str(bad), "--out", str(tmp_path / "r")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert repr(raw["videos"][0]["video_id"]) in err
+        assert "Traceback" not in err
+
+    def test_relative_out_resolves_against_working_directory(
+        self, fixture_config, tmp_path, monkeypatch
+    ):
+        (tmp_path / "c200").mkdir()
+        cfg = json.loads(fixture_config.read_text())
+        cfg["out_dir"] = "from_config"
+        (tmp_path / "c200" / "config.json").write_text(json.dumps(cfg))
+        monkeypatch.chdir(tmp_path)
+        build("c200/config.json", "c200/run")
+        assert (tmp_path / "c200" / "run" / "dataset.jsonl").exists()
+        assert not (tmp_path / "c200" / "c200").exists()
+        # a relative out_dir inside the config still resolves against the config
+        assert cli.main(["build-dataset", "--config", "c200/config.json"]) == 0
+        assert (tmp_path / "c200" / "from_config" / "dataset.jsonl").exists()
+
     def test_min_count_filter_matches_module_oracle(
         self, fixture_config, tmp_path, fixture_pairs
     ):
@@ -171,6 +203,28 @@ class TestProviderFailures:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["failures"]
         assert not (out / "generations_main.jsonl").exists()
+
+    def test_unreachable_lm_during_evaluate_exits_3_and_records_failure(
+        self, fixture_config, tmp_path, capsys
+    ):
+        out = build(fixture_config, tmp_path / "run")
+        assert cli.main(
+            ["generate", "--config", str(fixture_config), "--out", str(out),
+             "--modalities", "AOPair", "--variants", "1"]
+        ) == 0
+        cfg = json.loads(fixture_config.read_text())
+        cfg["providers"]["lm"] = {"kind": "http", "url": "http://127.0.0.1:1/lm"}
+        cfg["retry_base_delay"] = 0.001
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(cfg))
+        capsys.readouterr()
+        code = cli.main(["evaluate", "--config", str(bad), "--out", str(out)])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "after retries" in err and "Traceback" not in err
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert any(f.startswith("evaluate:") for f in manifest["failures"])
+        assert "evaluate" not in manifest["stages"]
 
 
 class TestWorkerPool:
@@ -309,3 +363,10 @@ class TestReportCommand:
 
     def test_missing_report_exits_2(self, tmp_path):
         assert cli.main(["report", str(tmp_path / "none.json")]) == 2
+
+    def test_malformed_report_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        for text in ("{nope", "[]", '{"rows": [{"type": "all"}]}'):
+            path.write_text(text)
+            assert cli.main(["report", str(path)]) == 2
+            assert "Traceback" not in capsys.readouterr().err

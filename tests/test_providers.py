@@ -78,12 +78,6 @@ class TestResponseCache:
     def test_content_addressing_is_order_insensitive(self):
         assert content_key({"a": 1, "b": 2}) == content_key({"b": 2, "a": 1})
 
-    def test_digest_changes_with_content(self, tmp_path):
-        cache = ResponseCache(tmp_path / "cache")
-        empty = cache.digest()
-        cache.put({"x": 1}, {"outputs": []})
-        assert cache.digest() != empty
-
 
 class TestWireContract:
     def test_coref_request_shape_and_response(self, wire_server):
@@ -124,6 +118,35 @@ class TestWireContract:
         state["fail_next"] = 1
         with pytest.raises(ProviderError):
             HttpCorefProvider(url).resolve(["x"])
+
+    def test_read_timeout_mid_body_raises_provider_error(self):
+        release = threading.Event()
+
+        class Stall(BaseHTTPRequestHandler):
+            def do_POST(self):
+                self.rfile.read(int(self.headers["Content-Length"]))
+                self.send_response(200)
+                self.send_header("Content-Length", "100")
+                self.end_headers()
+                self.wfile.write(b'{"logprobs": ')
+                self.wfile.flush()
+                release.wait(5)
+
+            def log_message(self, *args):
+                pass
+
+        server = HTTPServer(("127.0.0.1", 0), Stall)
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        try:
+            provider = HttpLMProvider(f"http://127.0.0.1:{server.server_port}/lm", timeout=0.5)
+            with pytest.raises(ProviderError):
+                provider.logprobs(sequence(), "two tokens")
+        finally:
+            release.set()
+            server.shutdown()
+            thread.join(5)
+        assert not thread.is_alive()
 
     def test_unreachable_endpoint(self):
         with pytest.raises(ProviderError):
