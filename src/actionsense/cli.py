@@ -118,7 +118,23 @@ def load_config(path, overrides: dict | None = None) -> RunConfig:
     for key, value in (overrides or {}).items():
         if value is not None:
             setattr(cfg, key, value)
+    _check_grid(cfg)
     return cfg
+
+
+def _check_grid(cfg: RunConfig) -> None:
+    """Raise ConfigError unless every mask label and prompt variant names a grid cell."""
+    known = {str(v): v for _, v in generation.PROMPTS}  # flags give variants as strings
+    try:
+        cfg.variants = [known[str(v)] for v in cfg.variants]
+        cfg.modality_stage_variant = known[str(cfg.modality_stage_variant)]
+    except (KeyError, TypeError) as exc:
+        raise ConfigError(f"unknown prompt variant {exc}; choose from {', '.join(known)}") from None
+    try:
+        for mask in cfg.mask_list():
+            PromptSpec(InferenceType.GOAL, 1, mask)
+    except (ValueError, AttributeError, TypeError) as exc:
+        raise ConfigError(f"bad modality mask in {cfg.modalities!r}: {exc}") from None
 
 
 class Manifest:
@@ -334,29 +350,24 @@ def _generate_for_instance(cfg: RunConfig, providers: Providers, instance, mask,
     label = combo_label(mask)
     lines = []
     for itype in InferenceType:
-        spec = PromptSpec(itype, variant, mask)
         try:
-            texts = _retry(
-                cfg,
-                lambda: generation.generate_inferences(
-                    instance,
-                    spec,
-                    providers.lm,
-                    cfg.n_samples,
-                    vision=providers.vision,
-                    nucleus_p=cfg.nucleus_p,
-                    max_new=cfg.max_new_tokens,
-                ),
+            sequence = generation.compose_input_sequence(
+                instance, PromptSpec(itype, variant, mask), providers.vision
             )
         except generation.MissingModality:
             continue
+        texts = _retry(
+            cfg,
+            lambda: generation.generate_inferences(
+                sequence,
+                providers.lm,
+                cfg.n_samples,
+                nucleus_p=cfg.nucleus_p,
+                max_new=cfg.max_new_tokens,
+            ),
+        )
         scored = [
-            _retry(
-                cfg,
-                lambda t=text: generation.score_candidate(
-                    instance, spec, t, providers.lm, vision=providers.vision
-                ),
-            )
+            _retry(cfg, lambda t=text: generation.score_candidate(sequence, t, providers.lm))
             for text in texts
         ]
         lines.append(
@@ -420,18 +431,34 @@ def _generate(cfg: RunConfig, run: _Run, masks, variants, resume: bool, phase: s
     return combined
 
 
-def _read_generations(path: Path) -> list[dict]:
+_GENERATION_FIELDS = ("instance_id", "inference_type", "condition", "variant", "texts")
+
+
+def _read_generations(path: Path, instance_ids) -> list[dict]:
+    """Generation lines, each with the fields evaluate reads and an instance of the dataset."""
     lines = []
     with open(path, encoding="utf-8") as fh:
-        for raw in fh:
-            raw = raw.strip()
-            if raw:
-                lines.append(json.loads(raw))
+        for number, raw in enumerate(fh, 1):
+            if not raw.strip():
+                continue
+            try:
+                line = json.loads(raw)
+                missing = [f for f in _GENERATION_FIELDS if f not in line]
+                known = not missing and line["instance_id"] in instance_ids
+            except (json.JSONDecodeError, TypeError) as exc:
+                raise ConfigError(f"{path}:{number}: not a generation record: {exc}") from None
+            if missing:
+                raise ConfigError(f"{path}:{number}: generation line lacks fields {missing}")
+            if not known:
+                raise ConfigError(
+                    f"{path}:{number}: instance {line['instance_id']!r} is not in the dataset"
+                )
+            lines.append(line)
     return lines
 
 
-def _cell_metrics(cfg: RunConfig, entries, by_id, itype: str, mask, variant, lm) -> dict:
-    """Six-metric scores for one (type, mask, variant) cell."""
+def _cell_metrics(cfg: RunConfig, entries, by_id, itype: str, mask, variant, providers) -> dict:
+    """Six-metric scores for one (type, mask, variant) cell; pools rank against generate's input."""
     all_texts = [t for e in entries for t in e["texts"]]
 
     bleu_scores = []
@@ -452,15 +479,17 @@ def _cell_metrics(cfg: RunConfig, entries, by_id, itype: str, mask, variant, lm)
             key = f"{entry['instance_id']}#{k}"
             cider_cands[key] = text
             cider_refs[key] = refs
-        spec = PromptSpec(InferenceType(itype), variant, mask)
+        sequence = generation.compose_input_sequence(
+            instance, PromptSpec(InferenceType(itype), variant, mask), providers.vision
+        )
         pool = metrics.build_candidate_pool(
             instance, by_id.values(), cfg.seed, itype, pool_size=cfg.pool_size
         )
         pools.append(
             metrics.score_pool(
                 pool,
-                lambda text, i=instance, s=spec: _retry(
-                    cfg, lambda: generation.score_candidate(i, s, text, lm)
+                lambda text: _retry(
+                    cfg, lambda: generation.score_candidate(sequence, text, providers.lm)
                 ).perplexity,
             )
         )
@@ -484,7 +513,7 @@ def _cell_metrics(cfg: RunConfig, entries, by_id, itype: str, mask, variant, lm)
 INFERENCE_TYPE_NAMES = tuple(t.value for t in InferenceType)
 
 
-def _evaluate_grid(cfg: RunConfig, generations, instances, lm, masks, variants):
+def _evaluate_grid(cfg: RunConfig, generations, instances, providers, masks, variants):
     """Score every (type, mask, variant) cell; raises MissingCell when absent."""
     by_id = {i.instance_id: i for i in instances}
     grouped: dict[tuple[str, str, int], list[dict]] = {}
@@ -501,7 +530,7 @@ def _evaluate_grid(cfg: RunConfig, generations, instances, lm, masks, variants):
                 if not entries:
                     raise metrics.MissingCell(f"({itype}, {label}, P{variant})")
                 cells[(itype, label, variant)] = _cell_metrics(
-                    cfg, entries, by_id, itype, mask, variant, lm
+                    cfg, entries, by_id, itype, mask, variant, providers
                 )
     return cells
 
@@ -522,23 +551,14 @@ def _modality_report(cells, masks, variant: int) -> metrics.EvalReport:
 def _prompt_report(cells, mask, variants) -> metrics.EvalReport:
     """Table-shaped report: one row per (type, prompt variant)."""
     label = combo_label(mask)
-    rows = []
-    for itype in INFERENCE_TYPE_NAMES:
-        for variant in variants:
-            cell = cells[(itype, label, variant)]
-            rows.append(
-                metrics.ReportRow(
-                    inference_type=itype,
-                    condition=prompt_id(InferenceType(itype), variant),
-                    B=cell["B"],
-                    M=cell["M"],
-                    C=cell["C"],
-                    A50=cell["A50"],
-                    unique=cell["unique"],
-                    novel=cell["novel"],
-                )
-            )
-    return metrics.EvalReport(rows=tuple(rows))
+    rows = tuple(
+        metrics.ReportRow.from_cell(
+            itype, prompt_id(InferenceType(itype), variant), cells[(itype, label, variant)]
+        )
+        for itype in INFERENCE_TYPE_NAMES
+        for variant in variants
+    )
+    return metrics.EvalReport(rows=rows)
 
 
 def _evaluate(cfg: RunConfig, run: _Run, generations_path, masks=None, variants=None):
@@ -549,14 +569,14 @@ def _evaluate(cfg: RunConfig, run: _Run, generations_path, masks=None, variants=
     generations_path = Path(generations_path)
     if not generations_path.exists():
         raise ConfigError(f"generations not found: {generations_path}")
-    generations = _read_generations(generations_path)
+    generations = _read_generations(generations_path, {i.instance_id for i in run.instances})
     if masks is None:
         pairs = dict.fromkeys((line["condition"], line["variant"]) for line in generations)
         masks = list(dict.fromkeys(parse_combo_label(condition) for condition, _ in pairs))
         variants = list(dict.fromkeys(variant for _, variant in pairs))
 
     try:
-        cells = _evaluate_grid(cfg, generations, run.instances, run.providers.lm, masks, variants)
+        cells = _evaluate_grid(cfg, generations, run.instances, run.providers, masks, variants)
     except metrics.MissingCell as exc:
         raise ConfigError(f"incomplete grid, missing cell {exc}") from exc
     except ProviderError as exc:
@@ -645,7 +665,7 @@ def _load(args) -> RunConfig:
     if getattr(args, "modalities", None):
         overrides["modalities"] = args.modalities.split(",")
     if getattr(args, "variants", None):
-        overrides["variants"] = [int(v) for v in args.variants.split(",")]
+        overrides["variants"] = args.variants.split(",")
     cfg = load_config(args.config, overrides)
     if not cfg.out_dir:
         raise ConfigError("no output directory; set out_dir in config or pass --out")

@@ -77,12 +77,6 @@ class ParseTree:
         if n and len(roots) != 1:
             raise ValueError(f"expected exactly one root, found {sorted(roots)}")
 
-    def head_of(self, index: int) -> tuple[int, str] | None:
-        for h, d, rel in self.arcs:
-            if d == index:
-                return (h, rel)
-        return None
-
     def children(self, head: int, relation: str | None = None) -> list[int]:
         return [
             d for h, d, rel in self.arcs if h == head and (relation is None or rel == relation)

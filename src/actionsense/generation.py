@@ -344,11 +344,6 @@ class ScoredCandidate:
     text: str
     nll: float | None = None  # mean negative log-likelihood, nats per token
     perplexity: float | None = None
-    is_ground_truth: bool = False
-
-    @property
-    def scored(self) -> bool:
-        return self.nll is not None
 
     def __post_init__(self):
         if self.nll is not None and self.perplexity is not None:
@@ -357,20 +352,16 @@ class ScoredCandidate:
 
 
 def generate_inferences(
-    instance: CommonsenseInstance,
-    spec: PromptSpec,
+    sequence: TokenSequence,
     lm: LMProvider,
     n: int,
     *,
-    vision: VisionProvider | None = None,
-    annotations: Sequence[ObjectAnnotation] | None = None,
     nucleus_p: float = 0.9,
     max_new: int = 16,
 ) -> list[str]:
     """Sample n inference statements, cut at the first end-of-field delimiter."""
     if n <= 0:
         return []
-    sequence = compose_input_sequence(instance, spec, vision, annotations)
     texts = lm.sample(sequence, nucleus_p, max_new, n)
     out = []
     for text in texts:
@@ -379,27 +370,15 @@ def generate_inferences(
     return out
 
 
-def score_candidate(
-    instance: CommonsenseInstance,
-    spec: PromptSpec,
-    candidate: str,
-    lm: LMProvider,
-    *,
-    vision: VisionProvider | None = None,
-    annotations: Sequence[ObjectAnnotation] | None = None,
-    is_ground_truth: bool = False,
-) -> ScoredCandidate:
+def score_candidate(sequence: TokenSequence, candidate: str, lm: LMProvider) -> ScoredCandidate:
     """Mean per-token negative log-likelihood of the candidate continuation."""
     if not candidate.strip():
         raise ValueError("candidate must be tokenizable")
-    sequence = compose_input_sequence(instance, spec, vision, annotations)
     logprobs = lm.logprobs(sequence, candidate)
     if not logprobs:
         raise ProviderError("provider returned no token log-probabilities")
     nll = -sum(logprobs) / len(logprobs)
-    return ScoredCandidate(
-        text=candidate, nll=nll, perplexity=math.exp(nll), is_ground_truth=is_ground_truth
-    )
+    return ScoredCandidate(text=candidate, nll=nll, perplexity=math.exp(nll))
 
 
 def _conditioning_sequence(sequence: TokenSequence, keep: tuple[str, ...]) -> TokenSequence:
@@ -435,10 +414,9 @@ def seq2seq_loss(
     per_instance = []
     terms: list[float] = []
     for instance, spec, target in batch:
-        scored = score_candidate(instance, spec, target, lm, vision=vision)
-        instance_terms = [scored.nll]
+        full = compose_input_sequence(instance, spec, vision)
+        instance_terms = [score_candidate(full, target, lm).nll]
         if tp_mode:
-            full = compose_input_sequence(instance, spec, vision)
             t_target = instance.text_description or " ".join(instance.action_object)
             t_cond = _conditioning_sequence(full, ("image",))
             t_lps = lm.logprobs(t_cond, t_target)

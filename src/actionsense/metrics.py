@@ -411,6 +411,11 @@ class ReportRow:
         if not (0.0 <= self.C <= 10.0):
             raise ValueError(f"C={self.C} outside [0, 10]")
 
+    @classmethod
+    def from_cell(cls, inference_type: str, condition: str, cell: Mapping[str, float]):
+        """The row for one report cell; ``cell`` maps each of METRIC_COLUMNS to a score."""
+        return cls(inference_type, condition, **{c: cell[c] for c in METRIC_COLUMNS})
+
 
 @dataclass(frozen=True)
 class EvalReport:
@@ -475,34 +480,14 @@ def aggregate_report(
 ) -> EvalReport:
     """Assemble the full (type x condition) grid; missing cells are an error."""
     if types is None:
-        seen_types = []
-        for t, _ in scores:
-            if t not in seen_types:
-                seen_types.append(t)
-        types = seen_types
+        types = list(dict.fromkeys(t for t, _ in scores))
     if conditions is None:
-        seen_conditions = []
-        for _, c in scores:
-            if c not in seen_conditions:
-                seen_conditions.append(c)
-        conditions = seen_conditions
+        conditions = list(dict.fromkeys(c for _, c in scores))
 
     rows = []
     for t in types:
         for c in conditions:
             if (t, c) not in scores:
                 raise MissingCell(f"({t}, {c})")
-            cell = scores[(t, c)]
-            rows.append(
-                ReportRow(
-                    inference_type=t,
-                    condition=c,
-                    B=cell["B"],
-                    M=cell["M"],
-                    C=cell["C"],
-                    A50=cell["A50"],
-                    unique=cell["unique"],
-                    novel=cell["novel"],
-                )
-            )
+            rows.append(ReportRow.from_cell(t, c, scores[(t, c)]))
     return EvalReport(rows=tuple(rows))

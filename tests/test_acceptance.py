@@ -12,7 +12,12 @@ import pytest
 from actionsense import cli
 from actionsense.assembly import form_preconditions
 from actionsense.extraction import extract_verb_ingredient_pairs, resolve_coreferences
-from actionsense.generation import GenerationConfig, score_candidate, seq2seq_loss
+from actionsense.generation import (
+    GenerationConfig,
+    compose_input_sequence,
+    score_candidate,
+    seq2seq_loss,
+)
 from actionsense.metrics import (
     CandidatePool,
     ScoredText,
@@ -141,12 +146,16 @@ def test_4_metric_oracles():
 def test_5_perplexity_contract():
     with criterion(5, "perplexity and sequence-loss contracts"):
         scored = score_candidate(
-            make_instance(), spec(), "golden yolk", FixedProbsLM([0.5, 0.25])
+            compose_input_sequence(make_instance(), spec()),
+            "golden yolk",
+            FixedProbsLM([0.5, 0.25]),
         )
         assert scored.perplexity == pytest.approx(2.8284271247461903, abs=1e-6)
         for vocab in (7, 50, 1000):
             uniform = score_candidate(
-                make_instance(), spec(), "one two three four", UniformLM(vocab)
+                compose_input_sequence(make_instance(), spec()),
+                "one two three four",
+                UniformLM(vocab),
             )
             assert uniform.perplexity == pytest.approx(vocab, rel=1e-12)
         lm = UniformLM(23)
@@ -155,7 +164,10 @@ def test_5_perplexity_contract():
             (make_instance(), spec(), "brown crispy strips of bacon"),
         ]
         result = seq2seq_loss(batch, lm)
-        nlls = [score_candidate(i, s, target, lm).nll for i, s, target in batch]
+        nlls = [
+            score_candidate(compose_input_sequence(i, s), target, lm).nll
+            for i, s, target in batch
+        ]
         assert abs(result.loss - sum(nlls) / len(nlls)) < 1e-9
 
 

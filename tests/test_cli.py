@@ -1,7 +1,9 @@
 import json
 from pathlib import Path
 
-from actionsense import cli
+import pytest
+
+from actionsense import cli, generation, stubs
 from actionsense.assembly import compute_statistics, read_dataset
 from actionsense.extraction import count_lemma_frequencies, filter_pairs_by_frequency
 
@@ -122,6 +124,34 @@ class TestGenerate:
             ["generate", "--config", str(fixture_config), "--out", str(tmp_path / "fresh")]
         )
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "flags, fields",
+        [
+            (["--variants", "a"], {}),
+            (["--variants", "0"], {}),
+            (["--variants", "7"], {}),
+            (["--modalities", "Bogus"], {}),
+            (["--modalities", "OG"], {}),
+            ([], {"variants": [5]}),
+            ([], {"modalities": ["TextDesc+OG"]}),
+            ([], {"modality_stage_variant": 9}),
+        ],
+        ids=[
+            "flag-variant-a", "flag-variant-0", "flag-variant-7", "flag-mask-bogus",
+            "flag-mask-og", "file-variant", "file-mask", "file-stage-variant",
+        ],
+    )
+    def test_bad_grid_values_exit_2(self, fixture_config, tmp_path, capsys, flags, fields):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({**json.loads(fixture_config.read_text()), **fields}))
+        # a bad config file fails every command, build-dataset included
+        out = build(config, tmp_path / "run") if not fields else tmp_path / "run"
+        capsys.readouterr()
+        code = cli.main(["generate", "--config", str(config), "--out", str(out), *flags])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert ("variant" in err or "modality" in err) and "Traceback" not in err
 
     def test_request_group_accounting(self, fixture_config, tmp_path):
         out = build(fixture_config, tmp_path / "run")
@@ -297,6 +327,41 @@ class TestEvaluate:
         err = capsys.readouterr().err
         assert "goal" in err and "TextDesc" in err
 
+    @pytest.mark.parametrize(
+        "doctor, message",
+        [
+            (lambda line: "{not json", "not a generation record"),
+            (
+                lambda line: json.dumps(
+                    {k: v for k, v in json.loads(line).items() if k != "condition"}
+                ),
+                "'condition'",
+            ),
+            (lambda line: json.dumps({**json.loads(line), "instance_id": "ghost"}), "'ghost'"),
+        ],
+        ids=["not-json", "no-condition", "unknown-instance"],
+    )
+    def test_malformed_generations_exit_2(
+        self, fixture_config, tmp_path, capsys, doctor, message
+    ):
+        out = build(fixture_config, tmp_path / "run")
+        assert cli.main(
+            ["generate", "--config", str(fixture_config), "--out", str(out),
+             "--modalities", "AOPair", "--variants", "1"]
+        ) == 0
+        lines = (out / "generations_main.jsonl").read_text().splitlines()
+        lines[1] = doctor(lines[1])
+        doctored = out / "doctored.jsonl"
+        doctored.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        code = cli.main(
+            ["evaluate", "--config", str(fixture_config), "--out", str(out),
+             "--generations", str(doctored)]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"{doctored}:2:" in err and message in err and "Traceback" not in err
+
     def test_report_matches_rerun(self, fixture_config, tmp_path):
         outputs = []
         for name in ("a", "b"):
@@ -308,6 +373,64 @@ class TestEvaluate:
             assert cli.main(["evaluate", "--config", str(fixture_config), "--out", str(out)]) == 0
             outputs.append((out / "modality_report.json").read_bytes())
         assert outputs[0] == outputs[1]
+
+
+class TestConditioning:
+    def test_evaluate_scores_against_sequences_generate_sent(
+        self, fixture_config, tmp_path, monkeypatch
+    ):
+        cfg = json.loads(fixture_config.read_text())
+        cfg["providers"]["vision"] = {"kind": "stub"}
+        config = tmp_path / "vision.json"
+        config.write_text(json.dumps(cfg))
+        out = build(config, tmp_path / "run")
+        sent = []
+        logprobs = stubs.StubLMProvider.logprobs
+
+        def recording(lm, sequence, continuation):
+            sent.append(json.dumps(sequence.to_wire(), sort_keys=True))
+            return logprobs(lm, sequence, continuation)
+
+        monkeypatch.setattr(stubs.StubLMProvider, "logprobs", recording)
+        assert cli.main(
+            ["generate", "--config", str(config), "--out", str(out),
+             "--modalities", "Image+TextDesc+AOPair+OG,AOPair", "--variants", "1"]
+        ) == 0
+        generated = set(sent)
+        sent.clear()
+        assert cli.main(["evaluate", "--config", str(config), "--out", str(out)]) == 0
+        assert sent and set(sent) <= generated
+
+    def test_one_composition_per_group_and_per_scored_entry(
+        self, fixture_config, tmp_path, monkeypatch
+    ):
+        out = build(fixture_config, tmp_path / "run")
+        calls = []
+        compose = generation.compose_input_sequence
+
+        def counting(*args, **kwargs):
+            calls.append(args[:2])
+            return compose(*args, **kwargs)
+
+        monkeypatch.setattr(generation, "compose_input_sequence", counting)
+        assert cli.main(
+            ["generate", "--config", str(fixture_config), "--out", str(out), "--variants", "1"]
+        ) == 0
+        instances = read_dataset(out / "dataset.jsonl")
+        groups = len(instances) * len(generation.MODALITY_COMBOS) * len(generation.InferenceType)
+        assert len(calls) == groups
+        generated = (out / "generations_main.jsonl").read_text().splitlines()
+        lines = [json.loads(line) for line in generated]
+        assert len(lines) < groups  # some groups were skipped for a missing image
+
+        calls.clear()
+        assert cli.main(["evaluate", "--config", str(fixture_config), "--out", str(out)]) == 0
+        by_id = {i.instance_id: i for i in instances}
+        scored = [
+            line for line in lines
+            if by_id[line["instance_id"]].inference_set(line["inference_type"])
+        ]
+        assert len(calls) == len(scored)
 
 
 class TestAblate:

@@ -265,50 +265,62 @@ class TestCompose:
 class TestGenerate:
     def test_echo_stub_verbatim(self):
         lm = EchoLM(["a pan", "a bowl", "a fork"])
-        texts = generate_inferences(make_instance(), spec(), lm, 3)
+        texts = generate_inferences(compose_input_sequence(make_instance(), spec()), lm, 3)
         assert texts == ["a pan", "a bowl", "a fork"]
 
     def test_zero_samples(self):
         lm = EchoLM(["a pan"])
-        assert generate_inferences(make_instance(), spec(), lm, 0) == []
+        assert generate_inferences(compose_input_sequence(make_instance(), spec()), lm, 0) == []
         assert lm.sample_calls == 0
 
     def test_strip_at_end_of_field(self):
         lm = EchoLM(["a pan e_inf trailing junk"])
-        texts = generate_inferences(make_instance(), spec(), lm, 1)
+        texts = generate_inferences(compose_input_sequence(make_instance(), spec()), lm, 1)
         assert texts == ["a pan"]
 
     def test_greedy_stub_repeats_modal_continuation(self, lm_provider):
         texts = generate_inferences(
-            make_instance(), spec(), lm_provider, 4, nucleus_p=0.0
+            compose_input_sequence(make_instance(), spec()), lm_provider, 4, nucleus_p=0.0
         )
         assert len(set(texts)) == 1 and len(texts) == 4
 
     def test_fixed_seed_is_deterministic(self, lm_provider):
-        first = generate_inferences(make_instance(), spec(), lm_provider, 3)
-        second = generate_inferences(make_instance(), spec(), lm_provider, 3)
+        first = generate_inferences(
+            compose_input_sequence(make_instance(), spec()), lm_provider, 3
+        )
+        second = generate_inferences(
+            compose_input_sequence(make_instance(), spec()), lm_provider, 3
+        )
         assert first == second
 
 
 class TestScoring:
     def test_uniform_vocabulary_perplexity_equals_vocab_size(self):
-        scored = score_candidate(make_instance(), spec(), "golden crispy bits", UniformLM(50))
+        scored = score_candidate(
+            compose_input_sequence(make_instance(), spec()), "golden crispy bits", UniformLM(50)
+        )
         assert scored.perplexity == pytest.approx(50.0, abs=1e-9)
 
     def test_half_quarter_probabilities(self):
-        scored = score_candidate(make_instance(), spec(), "golden yolk", FixedProbsLM([0.5, 0.25]))
+        scored = score_candidate(
+            compose_input_sequence(make_instance(), spec()),
+            "golden yolk",
+            FixedProbsLM([0.5, 0.25]),
+        )
         assert scored.nll == pytest.approx(-(math.log(0.5) + math.log(0.25)) / 2)
         assert scored.perplexity == pytest.approx(2.8284271247461903, abs=1e-9)
 
     def test_conditioning_field_order(self):
         lm = RecordingLM()
         mask = frozenset({Modality.IMAGE, Modality.TEXT_DESC, Modality.AO_PAIR, Modality.OG})
-        score_candidate(make_instance(), spec(mask=mask), "golden", lm)
+        score_candidate(compose_input_sequence(make_instance(), spec(mask=mask)), "golden", lm)
         assert lm.sequences[0].block_names() == ["image", "event", "ao", "prompt", "start"]
         assert lm.sequences[0].blocks[-1].tokens == ("s_precondition",)
 
     def test_perplexity_is_exp_of_nll(self):
-        scored = score_candidate(make_instance(), spec(), "soft and fluffy", UniformLM(17))
+        scored = score_candidate(
+            compose_input_sequence(make_instance(), spec()), "soft and fluffy", UniformLM(17)
+        )
         assert scored.perplexity == pytest.approx(math.exp(scored.nll), abs=1e-12)
 
     def test_mismatched_perplexity_rejected(self):
@@ -318,14 +330,16 @@ class TestScoring:
     def test_score_independent_of_other_candidates(self):
         lm = UniformLM(11)
         instance = make_instance()
-        one = score_candidate(instance, spec(), "golden", lm)
-        score_candidate(instance, spec(), "something else entirely", lm)
-        two = score_candidate(instance, spec(), "golden", lm)
+        one = score_candidate(compose_input_sequence(instance, spec()), "golden", lm)
+        score_candidate(compose_input_sequence(instance, spec()), "something else entirely", lm)
+        two = score_candidate(compose_input_sequence(instance, spec()), "golden", lm)
         assert one == two
 
     @given(st.integers(min_value=2, max_value=10_000))
     def test_uniform_perplexity_matches_vocab(self, vocab):
-        scored = score_candidate(make_instance(), spec(), "one two three", UniformLM(vocab))
+        scored = score_candidate(
+            compose_input_sequence(make_instance(), spec()), "one two three", UniformLM(vocab)
+        )
         assert scored.perplexity == pytest.approx(vocab, rel=1e-12)
 
 
@@ -340,7 +354,10 @@ class TestSeq2SeqLoss:
         instances = [make_instance(), make_instance()]
         batch = [(i, spec(), "soft golden curds") for i in instances]
         result = seq2seq_loss(batch, lm)
-        nlls = [score_candidate(i, spec(), "soft golden curds", lm).nll for i in instances]
+        nlls = [
+            score_candidate(compose_input_sequence(i, spec()), "soft golden curds", lm).nll
+            for i in instances
+        ]
         assert result.loss == pytest.approx(sum(nlls) / len(nlls), abs=1e-9)
 
     def test_tp_mode_adds_two_terms_per_instance(self):
