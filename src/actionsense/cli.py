@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import itertools
 import json
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -122,19 +123,32 @@ def load_config(path, overrides: dict | None = None) -> RunConfig:
     return cfg
 
 
-def _check_grid(cfg: RunConfig) -> None:
-    """Raise ConfigError unless every mask label and prompt variant names a grid cell."""
-    known = {str(v): v for _, v in generation.PROMPTS}  # flags give variants as strings
+_VARIANTS = {str(v): v for _, v in generation.PROMPTS}  # flags give variants as strings
+_MASK_LABELS = [combo_label(mask) for mask in MODALITY_COMBOS]
+
+
+def _grid_cell(label, variant) -> int:
+    """Check that a mask label and a prompt variant name a grid cell; return the variant."""
+    if str(variant) not in _VARIANTS:
+        raise ValueError(f"unknown prompt variant {variant!r}; choose from {', '.join(_VARIANTS)}")
     try:
-        cfg.variants = [known[str(v)] for v in cfg.variants]
-        cfg.modality_stage_variant = known[str(cfg.modality_stage_variant)]
-    except (KeyError, TypeError) as exc:
-        raise ConfigError(f"unknown prompt variant {exc}; choose from {', '.join(known)}") from None
-    try:
-        for mask in cfg.mask_list():
-            PromptSpec(InferenceType.GOAL, 1, mask)
+        PromptSpec(InferenceType.GOAL, 1, parse_combo_label(label))
     except (ValueError, AttributeError, TypeError) as exc:
-        raise ConfigError(f"bad modality mask in {cfg.modalities!r}: {exc}") from None
+        raise ValueError(f"bad modality mask {label!r}: {exc}") from None
+    return _VARIANTS[str(variant)]
+
+
+def _check_grid(cfg: RunConfig) -> None:
+    """Raise ConfigError unless every cell that generate or ablate can run is a grid cell."""
+    try:
+        labels = _MASK_LABELS + ([] if cfg.modalities == ["all"] else list(cfg.modalities))
+        variants = [*cfg.variants, cfg.modality_stage_variant]
+        for label, variant in itertools.product(labels, variants):
+            _grid_cell(label, variant)
+    except (ValueError, TypeError) as exc:
+        raise ConfigError(f"bad grid in config: {exc}") from None
+    cfg.variants = [_VARIANTS[str(v)] for v in cfg.variants]
+    cfg.modality_stage_variant = _VARIANTS[str(cfg.modality_stage_variant)]
 
 
 class Manifest:
@@ -161,6 +175,8 @@ class Manifest:
         return stage in self.data["stages"]
 
     def mark_cell(self, key: str, path: str) -> None:
+        # a cell file holds what its last writer made, so no other key may claim it
+        self.data["cells"] = {k: p for k, p in self.data["cells"].items() if p != path}
         self.data["cells"][key] = path
         self.save()
 
@@ -305,7 +321,7 @@ def _read_dataset(path: Path) -> list:
         raise ConfigError(f"dataset not readable: {path}")
     try:
         return assembly.read_dataset(path)
-    except (json.JSONDecodeError, KeyError) as exc:
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
         raise ConfigError(f"dataset not readable: {path}: {exc}") from exc
 
 
@@ -389,10 +405,13 @@ def _generate(cfg: RunConfig, run: _Run, masks, variants, resume: bool, phase: s
     """Generate and score each (mask, variant) cell, combine them and mark ``generate``."""
     failures = 0
     cell_paths: list[Path] = []
+    # a resumed run reuses only cells made under the same generation settings
+    settings = [cfg.seed, cfg.nucleus_p, cfg.n_samples, cfg.max_new_tokens, cfg.providers]
+    digest = hashlib.sha256(json.dumps(settings, sort_keys=True).encode("utf-8")).hexdigest()
     for mask in masks:
         for variant in variants:
             cell = f"{combo_label(mask)}__P{variant}"
-            key = f"{phase}:{cell}"
+            key = f"{phase}:{cell}:{digest[:16]}"
             cell_path = run.dir / f"gen_cells_{phase}" / f"{cell}.jsonl"
             cell_paths.append(cell_path)
             if resume and run.manifest.cell_done(key):
@@ -444,15 +463,16 @@ def _read_generations(path: Path, instance_ids) -> list[dict]:
             try:
                 line = json.loads(raw)
                 missing = [f for f in _GENERATION_FIELDS if f not in line]
-                known = not missing and line["instance_id"] in instance_ids
-            except (json.JSONDecodeError, TypeError) as exc:
+                if missing:
+                    raise ValueError(f"lacks fields {missing}")
+                if line["instance_id"] not in instance_ids:
+                    raise ValueError(f"instance {line['instance_id']!r} is not in the dataset")
+                line["variant"] = _grid_cell(line["condition"], line["variant"])
+                texts = line["texts"]
+                if not isinstance(texts, list) or not all(isinstance(t, str) for t in texts):
+                    raise ValueError(f"texts must be a list of strings, got {texts!r}")
+            except (ValueError, TypeError) as exc:  # JSONDecodeError is a ValueError
                 raise ConfigError(f"{path}:{number}: not a generation record: {exc}") from None
-            if missing:
-                raise ConfigError(f"{path}:{number}: generation line lacks fields {missing}")
-            if not known:
-                raise ConfigError(
-                    f"{path}:{number}: instance {line['instance_id']!r} is not in the dataset"
-                )
             lines.append(line)
     return lines
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 DEFAULT_FPS = 30.0
@@ -144,23 +144,6 @@ class FrameRef:
 
 
 @dataclass(frozen=True)
-class Violation:
-    video_id: str
-    segment_index: int | None
-    message: str
-
-
-@dataclass(frozen=True)
-class ValidationReport:
-    violations: tuple[Violation, ...]
-    flagged: tuple[tuple[str, str], ...] = ()
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
-@dataclass(frozen=True)
 class Corpus:
     """An immutable loaded corpus: video records plus the recipe index."""
 
@@ -182,9 +165,17 @@ class Corpus:
         return cls(videos=tuple(load_corpus(annotation_file, index)), index=index)
 
 
+def _read_json(path):
+    """The JSON document in ``path``; a file that is not UTF-8 JSON is MalformedAnnotation."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
+        raise MalformedAnnotation(path, None, f"not a UTF-8 JSON file: {exc}") from None
+
+
 def load_recipe_index(path) -> RecipeIndex:
-    with open(path, encoding="utf-8") as fh:
-        raw = json.load(fh)
+    raw = _read_json(path)
     if not isinstance(raw, dict):
         raise MalformedAnnotation(path, None, "recipe index must be a JSON object")
     entries = {}
@@ -195,87 +186,65 @@ def load_recipe_index(path) -> RecipeIndex:
     return RecipeIndex(entries=entries)
 
 
-def _parse_objects(raw_objects, path, record_index):
+def _text(value, what: str, *, empty: bool = False) -> str:
+    if not isinstance(value, str) or not (value or empty):
+        raise ValueError(f"{what} must be a {'' if empty else 'non-empty '}string, got {value!r}")
+    return value
+
+
+def _parse_objects(raw_objects):
     objects = []
     for obj in raw_objects:
-        label = obj.get("label")
-        if not label:
-            raise MalformedAnnotation(path, record_index, "object label must be non-empty")
+        label = _text(obj.get("label"), "object label")
         boxes = []
         for box in obj.get("boxes", []):
             if len(box) != 5:
-                raise MalformedAnnotation(
-                    path, record_index, f"box for {label!r} must be [t,x1,y1,x2,y2]"
-                )
+                raise ValueError(f"box for {label!r} must be [t,x1,y1,x2,y2]")
             t, x1, y1, x2, y2 = (float(v) for v in box)
             if not (x1 < x2 and y1 < y2):
-                raise MalformedAnnotation(
-                    path, record_index, f"degenerate box for {label!r}: {box}"
-                )
+                raise ValueError(f"degenerate box for {label!r}: {box}")
             boxes.append((t, x1, y1, x2, y2))
         objects.append(ObjectAnnotation(label=label, boxes=tuple(boxes)))
     return tuple(objects)
 
 
-def _parse_video(raw, path, record_index, index: RecipeIndex | None) -> VideoRecord:
-    try:
-        video_id = raw["video_id"]
-        recipe_id = str(raw["recipe_id"])
-        raw_segments = raw["segments"]
-    except KeyError as exc:
-        raise MalformedAnnotation(path, record_index, f"missing field {exc}") from None
-
-    if index is not None and recipe_id not in index:
-        raise MalformedAnnotation(
-            path, record_index, f"recipe_id {recipe_id!r} not in recipe index"
-        )
+def _parse_video(raw, index: RecipeIndex) -> VideoRecord:
+    """One video record; load_corpus names the file and record in what this raises."""
+    video_id = _text(raw["video_id"], "video_id")
+    recipe_id = str(raw["recipe_id"])
+    if recipe_id not in index:
+        raise ValueError(f"recipe_id {recipe_id!r} not in recipe index")
 
     segments = []
-    for raw_seg in raw_segments:
-        try:
-            seg = Segment(
-                index=int(raw_seg["index"]),
-                t_start=float(raw_seg["start"]),
-                t_end=float(raw_seg["end"]),
-                sentence=raw_seg["sentence"],
-                objects=_parse_objects(raw_seg.get("objects", []), path, record_index),
-            )
-        except KeyError as exc:
-            raise MalformedAnnotation(
-                path, record_index, f"segment missing field {exc}"
-            ) from None
-        if not (seg.t_start < seg.t_end):
-            raise MalformedAnnotation(
-                path, record_index, f"segment {seg.index}: start must precede end"
-            )
-        if not seg.sentence:
-            raise MalformedAnnotation(
-                path, record_index, f"segment {seg.index}: empty sentence"
-            )
+    for raw_seg in raw["segments"]:
+        seg = Segment(
+            index=int(raw_seg["index"]),
+            t_start=float(raw_seg["start"]),
+            t_end=float(raw_seg["end"]),
+            sentence=_text(raw_seg["sentence"], "sentence"),
+            objects=_parse_objects(raw_seg.get("objects", [])),
+        )
+        # finite times: a frame index is computed from them
+        if not (-math.inf < seg.t_start < seg.t_end < math.inf):
+            raise ValueError(f"segment {seg.index}: start must precede end, both finite")
         segments.append(seg)
 
     indices = [s.index for s in segments]
     if indices != list(range(1, len(segments) + 1)):
-        raise MalformedAnnotation(
-            path, record_index, f"segment indices must be 1..N contiguous, got {indices}"
-        )
+        raise ValueError(f"segment indices must be 1..N contiguous, got {indices}")
     starts = [s.t_start for s in segments]
     if any(a >= b for a, b in zip(starts, starts[1:])):
-        raise MalformedAnnotation(
-            path, record_index, "segments not strictly ordered by start time"
-        )
+        raise ValueError("segments not strictly ordered by start time")
 
     transcript = []
     for raw_line in raw.get("transcript", []) or []:
         line = TranscriptLine(
             t_start=float(raw_line["start"]),
             t_end=float(raw_line["end"]),
-            text=raw_line["text"],
+            text=_text(raw_line["text"], "transcript text", empty=True),
         )
         if line.t_start > line.t_end:
-            raise MalformedAnnotation(
-                path, record_index, f"transcript line at {line.t_start} ends before it starts"
-            )
+            raise ValueError(f"transcript line at {line.t_start} ends before it starts")
         transcript.append(line)
 
     media = None
@@ -286,6 +255,10 @@ def _parse_video(raw, path, record_index, index: RecipeIndex | None) -> VideoRec
             frame_paths={int(k): v for k, v in (raw_media.get("frames") or {}).items()},
             resolved=bool(raw_media.get("resolved", False)),
         )
+        for kind, paths in (("clip", media.clip_paths), ("frame", media.frame_paths)):
+            for path in paths.values():
+                if media.resolved and not Path(path).exists():
+                    raise ValueError(f"resolved {kind} path missing: {path}")
 
     flags = []
     if not transcript:
@@ -308,19 +281,24 @@ def load_corpus(annotation_file, recipe_index) -> list[VideoRecord]:
 
     ``recipe_index`` is a loaded RecipeIndex or the path of its file. Videos
     with missing media or transcripts load fine and come back flagged. Schema
-    violations raise MalformedAnnotation naming the file and record.
+    violations, a missing field or a value of the wrong type included, raise
+    MalformedAnnotation naming the file and record.
     """
     if not isinstance(recipe_index, RecipeIndex):
         recipe_index = load_recipe_index(recipe_index)
-    with open(annotation_file, encoding="utf-8") as fh:
-        raw = json.load(fh)
-    if not isinstance(raw, dict) or "videos" not in raw:
+    raw = _read_json(annotation_file)
+    if not isinstance(raw, dict) or not isinstance(raw.get("videos"), list):
         raise MalformedAnnotation(annotation_file, None, "expected top-level {'videos': [...]}")
 
     videos = []
     seen = set()
     for i, raw_video in enumerate(raw["videos"]):
-        record = _parse_video(raw_video, annotation_file, i, recipe_index)
+        try:
+            record = _parse_video(raw_video, recipe_index)
+        except KeyError as exc:
+            raise MalformedAnnotation(annotation_file, i, f"missing field {exc}") from None
+        except (TypeError, ValueError, AttributeError, OverflowError) as exc:
+            raise MalformedAnnotation(annotation_file, i, f"malformed value: {exc}") from None
         if record.video_id in seen:
             raise DuplicateVideoId(annotation_file, i, f"duplicate video_id {record.video_id!r}")
         seen.add(record.video_id)
@@ -405,62 +383,3 @@ def middle_frame(
         clip_path=media.clip_paths.get(segment.index),
         frame_path=media.frame_paths.get(segment.index),
     )
-
-
-def validate_corpus(corpus: Corpus) -> ValidationReport:
-    """Report per-video invariant violations without changing the corpus."""
-    violations = []
-    flagged = []
-    for video in corpus.videos:
-        for flag in video.flags:
-            flagged.append((video.video_id, flag))
-        if video.recipe_id not in corpus.index:
-            violations.append(
-                Violation(video.video_id, None, f"unresolvable recipe_id {video.recipe_id!r}")
-            )
-        indices = [s.index for s in video.segments]
-        if indices != list(range(1, len(video.segments) + 1)):
-            violations.append(
-                Violation(video.video_id, None, f"segment indices not contiguous: {indices}")
-            )
-        starts = [s.t_start for s in video.segments]
-        if any(a >= b for a, b in zip(starts, starts[1:])):
-            violations.append(Violation(video.video_id, None, "segments out of order"))
-        for seg in video.segments:
-            if not seg.t_start < seg.t_end:
-                violations.append(
-                    Violation(video.video_id, seg.index, "t_start must be before t_end")
-                )
-            if not seg.sentence:
-                violations.append(Violation(video.video_id, seg.index, "empty sentence"))
-            for obj in seg.objects:
-                if not obj.label:
-                    violations.append(Violation(video.video_id, seg.index, "empty object label"))
-                for box in obj.boxes:
-                    _, x1, y1, x2, y2 = box
-                    if not (x1 < x2 and y1 < y2):
-                        violations.append(
-                            Violation(video.video_id, seg.index, f"degenerate box {box}")
-                        )
-        for line in video.transcript:
-            if line.t_start > line.t_end:
-                violations.append(
-                    Violation(video.video_id, None, f"transcript line reversed at {line.t_start}")
-                )
-        if video.media is not None and video.media.resolved:
-            for kind, paths in (
-                ("clip", video.media.clip_paths),
-                ("frame", video.media.frame_paths),
-            ):
-                for idx, p in paths.items():
-                    if not Path(p).exists():
-                        violations.append(
-                            Violation(video.video_id, idx, f"resolved {kind} path missing: {p}")
-                        )
-    return ValidationReport(violations=tuple(violations), flagged=tuple(flagged))
-
-
-def with_injected_segment(video: VideoRecord, segment: Segment) -> VideoRecord:
-    """Return a copy of the video with one segment replaced (test utility)."""
-    segments = tuple(segment if s.index == segment.index else s for s in video.segments)
-    return replace(video, segments=segments)

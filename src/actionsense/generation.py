@@ -417,14 +417,12 @@ def seq2seq_loss(
         full = compose_input_sequence(instance, spec, vision)
         instance_terms = [score_candidate(full, target, lm).nll]
         if tp_mode:
-            t_target = instance.text_description or " ".join(instance.action_object)
-            t_cond = _conditioning_sequence(full, ("image",))
-            t_lps = lm.logprobs(t_cond, t_target)
-            instance_terms.append(-sum(t_lps) / max(1, len(t_lps)))
             p_target = " ".join(instance.action_object)
+            t_target = instance.text_description or p_target
+            t_cond = _conditioning_sequence(full, ("image",))
+            instance_terms.append(score_candidate(t_cond, t_target, lm).nll)
             p_cond = _conditioning_sequence(full, ("image", "event"))
-            p_lps = lm.logprobs(p_cond, p_target)
-            instance_terms.append(-sum(p_lps) / max(1, len(p_lps)))
+            instance_terms.append(score_candidate(p_cond, p_target, lm).nll)
         terms.extend(instance_terms)
         per_instance.append(sum(instance_terms))
     return LossResult(loss=sum(per_instance) / len(per_instance), terms=tuple(terms))

@@ -114,8 +114,20 @@ class TestStats:
         )
         assert printed == expected
 
-    def test_unreadable_dataset_exits_2(self, tmp_path):
-        assert cli.main(["stats", str(tmp_path / "none.jsonl")]) == 2
+    @pytest.mark.parametrize(
+        "doctor",
+        [None, lambda line: "[]", lambda line: json.dumps({**json.loads(line), "goals": 5})],
+        ids=["missing", "list", "goals-5"],
+    )
+    def test_unreadable_dataset_exits_2(self, fixture_config, tmp_path, capsys, doctor):
+        dataset = tmp_path / "dataset.jsonl"
+        if doctor is not None:
+            built = build(fixture_config, tmp_path / "run") / "dataset.jsonl"
+            dataset.write_text(doctor(built.read_text().splitlines()[0]) + "\n")
+        capsys.readouterr()
+        assert cli.main(["stats", str(dataset)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: dataset not readable: {dataset}") and "Traceback" not in err
 
 
 class TestGenerate:
@@ -182,6 +194,23 @@ class TestGenerate:
         ) == 0
         golden = (GOLDEN_DIR / "golden_generations_aopair_p1.jsonl").read_bytes()
         assert (out / "gen_cells_main" / "AOPair__P1.jsonl").read_bytes() == golden
+
+    def test_resume_regenerates_cells_made_under_other_settings(self, fixture_config, tmp_path):
+        out = build(fixture_config, tmp_path / "run")
+        one_sample = tmp_path / "one_sample.json"
+        cfg = json.loads(fixture_config.read_text())
+        one_sample.write_text(json.dumps({**cfg, "n_samples": 1}))
+        for config, modalities, n_texts in (
+            (fixture_config, "AOPair", 3),
+            (one_sample, "AOPair,TextDesc", 1),
+            (fixture_config, "AOPair", 3),  # back to the first settings
+        ):
+            assert cli.main(
+                ["generate", "--config", str(config), "--out", str(out),
+                 "--modalities", modalities, "--variants", "1", "--resume"]
+            ) == 0
+            lines = (out / "generations_main.jsonl").read_text().splitlines()
+            assert lines and {len(json.loads(line)["texts"]) for line in lines} == {n_texts}
 
     def test_interrupted_run_resumes_to_identical_output(self, fixture_config, tmp_path):
         full = build(fixture_config, tmp_path / "full")
@@ -338,8 +367,19 @@ class TestEvaluate:
                 "'condition'",
             ),
             (lambda line: json.dumps({**json.loads(line), "instance_id": "ghost"}), "'ghost'"),
+            (lambda line: json.dumps({**json.loads(line), "condition": "Bogus"}), "'Bogus'"),
+            (lambda line: json.dumps({**json.loads(line), "condition": "OG"}), "grounding"),
+            (lambda line: json.dumps({**json.loads(line), "variant": 7}), "prompt variant 7"),
+            (lambda line: json.dumps({**json.loads(line), "variant": [1]}), "prompt variant [1]"),
+            (
+                lambda line: json.dumps({**json.loads(line), "texts": "abc"}),
+                "texts must be a list of strings",
+            ),
         ],
-        ids=["not-json", "no-condition", "unknown-instance"],
+        ids=[
+            "not-json", "no-condition", "unknown-instance", "condition-bogus", "condition-og",
+            "variant-7", "variant-list", "texts-string",
+        ],
     )
     def test_malformed_generations_exit_2(
         self, fixture_config, tmp_path, capsys, doctor, message

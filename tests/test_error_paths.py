@@ -1,8 +1,12 @@
 """Failure-branch coverage: schema violations, contract breaches, bad config."""
 
+import copy
+import functools
 import json
+import operator
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from actionsense import cli
 from actionsense.corpus import MalformedAnnotation, load_corpus, load_recipe_index
@@ -13,13 +17,39 @@ from actionsense.providers import ProviderError
 from actionsense.stubs import StubLMProvider, StubParseProvider, fixture_path
 
 
+ANNOTATIONS = json.loads(fixture_path("annotations.json").read_text(encoding="utf-8"))
+
+
 def write_corpus(tmp_path, mutate):
-    with open(fixture_path("annotations.json"), encoding="utf-8") as fh:
-        raw = json.load(fh)
-    mutate(raw)
+    """The fixture annotations after ``mutate``; bytes that it returns become the whole file."""
+    raw = copy.deepcopy(ANNOTATIONS)
+    content = mutate(raw)
     path = tmp_path / "annotations.json"
-    path.write_text(json.dumps(raw))
+    path.write_bytes(content if isinstance(content, bytes) else json.dumps(raw).encode("utf-8"))
     return path
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=8), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def places(value, at=()):
+    """Every place in a JSON document as its path of keys, the root included."""
+    yield at
+    if isinstance(value, (dict, list)):
+        for key, child in value.items() if isinstance(value, dict) else enumerate(value):
+            yield from places(child, (*at, key))
+
+
+def video(raw, key, value):
+    raw["videos"][0][key] = value
+
+
+def segment(raw, key, value, index=0):
+    raw["videos"][0]["segments"][index][key] = value
 
 
 class TestCorpusSchemaErrors:
@@ -53,13 +83,79 @@ class TestCorpusSchemaErrors:
                 lambda raw: raw["videos"][0]["segments"][1].update(start=0.0, end=18.0),
                 "strictly ordered",
             ),
+            pytest.param(
+                lambda raw: raw["videos"][0]["segments"][2].update(start=28.0, end=20.0),
+                "segment 3: start must precede end",
+                id="reversed-segment",
+            ),
+            pytest.param(
+                lambda raw: segment(raw, "end", float("inf"), index=7),
+                "segment 8: start must precede end, both finite",
+                id="infinite-end",
+            ),
+            pytest.param(
+                lambda raw: video(raw, "media", {"clips": {"1": "/no/c.mp4"}, "resolved": True}),
+                "resolved clip path missing: /no/c.mp4",
+                id="resolved-clip-missing",
+            ),
+            pytest.param(
+                lambda raw: video(raw, "segments", 5),
+                "malformed value: 'int' object is not iterable",
+                id="segments-5",
+            ),
+            pytest.param(
+                lambda raw: segment(raw, "start", "abc"),
+                "malformed value: could not convert string to float: 'abc'",
+                id="start-abc",
+            ),
+            pytest.param(
+                lambda raw: segment(raw, "objects", [5]),
+                "malformed value: 'int' object has no attribute 'get'",
+                id="object-5",
+            ),
+            pytest.param(
+                lambda raw: raw["videos"].insert(0, 5),
+                "malformed value: 'int' object is not subscriptable",
+                id="video-5",
+            ),
+            pytest.param(
+                lambda raw: raw["videos"][0]["transcript"][0].pop("text"),
+                "missing field 'text'",
+                id="transcript-line-without-text",
+            ),
+            pytest.param(
+                lambda raw: raw["videos"][0]["transcript"][0].update(text=5),
+                "transcript text must be a string",
+                id="transcript-text-5",
+            ),
+            pytest.param(
+                lambda raw: segment(raw, "sentence", 5),
+                "sentence must be a non-empty string",
+                id="sentence-5",
+            ),
+            pytest.param(
+                lambda raw: raw["videos"][0]["media"]["clips"].update(x="clip.mp4"),
+                "malformed value: invalid literal for int()",
+                id="clip-key-x",
+            ),
+            pytest.param(lambda raw: raw.update(videos=5), "expected top-level", id="videos-5"),
+            pytest.param(lambda raw: b"{not json", "not a UTF-8 JSON file", id="not-json"),
+            pytest.param(lambda raw: b"\xff\xfe{}", "not a UTF-8 JSON file", id="not-utf-8"),
         ],
     )
-    def test_malformed_annotations_rejected(self, tmp_path, mutate, fragment):
+    def test_malformed_annotations_rejected(
+        self, tmp_path, fixture_config, capsys, mutate, fragment
+    ):
         path = write_corpus(tmp_path, mutate)
         with pytest.raises(MalformedAnnotation) as excinfo:
             load_corpus(path, fixture_path("recipes.json"))
-        assert fragment in str(excinfo.value)
+        assert fragment in str(excinfo.value) and str(path) in str(excinfo.value)
+        # the CLI reports the same error on one line, with exit 2
+        cfg = {**json.loads(fixture_config.read_text()), "annotation_file": str(path)}
+        fixture_config.write_text(json.dumps(cfg))
+        out = tmp_path / "r"
+        assert cli.main(["build-dataset", "--config", str(fixture_config), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {excinfo.value}\n"
 
     def test_recipe_index_must_be_object_of_names(self, tmp_path):
         path = tmp_path / "recipes.json"
@@ -69,6 +165,28 @@ class TestCorpusSchemaErrors:
         path.write_text(json.dumps({"r1": ""}))
         with pytest.raises(MalformedAnnotation):
             load_recipe_index(path)
+        path.write_text("{nope")
+        with pytest.raises(MalformedAnnotation, match="not a UTF-8 JSON file"):
+            load_recipe_index(path)
+
+    # Any JSON value in any one place of the annotation file: the CLI keeps its exit codes.
+    @settings(max_examples=100, deadline=None)
+    @given(place=st.sampled_from(list(places(ANNOTATIONS))), value=JSON_VALUES)
+    def test_one_replaced_value_never_escapes_the_exit_codes(
+        self, tmp_path_factory, place, value
+    ):
+        raw = copy.deepcopy(ANNOTATIONS)
+        if place:
+            functools.reduce(operator.getitem, place[:-1], raw)[place[-1]] = value
+        else:
+            raw = value
+        work = tmp_path_factory.mktemp("fuzz")
+        (work / "annotations.json").write_text(json.dumps(raw))
+        cfg = json.loads(fixture_path("run_config.json").read_text(encoding="utf-8"))
+        cfg.update(annotation_file=str(work / "annotations.json"), retry_base_delay=0)
+        (work / "config.json").write_text(json.dumps(cfg))
+        config, out = str(work / "config.json"), str(work / "run")
+        assert cli.main(["build-dataset", "--config", config, "--out", out]) in (0, 2, 3)
 
 
 class TestParseTreeValidation:
