@@ -33,7 +33,6 @@ from .metrics import (
     bleu2,
     build_candidate_pool,
     cider,
-    cohen_kappa,
     meteor,
     normalize_object_tags,
     novelty,

@@ -102,13 +102,6 @@ class GroundedText:
     def label_bindings(self) -> list[tuple[str, str]]:
         return [(tag, ann.label) for tag, ann in self.bindings.items()]
 
-    def deground(self) -> str:
-        """The template with tags substituted back by their object labels."""
-        text = self.template
-        for tag, ann in self.bindings.items():
-            text = text.replace(tag, ann.label)
-        return text
-
 
 @dataclass(frozen=True)
 class ProvenanceEntry:
@@ -575,34 +568,4 @@ def read_dataset(path) -> list[CommonsenseInstance]:
             line = line.strip()
             if line:
                 out.append(instance_from_dict(json.loads(line)))
-    return out
-
-
-def seeded_video_split(
-    instances, seed: int, ratios: tuple[float, float, float] = (0.8, 0.1, 0.1)
-) -> dict[str, list[CommonsenseInstance]]:
-    """Seeded by-video train/val/test split (a convention of this toolkit).
-
-    Instances follow the split of their first provenance video so merged
-    records land in exactly one partition.
-    """
-    import random
-
-    videos = sorted({i.provenance[0].video_id for i in instances})
-    rng = random.Random(f"split:{seed}")
-    rng.shuffle(videos)
-    n = len(videos)
-    n_train = round(n * ratios[0])
-    n_val = round(n * ratios[1])
-    assignment = {}
-    for pos, video_id in enumerate(videos):
-        if pos < n_train:
-            assignment[video_id] = "train"
-        elif pos < n_train + n_val:
-            assignment[video_id] = "val"
-        else:
-            assignment[video_id] = "test"
-    out: dict[str, list[CommonsenseInstance]] = {"train": [], "val": [], "test": []}
-    for instance in instances:
-        out[assignment[instance.provenance[0].video_id]].append(instance)
     return out

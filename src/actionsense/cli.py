@@ -96,8 +96,8 @@ def load_config(path, overrides: dict | None = None) -> RunConfig:
     try:
         with open(path, encoding="utf-8") as fh:
             raw = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
+    except (OSError, ValueError) as exc:  # a directory, not JSON, not UTF-8
+        raise ConfigError(f"config {path} is not a readable JSON file: {exc}") from exc
 
     cfg = RunConfig()
     known = set(cfg.__dict__)
@@ -317,11 +317,9 @@ def run_build_dataset(cfg: RunConfig) -> None:
 
 
 def _read_dataset(path: Path) -> list:
-    if not path.exists():
-        raise ConfigError(f"dataset not readable: {path}")
     try:
         return assembly.read_dataset(path)
-    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+    except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
         raise ConfigError(f"dataset not readable: {path}: {exc}") from exc
 
 
@@ -477,56 +475,30 @@ def _read_generations(path: Path, instance_ids) -> list[dict]:
     return lines
 
 
-def _cell_metrics(cfg: RunConfig, entries, by_id, itype: str, mask, variant, providers) -> dict:
+def _cell_metrics(cfg: RunConfig, entries, index, by_id, mask, variant, providers) -> dict:
     """Six-metric scores for one (type, mask, variant) cell; pools rank against generate's input."""
-    all_texts = [t for e in entries for t in e["texts"]]
-
-    bleu_scores = []
-    meteor_scores = []
-    cider_cands: dict[str, str] = {}
-    cider_refs: dict[str, list[str]] = {}
+    spec = PromptSpec(InferenceType(index.inference_type), variant, mask)
     pools = []
     for entry in entries:
-        instance = by_id[entry["instance_id"]]
-        refs = sorted(instance.inference_set(itype))
-        if not refs:
+        instance_id = entry["instance_id"]
+        if not index.references(instance_id):
             continue
-        for k, text in enumerate(entry["texts"]):
-            if not metrics.tokenize(text):
-                continue
-            bleu_scores.append(metrics.bleu2(text, refs))
-            meteor_scores.append(metrics.meteor(text, refs))
-            key = f"{entry['instance_id']}#{k}"
-            cider_cands[key] = text
-            cider_refs[key] = refs
-        sequence = generation.compose_input_sequence(
-            instance, PromptSpec(InferenceType(itype), variant, mask), providers.vision
-        )
-        pool = metrics.build_candidate_pool(
-            instance, by_id.values(), cfg.seed, itype, pool_size=cfg.pool_size
-        )
+        sequence = generation.compose_input_sequence(by_id[instance_id], spec, providers.vision)
         pools.append(
             metrics.score_pool(
-                pool,
+                index.pool(instance_id, cfg.seed, cfg.pool_size),
                 lambda text: _retry(
                     cfg, lambda: generation.score_candidate(sequence, text, providers.lm)
                 ).perplexity,
             )
         )
 
-    mean = lambda xs: sum(xs) / len(xs) if xs else 0.0
-    if len(cider_cands) >= 2:
-        _, cider_mean = metrics.cider(cider_cands, cider_refs)
-    else:
-        cider_mean = 0.0
-    training_refs = {t for inst in by_id.values() for t in inst.inference_set(itype)}
+    all_texts = [t for e in entries for t in e["texts"]]
     return {
-        "B": mean(bleu_scores),
-        "M": mean(meteor_scores),
-        "C": cider_mean,
+        **index.overlap_scores((e["instance_id"], e["texts"]) for e in entries),
         "A50": metrics.acc_at_50(pools, mode=cfg.acc_mode) if pools else 0.0,
         "unique": metrics.uniqueness(all_texts) if all_texts else 0.0,
-        "novel": metrics.novelty(all_texts, training_refs) if all_texts else 0.0,
+        "novel": metrics.novelty(all_texts, index.texts) if all_texts else 0.0,
     }
 
 
@@ -540,18 +512,17 @@ def _evaluate_grid(cfg: RunConfig, generations, instances, providers, masks, var
     for line in generations:
         key = (line["inference_type"], line["condition"], line["variant"])
         grouped.setdefault(key, []).append(line)
+    for mask, variant, itype in itertools.product(masks, variants, INFERENCE_TYPE_NAMES):
+        if (itype, combo_label(mask), variant) not in grouped:
+            raise metrics.MissingCell(f"({itype}, {combo_label(mask)}, P{variant})")
 
     cells = {}
-    for mask in masks:
-        label = combo_label(mask)
-        for variant in variants:
-            for itype in INFERENCE_TYPE_NAMES:
-                entries = grouped.get((itype, label, variant))
-                if not entries:
-                    raise metrics.MissingCell(f"({itype}, {label}, P{variant})")
-                cells[(itype, label, variant)] = _cell_metrics(
-                    cfg, entries, by_id, itype, mask, variant, providers
-                )
+    for itype in INFERENCE_TYPE_NAMES:
+        # one type at a time, so only that type's tokens and pools are held
+        index = metrics.ReferenceIndex(by_id.values(), itype)
+        for mask, variant in itertools.product(masks, variants):
+            key = (itype, combo_label(mask), variant)
+            cells[key] = _cell_metrics(cfg, grouped[key], index, by_id, mask, variant, providers)
     return cells
 
 
@@ -587,7 +558,7 @@ def _evaluate(cfg: RunConfig, run: _Run, generations_path, masks=None, variants=
     Without masks and variants the grid is the one the generations cover.
     """
     generations_path = Path(generations_path)
-    if not generations_path.exists():
+    if not generations_path.is_file():
         raise ConfigError(f"generations not found: {generations_path}")
     generations = _read_generations(generations_path, {i.instance_id for i in run.instances})
     if masks is None:
@@ -665,7 +636,7 @@ def run_report(report_path: str, as_csv: bool = False) -> None:
         if not rows:
             raise ConfigError(f"report {path} has no rows")
         text = metrics.format_csv(rows) if as_csv else metrics.format_table(rows) + "\n"
-    except (json.JSONDecodeError, AttributeError, KeyError, TypeError) as exc:
+    except (OSError, ValueError, AttributeError, KeyError, TypeError) as exc:
         raise ConfigError(f"report {path} is not a report JSON: {exc}") from exc
     sys.stdout.write(text)
 

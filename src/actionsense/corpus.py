@@ -172,6 +172,8 @@ def _read_json(path):
             return json.load(fh)
     except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
         raise MalformedAnnotation(path, None, f"not a UTF-8 JSON file: {exc}") from None
+    except OSError as exc:  # a directory, say
+        raise MalformedAnnotation(path, None, f"not a readable file: {exc}") from None
 
 
 def load_recipe_index(path) -> RecipeIndex:
@@ -208,7 +210,7 @@ def _parse_objects(raw_objects):
     return tuple(objects)
 
 
-def _parse_video(raw, index: RecipeIndex) -> VideoRecord:
+def _parse_video(raw, index: RecipeIndex, base: Path) -> VideoRecord:
     """One video record; load_corpus names the file and record in what this raises."""
     video_id = _text(raw["video_id"], "video_id")
     recipe_id = str(raw["recipe_id"])
@@ -257,7 +259,8 @@ def _parse_video(raw, index: RecipeIndex) -> VideoRecord:
         )
         for kind, paths in (("clip", media.clip_paths), ("frame", media.frame_paths)):
             for path in paths.values():
-                if media.resolved and not Path(path).exists():
+                # relative to ``base``, the annotation file's directory
+                if media.resolved and not (base / path).exists():
                     raise ValueError(f"resolved {kind} path missing: {path}")
 
     flags = []
@@ -294,7 +297,7 @@ def load_corpus(annotation_file, recipe_index) -> list[VideoRecord]:
     seen = set()
     for i, raw_video in enumerate(raw["videos"]):
         try:
-            record = _parse_video(raw_video, recipe_index)
+            record = _parse_video(raw_video, recipe_index, Path(annotation_file).parent)
         except KeyError as exc:
             raise MalformedAnnotation(annotation_file, i, f"missing field {exc}") from None
         except (TypeError, ValueError, AttributeError, OverflowError) as exc:
@@ -304,42 +307,6 @@ def load_corpus(annotation_file, recipe_index) -> list[VideoRecord]:
         seen.add(record.video_id)
         videos.append(record)
     return videos
-
-
-def dump_corpus(videos, path) -> None:
-    """Write records back out in the annotation schema (round-trip safe)."""
-    doc = {"videos": []}
-    for v in videos:
-        raw = {
-            "video_id": v.video_id,
-            "recipe_id": v.recipe_id,
-            "segments": [
-                {
-                    "index": s.index,
-                    "start": s.t_start,
-                    "end": s.t_end,
-                    "sentence": s.sentence,
-                    "objects": [
-                        {"label": o.label, "boxes": [list(b) for b in o.boxes]}
-                        for o in s.objects
-                    ],
-                }
-                for s in v.segments
-            ],
-            "transcript": [
-                {"start": line.t_start, "end": line.t_end, "text": line.text}
-                for line in v.transcript
-            ],
-        }
-        if v.media is not None:
-            raw["media"] = {
-                "clips": {str(k): p for k, p in v.media.clip_paths.items()},
-                "frames": {str(k): p for k, p in v.media.frame_paths.items()},
-                "resolved": v.media.resolved,
-            }
-        doc["videos"].append(raw)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, ensure_ascii=False, indent=1)
 
 
 def slice_transcript(video: VideoRecord, t0: float, t1: float) -> TranscriptWindow:

@@ -1,4 +1,4 @@
-"""Automatic evaluation: overlap metrics, ranked retrieval, diversity, agreement.
+"""Automatic evaluation: overlap metrics, ranked retrieval and diversity.
 
 All text metrics share one normalization: object tags are collapsed to a
 single placeholder, then text is lowercased, punctuation-stripped, and
@@ -8,13 +8,14 @@ renaming.
 
 from __future__ import annotations
 
+import bisect
 import json
 import math
 import random
 import re
 from collections import Counter
+from collections.abc import Callable, Iterable, Mapping, Sequence
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
 
 from .assembly import OBJECT_TAG_RE
 
@@ -45,14 +46,6 @@ class UnscoredCandidate(Exception):
     pass
 
 
-class LengthMismatch(Exception):
-    pass
-
-
-class DegenerateAgreement(Exception):
-    pass
-
-
 class MissingCell(Exception):
     pass
 
@@ -75,6 +68,34 @@ def _ngrams(tokens: Sequence[str], n: int) -> Counter:
     return Counter(tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
 
 
+def _bleu_references(refs: Sequence[list[str]]) -> tuple[list[int], list[Counter]]:
+    """Reference lengths and, for n = 1 and 2, each n-gram's highest count in any reference."""
+    max_ref = []
+    for n in (1, 2):
+        counts = Counter()
+        for ref in refs:
+            for gram, count in _ngrams(ref, n).items():
+                counts[gram] = max(counts[gram], count)
+        max_ref.append(counts)
+    return [len(ref) for ref in refs], max_ref
+
+
+def _bleu2(cand: list[str], ref_lengths: Sequence[int], max_ref: Sequence[Counter]) -> float:
+    if not ref_lengths:
+        raise EmptyCandidate("no usable reference")
+    log_precision = 0.0
+    for n, max_counts in zip((1, 2), max_ref):
+        guess = max(0, len(cand) - n + 1)
+        correct = sum(min(count, max_counts[gram]) for gram, count in _ngrams(cand, n).items())
+        precision = correct / guess if guess else 0.0
+        log_precision += math.log(precision if precision > 0 else SMOOTH_EPSILON)
+
+    c = len(cand)
+    r = min((abs(length - c), length) for length in ref_lengths)[1]
+    brevity = 1.0 if c >= r else math.exp(1 - r / c)
+    return brevity * math.exp(log_precision / 2)
+
+
 def bleu2(candidate: str, references: Sequence[str]) -> float:
     """Geometric mean of clipped 1/2-gram precision with a brevity penalty.
 
@@ -84,26 +105,7 @@ def bleu2(candidate: str, references: Sequence[str]) -> float:
     cand = _prep(candidate)
     if not cand:
         raise EmptyCandidate(candidate)
-    refs = [_prep(r) for r in references if _prep(r)]
-    if not refs:
-        raise EmptyCandidate("no usable reference")
-
-    log_precision = 0.0
-    for n in (1, 2):
-        cand_counts = _ngrams(cand, n)
-        max_ref = Counter()
-        for ref in refs:
-            for gram, count in _ngrams(ref, n).items():
-                max_ref[gram] = max(max_ref[gram], count)
-        guess = max(0, len(cand) - n + 1)
-        correct = sum(min(count, max_ref[gram]) for gram, count in cand_counts.items())
-        precision = correct / guess if guess else 0.0
-        log_precision += math.log(precision if precision > 0 else SMOOTH_EPSILON)
-
-    c = len(cand)
-    r = min((abs(len(ref) - c), len(ref)) for ref in refs)[1]
-    brevity = 1.0 if c >= r else math.exp(1 - r / c)
-    return brevity * math.exp(log_precision / 2)
+    return _bleu2(cand, *_bleu_references([ref for ref in map(_prep, references) if ref]))
 
 
 def _stem(token: str) -> str:
@@ -117,29 +119,53 @@ def _stem(token: str) -> str:
 def _align(
     cand: list[str], ref: list[str], synonyms: Mapping[str, set[str]] | None
 ) -> list[tuple[int, int]]:
-    stages: list[Callable[[str, str], bool]] = [
-        lambda a, b: a == b,
-        lambda a, b: _stem(a) == _stem(b),
+    cand_stems = [_stem(t) for t in cand]
+    ref_stems = [_stem(t) for t in ref]
+    stages: list[Callable[[int, int], bool]] = [
+        lambda i, j: cand[i] == ref[j],
+        lambda i, j: cand_stems[i] == ref_stems[j],
     ]
     if synonyms:
-        stages.append(lambda a, b: b in synonyms.get(a, ()) or a in synonyms.get(b, ()))
+        stages.append(
+            lambda i, j: ref[j] in synonyms.get(cand[i], ()) or cand[i] in synonyms.get(ref[j], ())
+        )
 
     matched: list[tuple[int, int]] = []
     cand_used = [False] * len(cand)
     ref_used = [False] * len(ref)
     for stage in stages:
-        for i, cand_tok in enumerate(cand):
+        for i in range(len(cand)):
             if cand_used[i]:
                 continue
-            for j, ref_tok in enumerate(ref):
-                if ref_used[j]:
-                    continue
-                if stage(cand_tok, ref_tok):
+            for j in range(len(ref)):
+                if not ref_used[j] and stage(i, j):
                     matched.append((i, j))
-                    cand_used[i] = True
-                    ref_used[j] = True
+                    cand_used[i] = ref_used[j] = True
                     break
     return sorted(matched)
+
+
+def _meteor(
+    cand: list[str], refs: Sequence[list[str]], synonyms=None, alpha=0.9, beta=3.0, gamma=0.5
+) -> float:
+    best = 0.0
+    for ref in refs:
+        if not ref:
+            continue
+        matched = _align(cand, ref, synonyms)
+        m = len(matched)
+        if m == 0:
+            continue
+        precision = m / len(cand)
+        recall = m / len(ref)
+        fmean = precision * recall / (alpha * precision + (1 - alpha) * recall)
+        chunks = 1
+        for (i0, j0), (i1, j1) in zip(matched, matched[1:]):
+            if i1 != i0 + 1 or j1 != j0 + 1:
+                chunks += 1
+        penalty = 0.0 if chunks <= 1 else gamma * (chunks / m) ** beta
+        best = max(best, fmean * (1 - penalty))
+    return best
 
 
 def meteor(
@@ -159,26 +185,7 @@ def meteor(
     cand = _prep(candidate)
     if not cand:
         raise EmptyCandidate(candidate)
-
-    best = 0.0
-    for reference in references:
-        ref = _prep(reference)
-        if not ref:
-            continue
-        matched = _align(cand, ref, synonyms)
-        m = len(matched)
-        if m == 0:
-            continue
-        precision = m / len(cand)
-        recall = m / len(ref)
-        fmean = precision * recall / (alpha * precision + (1 - alpha) * recall)
-        chunks = 1
-        for (i0, j0), (i1, j1) in zip(matched, matched[1:]):
-            if i1 != i0 + 1 or j1 != j0 + 1:
-                chunks += 1
-        penalty = 0.0 if chunks <= 1 else gamma * (chunks / m) ** beta
-        best = max(best, fmean * (1 - penalty))
-    return best
+    return _meteor(cand, [_prep(r) for r in references], synonyms, alpha, beta, gamma)
 
 
 def _tfidf_vector(tokens: list[str], n: int, doc_freq: Counter, n_docs: int):
@@ -191,6 +198,44 @@ def _tfidf_vector(tokens: list[str], n: int, doc_freq: Counter, n_docs: int):
         vec[gram] = weight
         norm_sq += weight * weight
     return vec, math.sqrt(norm_sq)
+
+
+def _cider(groups: Sequence[tuple[list, list[tuple[str, list[str]]]]], nmax: int) -> dict:
+    """CIDEr per candidate key; ``groups`` pairs tokenized references with (key, tokens) candidates.
+
+    Every candidate is one document holding its group's references, so a
+    group's n-grams count once per candidate in the document frequencies, and
+    its reference vectors are built once.
+    """
+    n_docs = sum(len(cands) for _, cands in groups)
+    doc_freq = [Counter() for _ in range(nmax + 1)]
+    for refs, cands in groups:
+        for n in range(1, nmax + 1):
+            grams = set()
+            for ref in refs:
+                grams.update(_ngrams(ref, n).keys())
+            for gram in grams:
+                doc_freq[n][gram] += len(cands)
+
+    scores = {}
+    for refs, cands in groups:
+        ref_vecs = [
+            [_tfidf_vector(ref, n, doc_freq[n], n_docs) for ref in refs] for n in range(1, nmax + 1)
+        ]
+        for key, cand in cands:
+            per_n = []
+            for n, vecs in enumerate(ref_vecs, 1):
+                cand_vec, cand_norm = _tfidf_vector(cand, n, doc_freq[n], n_docs)
+                sims = []
+                for ref_vec, ref_norm in vecs:
+                    if cand_norm == 0 or ref_norm == 0:
+                        sims.append(0.0)
+                        continue
+                    dot = sum(w * ref_vec.get(g, 0.0) for g, w in cand_vec.items())
+                    sims.append(dot / (cand_norm * ref_norm))
+                per_n.append(sum(sims) / len(sims) if sims else 0.0)
+            scores[key] = 10.0 * sum(per_n) / nmax
+    return scores
 
 
 def cider(
@@ -210,38 +255,12 @@ def cider(
     if missing:
         raise KeyError(f"instances without references: {missing}")
 
-    n_docs = len(ids)
-    doc_freq = [Counter() for _ in range(nmax + 1)]
-    tokenized_refs = {
-        inst: [_prep(r) for r in references_by_instance[inst]] for inst in ids
-    }
-    for inst in ids:
-        for n in range(1, nmax + 1):
-            grams = set()
-            for ref in tokenized_refs[inst]:
-                grams.update(_ngrams(ref, n).keys())
-            for gram in grams:
-                doc_freq[n][gram] += 1
-
-    scores = {}
-    for inst in ids:
-        cand = _prep(candidates_by_instance[inst])
-        refs = tokenized_refs[inst]
-        per_n = []
-        for n in range(1, nmax + 1):
-            cand_vec, cand_norm = _tfidf_vector(cand, n, doc_freq[n], n_docs)
-            sims = []
-            for ref in refs:
-                ref_vec, ref_norm = _tfidf_vector(ref, n, doc_freq[n], n_docs)
-                if cand_norm == 0 or ref_norm == 0:
-                    sims.append(0.0)
-                    continue
-                dot = sum(w * ref_vec.get(g, 0.0) for g, w in cand_vec.items())
-                sims.append(dot / (cand_norm * ref_norm))
-            per_n.append(sum(sims) / len(sims) if sims else 0.0)
-        scores[inst] = 10.0 * sum(per_n) / nmax
-    mean = sum(scores.values()) / len(scores)
-    return scores, mean
+    groups = [
+        ([_prep(r) for r in references_by_instance[i]], [(i, _prep(candidates_by_instance[i]))])
+        for i in ids
+    ]
+    scores = _cider(groups, nmax)
+    return scores, sum(scores.values()) / len(scores)
 
 
 @dataclass(frozen=True)
@@ -270,6 +289,153 @@ class CandidatePool:
             raise ValueError("pool needs at least one ground-truth candidate")
 
 
+class _Without(Sequence):
+    """A sorted list less the items at some sorted positions, viewed without a copy."""
+
+    def __init__(self, items: Sequence[str], skip: Sequence[int]):
+        self._items = items
+        self._skip = skip
+
+    def __len__(self) -> int:
+        return len(self._items) - len(self._skip)
+
+    def __getitem__(self, i: int) -> str:
+        if not 0 <= i < len(self):
+            raise IndexError(i)
+        for position in self._skip:
+            if position > i:
+                break
+            i += 1
+        return self._items[i]
+
+
+class ReferenceIndex:
+    """One inference type's references over an evaluation dataset, read once.
+
+    It holds each instance's sorted references, every reference text's
+    tokens, and which instances, with their image keys, own each text.
+    Candidate pools drawn from it are cached per instance, so evaluate builds
+    each pool once however many masks and variants it scores.
+    """
+
+    def __init__(self, instances: Iterable, inference_type: str):
+        self.inference_type = inference_type
+        self._refs: list[tuple[str, ...]] = []  # per dataset position
+        self._images: list[str | None] = []
+        self._members: dict[tuple[str, str], list[int]] = {}  # ("id"|"image", key) -> positions
+        self._owners: dict[str, list[int]] = {}  # reference text -> positions
+        self._tokens: dict[str, list[str]] = {}
+        self._pools: dict[tuple, CandidatePool] = {}
+        for position, instance in enumerate(instances):
+            refs = tuple(sorted(instance.inference_set(inference_type)))
+            image = instance.image.key if instance.image is not None else None
+            self._refs.append(refs)
+            self._images.append(image)
+            self._members.setdefault(("id", instance.instance_id), []).append(position)
+            if image is not None:
+                self._members.setdefault(("image", image), []).append(position)
+            for text in refs:
+                self._owners.setdefault(text, []).append(position)
+                if text not in self._tokens:
+                    self._tokens[text] = _prep(text)
+        self.texts = sorted(self._owners)  # every reference text of the type
+
+    def _position(self, instance_id: str) -> int:
+        return self._members[("id", instance_id)][-1]  # a later duplicate id wins
+
+    def references(self, instance_id: str) -> tuple[str, ...]:
+        return self._refs[self._position(instance_id)]
+
+    def overlap_scores(self, entries: Iterable[tuple[str, Sequence[str]]]) -> dict[str, float]:
+        """Mean B, M and C of one report cell from (instance id, generated texts) entries.
+
+        Instances without references and texts without tokens are skipped.
+        Each kept text is one CIDEr document, keyed ``instance_id#k``; C is 0
+        below two documents.
+        """
+        refs_of = lambda instance_id: [self._tokens[r] for r in self.references(instance_id)]
+        bleu_scores = []
+        meteor_scores = []
+        cider_cands: dict[str, tuple[str, list[str]]] = {}
+        for instance_id, texts in entries:
+            refs = refs_of(instance_id)
+            if not refs:
+                continue
+            bleu_refs = _bleu_references([ref for ref in refs if ref])
+            for k, text in enumerate(texts):
+                cand = _prep(text)
+                if not cand:
+                    continue
+                bleu_scores.append(_bleu2(cand, *bleu_refs))
+                meteor_scores.append(_meteor(cand, refs))
+                cider_cands[f"{instance_id}#{k}"] = (instance_id, cand)
+
+        mean = lambda xs: sum(xs) / len(xs) if xs else 0.0
+        cider_mean = 0.0
+        if len(cider_cands) >= 2:
+            by_instance: dict[str, list[tuple[str, list[str]]]] = {}
+            for key, (instance_id, cand) in cider_cands.items():
+                by_instance.setdefault(instance_id, []).append((key, cand))
+            scores = _cider([(refs_of(i), cands) for i, cands in by_instance.items()], 4)
+            cider_mean = mean([scores[key] for key in cider_cands])
+        return {"B": mean(bleu_scores), "M": mean(meteor_scores), "C": cider_mean}
+
+    def pool(self, instance_id: str, seed, pool_size: int = DEFAULT_POOL_SIZE) -> CandidatePool:
+        """The candidate pool of an indexed instance: drawn on first use, then cached."""
+        key = (instance_id, seed, pool_size)
+        if key not in self._pools:
+            position = self._position(instance_id)
+            self._pools[key] = self.draw_pool(
+                instance_id, self._images[position], self._refs[position], seed, pool_size
+            )
+        return self._pools[key]
+
+    def draw_pool(
+        self, instance_id: str, image: str | None, gts: Sequence[str], seed, pool_size: int
+    ) -> CandidatePool:
+        """Ground truths ``gts`` plus a seeded uniform sample of this type's other texts.
+
+        A text is a negative unless it is a ground truth or every instance
+        owning it is ``instance_id`` or has the image key ``image`` (if set);
+        negatives are drawn from their sorted order.
+        """
+        if not gts:
+            raise ValueError(f"instance {instance_id} has no {self.inference_type} ground truth")
+        if len(gts) >= pool_size:
+            raise InsufficientNegatives(
+                f"{len(gts)} ground truths leave no room in a pool of {pool_size}"
+            )
+        excluded = set(self._members.get(("id", instance_id), ()))
+        if image is not None:
+            excluded.update(self._members.get(("image", image), ()))
+        gt_set = set(gts)
+        skip = sorted(
+            bisect.bisect_left(self.texts, text)
+            for text in gt_set.union(*(self._refs[p] for p in excluded))
+            if text in self._owners
+            and (text in gt_set or all(p in excluded for p in self._owners[text]))
+        )
+        negatives = _Without(self.texts, skip)
+
+        need = pool_size - len(gts)
+        if len(negatives) < need:
+            raise InsufficientNegatives(
+                f"need {need} negatives for {instance_id}/{self.inference_type},"
+                f" only {len(negatives)} available"
+            )
+        rng = random.Random(f"{seed}:{instance_id}:{self.inference_type}")
+        sampled = rng.sample(negatives, need)
+
+        candidates = [ScoredText(text=t, is_ground_truth=True) for t in gts]
+        candidates.extend(ScoredText(text=t) for t in sampled)
+        return CandidatePool(
+            instance_id=instance_id,
+            candidates=tuple(candidates),
+            gt_count=len(gts),
+            size=pool_size,
+        )
+
+
 def build_candidate_pool(
     instance,
     dataset,
@@ -283,40 +449,10 @@ def build_candidate_pool(
     against the ground truths and each other, and pad the pool to exactly
     ``pool_size`` distinct texts.
     """
+    image = instance.image.key if instance.image is not None else None
     gts = sorted(instance.inference_set(inference_type))
-    if not gts:
-        raise ValueError(f"instance {instance.instance_id} has no {inference_type} ground truth")
-    if len(gts) >= pool_size:
-        raise InsufficientNegatives(
-            f"{len(gts)} ground truths leave no room in a pool of {pool_size}"
-        )
-
-    own_image = instance.image.key if instance.image is not None else None
-    negatives = set()
-    for other in dataset:
-        if other.instance_id == instance.instance_id:
-            continue
-        if own_image is not None and other.image is not None and other.image.key == own_image:
-            continue
-        negatives.update(other.inference_set(inference_type))
-    negatives -= set(gts)
-
-    need = pool_size - len(gts)
-    if len(negatives) < need:
-        raise InsufficientNegatives(
-            f"need {need} negatives for {instance.instance_id}/{inference_type},"
-            f" only {len(negatives)} available"
-        )
-    rng = random.Random(f"{seed}:{instance.instance_id}:{inference_type}")
-    sampled = rng.sample(sorted(negatives), need)
-
-    candidates = [ScoredText(text=t, is_ground_truth=True) for t in gts]
-    candidates.extend(ScoredText(text=t) for t in sampled)
-    return CandidatePool(
-        instance_id=instance.instance_id,
-        candidates=tuple(candidates),
-        gt_count=len(gts),
-        size=pool_size,
+    return ReferenceIndex(dataset, inference_type).draw_pool(
+        instance.instance_id, image, gts, seed, pool_size
     )
 
 
@@ -367,26 +503,6 @@ def novelty(generated: Sequence[str], training_set) -> float:
     train = {normalize_object_tags(t) for t in training_set}
     fresh = sum(1 for t in generated if normalize_object_tags(t) not in train)
     return fresh / len(generated)
-
-
-def cohen_kappa(ratings_a: Sequence, ratings_b: Sequence, categories: Sequence) -> float:
-    """Chance-corrected agreement: (p_o - p_e) / (1 - p_e)."""
-    if len(ratings_a) != len(ratings_b):
-        raise LengthMismatch(f"{len(ratings_a)} vs {len(ratings_b)} ratings")
-    n = len(ratings_a)
-    if n == 0:
-        raise LengthMismatch("empty rating lists")
-    cats = set(categories)
-    for value in (*ratings_a, *ratings_b):
-        if value not in cats:
-            raise ValueError(f"rating {value!r} outside categories {sorted(map(str, cats))}")
-    observed = sum(1 for a, b in zip(ratings_a, ratings_b) if a == b) / n
-    count_a = Counter(ratings_a)
-    count_b = Counter(ratings_b)
-    expected = sum((count_a[c] / n) * (count_b[c] / n) for c in categories)
-    if expected == 1.0:
-        raise DegenerateAgreement("expected agreement is 1; kappa undefined")
-    return (observed - expected) / (1 - expected)
 
 
 METRIC_COLUMNS = ("B", "M", "C", "A50", "unique", "novel")

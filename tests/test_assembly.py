@@ -13,7 +13,6 @@ from actionsense.assembly import (
     instance_to_dict,
     merge_by_action_object,
     normalize_phrase,
-    seeded_video_split,
     simple_lemma,
 )
 from actionsense.corpus import (
@@ -131,14 +130,6 @@ class TestTextualDescription:
             _mini_triplet("onion"), corpus, resolved={("mini", 2): "chop the onions finely"}
         )
         assert grounded.template == "chop [Object1] finely"
-
-    def test_deground_restores_labels(self):
-        corpus = _mini_corpus(
-            "cracking the egg using a fork",
-            objects=(ObjectAnnotation("egg"), ObjectAnnotation("fork")),
-        )
-        grounded = form_textual_description(_mini_triplet("egg"), corpus)
-        assert grounded.deground() == "cracking egg using fork"
 
 
 class TestActionObjectPair:
@@ -363,23 +354,3 @@ class TestInstanceSerialization:
             for entry in inst.provenance:
                 t = entry.triplet
                 assert t.past.segment_index < t.current.segment_index < t.future.segment_index
-
-
-class TestSplit:
-    def test_split_partitions_by_video(self, instances):
-        merged = merge_by_action_object(instances)
-        splits = seeded_video_split(merged, seed=13)
-        assert sum(len(v) for v in splits.values()) == len(merged)
-        video_split = {}
-        for name, part in splits.items():
-            for inst in part:
-                vid = inst.provenance[0].video_id
-                assert video_split.setdefault(vid, name) == name
-
-    def test_same_seed_same_split(self, instances):
-        merged = merge_by_action_object(instances)
-        a = seeded_video_split(merged, seed=7)
-        b = seeded_video_split(merged, seed=7)
-        assert {k: [i.instance_id for i in v] for k, v in a.items()} == {
-            k: [i.instance_id for i in v] for k, v in b.items()
-        }

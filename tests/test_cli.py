@@ -1,10 +1,11 @@
 import json
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 from actionsense import cli, generation, stubs
-from actionsense.assembly import compute_statistics, read_dataset
+from actionsense.assembly import CommonsenseInstance, compute_statistics, read_dataset
 from actionsense.extraction import count_lemma_frequencies, filter_pairs_by_frequency
 
 GOLDEN_DIR = Path(__file__).parent / "data"
@@ -72,6 +73,15 @@ class TestBuildDataset:
         assert cli.main(["build-dataset", "--config", "c200/config.json"]) == 0
         assert (tmp_path / "c200" / "from_config" / "dataset.jsonl").exists()
 
+    @pytest.mark.parametrize("field", ["annotation_file", "recipe_file"])
+    def test_input_file_that_is_a_directory_exits_2(self, fixture_config, tmp_path, capsys, field):
+        cfg = {**json.loads(fixture_config.read_text()), field: str(tmp_path)}
+        fixture_config.write_text(json.dumps(cfg))
+        argv = ["build-dataset", "--config", str(fixture_config), "--out", str(tmp_path / "r")]
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {tmp_path}") and "Traceback" not in err
+
     def test_min_count_filter_matches_module_oracle(
         self, fixture_config, tmp_path, fixture_pairs
     ):
@@ -116,12 +126,19 @@ class TestStats:
 
     @pytest.mark.parametrize(
         "doctor",
-        [None, lambda line: "[]", lambda line: json.dumps({**json.loads(line), "goals": 5})],
-        ids=["missing", "list", "goals-5"],
+        [
+            None,
+            lambda line: "[]",
+            lambda line: json.dumps({**json.loads(line), "goals": 5}),
+            "directory",
+        ],
+        ids=["missing", "list", "goals-5", "directory"],
     )
     def test_unreadable_dataset_exits_2(self, fixture_config, tmp_path, capsys, doctor):
         dataset = tmp_path / "dataset.jsonl"
-        if doctor is not None:
+        if doctor == "directory":
+            dataset.mkdir()
+        elif doctor is not None:
             built = build(fixture_config, tmp_path / "run") / "dataset.jsonl"
             dataset.write_text(doctor(built.read_text().splitlines()[0]) + "\n")
         capsys.readouterr()
@@ -402,6 +419,25 @@ class TestEvaluate:
         err = capsys.readouterr().err
         assert f"{doctored}:2:" in err and message in err and "Traceback" not in err
 
+    def test_reads_each_reference_set_once(self, fixture_config, tmp_path, monkeypatch):
+        out = build(fixture_config, tmp_path / "run")
+        assert cli.main(
+            ["generate", "--config", str(fixture_config), "--out", str(out),
+             "--modalities", "AOPair,TextDesc", "--variants", "1,2"]
+        ) == 0
+        calls = Counter()
+        inference_set = CommonsenseInstance.inference_set
+
+        def counting(instance, inference_type):
+            calls[(instance.instance_id, inference_type)] += 1
+            return inference_set(instance, inference_type)
+
+        monkeypatch.setattr(CommonsenseInstance, "inference_set", counting)
+        assert cli.main(["evaluate", "--config", str(fixture_config), "--out", str(out)]) == 0
+        instances = read_dataset(out / "dataset.jsonl")
+        assert len(calls) == len(instances) * len(generation.InferenceType)
+        assert set(calls.values()) == {1}
+
     def test_report_matches_rerun(self, fixture_config, tmp_path):
         outputs = []
         for name in ("a", "b"):
@@ -533,3 +569,19 @@ class TestReportCommand:
             path.write_text(text)
             assert cli.main(["report", str(path)]) == 2
             assert "Traceback" not in capsys.readouterr().err
+
+
+class TestDirectoryArguments:
+    @pytest.mark.parametrize("argument", ["config", "report", "generations"])
+    def test_directory_argument_exits_2(self, fixture_config, tmp_path, capsys, argument):
+        out = build(fixture_config, tmp_path / "run")
+        argv = {
+            "config": ["generate", "--config", str(tmp_path), "--out", str(out)],
+            "report": ["report", str(tmp_path)],
+            "generations": ["evaluate", "--config", str(fixture_config), "--out", str(out),
+                            "--generations", str(tmp_path)],
+        }[argument]
+        capsys.readouterr()
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(tmp_path) in err and "Traceback" not in err

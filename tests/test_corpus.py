@@ -13,7 +13,6 @@ from actionsense.corpus import (
     Segment,
     TranscriptLine,
     VideoRecord,
-    dump_corpus,
     load_corpus,
     middle_frame,
     slice_transcript,
@@ -85,11 +84,17 @@ class TestLoadCorpus:
         video = load_corpus(path, RECIPES)[0]
         assert video.media.resolved and video.media.clip_paths == {1: str(clip)}
 
-    def test_round_trip(self, tmp_path, corpus):
-        path = tmp_path / "dump.json"
-        dump_corpus(corpus.videos, path)
-        reloaded = load_corpus(path, RECIPES)
-        assert list(corpus.videos) == reloaded
+    def test_relative_resolved_media_is_found_beside_the_annotations(self, tmp_path, monkeypatch):
+        raw = json.loads(ANNOTATIONS.read_text(encoding="utf-8"))
+        (tmp_path / "corpus" / "media").mkdir(parents=True)
+        (tmp_path / "corpus" / "media" / "c1.mp4").write_bytes(b"")
+        raw["videos"][0]["media"] = {"clips": {"1": "media/c1.mp4"}, "resolved": True}
+        path = tmp_path / "corpus" / "annotations.json"
+        path.write_text(json.dumps(raw))
+        (tmp_path / "elsewhere").mkdir()
+        monkeypatch.chdir(tmp_path / "elsewhere")
+        video = load_corpus(path, RECIPES)[0]
+        assert video.media.clip_paths == {1: "media/c1.mp4"}
 
 
 class TestSliceTranscript:

@@ -12,7 +12,7 @@ from actionsense import cli
 from actionsense.corpus import MalformedAnnotation, load_corpus, load_recipe_index
 from actionsense.extraction import ParseTree
 from actionsense.generation import FieldBlock, InferenceType, TokenSequence, VisualFeatures
-from actionsense.metrics import EmptyCandidate, cohen_kappa, meteor
+from actionsense.metrics import EmptyCandidate, meteor
 from actionsense.providers import ProviderError
 from actionsense.stubs import StubLMProvider, StubParseProvider, fixture_path
 
@@ -226,10 +226,6 @@ class TestMetricErrorBranches:
     def test_meteor_empty_candidate(self):
         with pytest.raises(EmptyCandidate):
             meteor("", ["fry the bacon"])
-
-    def test_kappa_rating_outside_categories(self):
-        with pytest.raises(ValueError):
-            cohen_kappa(["x", "z"], ["x", "x"], ["x", "y"])
 
 
 class TestStubContracts:

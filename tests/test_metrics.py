@@ -2,21 +2,21 @@ import json
 import math
 import random
 import re
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
 from actionsense.corpus import FrameRef
-from actionsense.assembly import CommonsenseInstance
+from actionsense.assembly import CommonsenseInstance, build_instance, merge_by_action_object
 from actionsense.metrics import (
     CandidatePool,
     CorpusTooSmall,
-    DegenerateAgreement,
     EmptyCandidate,
     EmptyList,
     InsufficientNegatives,
-    LengthMismatch,
     MissingCell,
+    ReferenceIndex,
     ScoredText,
     UnscoredCandidate,
     acc_at_50,
@@ -24,7 +24,6 @@ from actionsense.metrics import (
     bleu2,
     build_candidate_pool,
     cider,
-    cohen_kappa,
     meteor,
     normalize_object_tags,
     novelty,
@@ -32,7 +31,10 @@ from actionsense.metrics import (
     tokenize,
     uniqueness,
 )
+from actionsense.generation import InferenceType
 from actionsense.reference import FULL_RUN_AGREEMENT_KAPPA
+
+GOLDEN_GENERATIONS = Path(__file__).parent / "data" / "golden_generations_aopair_p1.jsonl"
 
 
 class TestNormalization:
@@ -235,6 +237,84 @@ class TestCandidatePool:
             CandidatePool("x", (ScoredText("a", 1.0, True),), gt_count=1, size=50)
 
 
+def oracle_pool(instance, dataset, seed, inference_type, pool_size):
+    """Pool texts by the dataset scan the reference index replaced."""
+    gts = sorted(instance.inference_set(inference_type))
+    own = instance.image.key if instance.image is not None else None
+    negatives = set()
+    for other in dataset:
+        if other.instance_id != instance.instance_id and not (
+            own is not None and other.image is not None and other.image.key == own
+        ):
+            negatives.update(other.inference_set(inference_type))
+    rng = random.Random(f"{seed}:{instance.instance_id}:{inference_type}")
+    return gts + rng.sample(sorted(negatives - set(gts)), pool_size - len(gts))
+
+
+class TestReferenceIndex:
+    def synthetic_dataset(self, n_others):
+        # a and b share an image; c and d have none; "common" is owned by a,
+        # which a's pool excludes, and by c, which it does not
+        return [
+            pool_instance("a", ["gt a", "common", "only shared"], image_key="shared"),
+            pool_instance("b", ["only shared", "b text", "common 2"], image_key="shared"),
+            pool_instance("c", ["common", "c text"]),
+            pool_instance("d", ["gt a", "d text"]),
+        ] + [
+            pool_instance(f"o{i}", [f"neg {i}", "common 2"], image_key=f"k{i % 7}")
+            for i in range(n_others)
+        ]
+
+    # 20 others fit random.sample's list-copy branch, 120 its indexing branch
+    @pytest.mark.parametrize("n_others", [20, 120])
+    def test_pools_equal_dataset_scan_oracle(self, n_others):
+        dataset = self.synthetic_dataset(n_others)
+        index = ReferenceIndex(dataset, "goal")
+        for instance in dataset:
+            for seed in (13, 14):
+                expected = oracle_pool(instance, dataset, seed, "goal", 8)
+                pool = index.pool(instance.instance_id, seed, pool_size=8)
+                assert [c.text for c in pool.candidates] == expected
+                assert pool.gt_count == len(instance.goals)
+                adapter = build_candidate_pool(instance, dataset, seed, "goal", pool_size=8)
+                assert adapter == pool
+        assert index.pool("a", 13, pool_size=8) is index.pool("a", 13, pool_size=8)
+
+    def test_overlap_scores_equal_string_level_metrics(
+        self, corpus, fixture_triplets, rc_provider, resolved
+    ):
+        dataset = merge_by_action_object(
+            build_instance(t, corpus, rc=rc_provider, resolved=resolved) for t in fixture_triplets
+        )
+        by_id = {i.instance_id: i for i in dataset}
+        lines = [json.loads(line) for line in GOLDEN_GENERATIONS.read_text().splitlines()]
+        mean = lambda xs: sum(xs) / len(xs) if xs else 0.0
+        for itype in (t.value for t in InferenceType):
+            # generated texts plus its own and a neighbour's references, for scores far from 0
+            entries = [
+                (
+                    line["instance_id"],
+                    line["texts"]
+                    + sorted(by_id[line["instance_id"]].inference_set(itype))
+                    + sorted(dataset[k - 1].inference_set(itype)),
+                )
+                for k, line in enumerate(l for l in lines if l["inference_type"] == itype)
+            ]
+            # a second entry for one instance overwrites some of its CIDEr documents
+            entries.append((entries[0][0], entries[1][1][:2]))
+            bleu, met, cands, refs = [], [], {}, {}
+            for instance_id, texts in entries:
+                gts = sorted(by_id[instance_id].inference_set(itype))
+                for k, text in enumerate(texts if gts else ()):
+                    if tokenize(text):
+                        bleu.append(bleu2(text, gts))
+                        met.append(meteor(text, gts))
+                        cands[f"{instance_id}#{k}"], refs[f"{instance_id}#{k}"] = text, gts
+            expected = {"B": mean(bleu), "M": mean(met), "C": cider(cands, refs)[1]}
+            assert len(cands) >= 2 and expected["M"] > 0.1 and expected["C"] > 0.1
+            assert ReferenceIndex(dataset, itype).overlap_scores(entries) == expected
+
+
 class TestAccAt50:
     def separable_pool(self):
         candidates = [ScoredText("gt", 1.0, True)] + [
@@ -357,27 +437,6 @@ class TestDiversity:
 
 
 class TestCohenKappa:
-    def test_perfect_agreement_balanced(self):
-        ratings = ["x", "y", "x", "y"]
-        assert cohen_kappa(ratings, ratings, ["x", "y"]) == pytest.approx(1.0)
-
-    def test_two_by_two_confusion_formula(self):
-        a = ["x", "x", "y", "y"]
-        b = ["x", "y", "y", "y"]
-        observed = 3 / 4
-        expected = (2 / 4) * (1 / 4) + (2 / 4) * (3 / 4)
-        assert cohen_kappa(a, b, ["x", "y"]) == pytest.approx(
-            (observed - expected) / (1 - expected)
-        )
-
-    def test_length_mismatch(self):
-        with pytest.raises(LengthMismatch):
-            cohen_kappa(["x"], ["x", "y"], ["x", "y"])
-
-    def test_degenerate_agreement(self):
-        with pytest.raises(DegenerateAgreement):
-            cohen_kappa(["x", "x"], ["x", "x"], ["x", "y"])
-
     def test_full_run_agreement_fixtures_present(self):
         assert FULL_RUN_AGREEMENT_KAPPA[("precondition", "Pp2")] == (0.78, 0.76)
         assert FULL_RUN_AGREEMENT_KAPPA[("before", "Pb3")] == (0.81, 0.81)
