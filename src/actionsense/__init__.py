@@ -13,6 +13,7 @@ from .extraction import (
     VerbIngredientPair,
     count_lemma_frequencies,
     extract_verb_ingredient_pairs,
+    extract_video_pairs,
     filter_pairs_by_frequency,
     resolve_coreferences,
 )
@@ -25,6 +26,7 @@ from .generation import (
     enumerate_modality_combos,
     generate_inferences,
     score_candidate,
+    score_candidates,
     seq2seq_loss,
 )
 from .metrics import (

@@ -13,7 +13,7 @@ import json
 import re
 import string
 from dataclasses import dataclass, field
-from typing import Mapping, Protocol
+from typing import Mapping, Protocol, Sequence
 
 from .atomic import write_atomic
 from .corpus import FLAG_NO_TRANSCRIPT, Corpus, FrameRef, ObjectAnnotation
@@ -48,7 +48,7 @@ _IRREGULAR_NOUNS = {
 
 
 class RCProvider(Protocol):
-    def answer(self, context: str, question: str) -> str | None: ...
+    def answer_many(self, context: str, questions: Sequence[str]) -> list[str | None]: ...
 
 
 def simple_lemma(word: str) -> str:
@@ -255,8 +255,8 @@ def extract_effects(
 
     The context is the transcript between the start of the current segment
     and the start of the future segment; each attribute question is put to
-    the reading-comprehension provider and answers are split on conjunctions,
-    length-filtered, and deduplicated.
+    the reading-comprehension provider, all in one request, and answers are
+    split on conjunctions, length-filtered, and deduplicated.
     """
     video = corpus.video(triplet.video_id)
     current = video.segment(triplet.current.segment_index)
@@ -265,9 +265,10 @@ def extract_effects(
     if not window.text:
         return frozenset()
 
+    questions = [template.format(triplet.ingredient) for _, template in EFFECT_QUESTIONS]
+    answers = rc.answer_many(window.text, questions)
     effects: dict[str, str] = {}
-    for keyword, template in EFFECT_QUESTIONS:
-        answer = rc.answer(window.text, template.format(triplet.ingredient))
+    for (keyword, _), answer in zip(EFFECT_QUESTIONS, answers, strict=True):
         if answer is None:
             continue
         for piece in _filter_effect_answer(answer, keyword):

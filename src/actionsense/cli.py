@@ -99,6 +99,8 @@ def load_config(path, overrides: dict | None = None) -> RunConfig:
     except (OSError, ValueError) as exc:  # a directory, not JSON, not UTF-8
         raise ConfigError(f"config {path} is not a readable JSON file: {exc}") from exc
 
+    if not isinstance(raw, dict):
+        raise ConfigError(f"config {path} must hold a JSON object, not {type(raw).__name__}")
     cfg = RunConfig()
     known = set(cfg.__dict__)
     unknown = set(raw) - known
@@ -263,16 +265,10 @@ def run_build_dataset(cfg: RunConfig) -> None:
     try:
         for video in corpus.videos:
             sentences = extraction.resolve_coreferences(video, providers.coref)
-            for seg, sentence in zip(video.segments, sentences):
-                resolved[(video.video_id, seg.index)] = sentence.resolved
-                pairs.extend(
-                    _retry(
-                        cfg,
-                        lambda s=sentence, v=video, i=seg.index: extraction.extract_verb_ingredient_pairs(
-                            s.resolved, providers.parse, v.video_id, i
-                        ),
-                    )
-                )
+            indexed = [(seg.index, s.resolved) for seg, s in zip(video.segments, sentences)]
+            resolved.update(((video.video_id, index), text) for index, text in indexed)
+            parse = lambda: extraction.extract_video_pairs(video.video_id, indexed, providers.parse)
+            pairs.extend(_retry(cfg, parse))
     except ProviderError as exc:
         manifest.record_failure(f"extract: {exc}")
         raise ProviderError(f"parse provider failed after retries: {exc}") from exc
@@ -380,10 +376,10 @@ def _generate_for_instance(cfg: RunConfig, providers: Providers, instance, mask,
                 max_new=cfg.max_new_tokens,
             ),
         )
-        scored = [
-            _retry(cfg, lambda t=text: generation.score_candidate(sequence, t, providers.lm))
-            for text in texts
-        ]
+        # each distinct non-empty sample is scored once; an empty one has no score
+        distinct = list(dict.fromkeys(t for t in texts if t))
+        scored = _retry(cfg, lambda: generation.score_candidates(sequence, distinct, providers.lm))
+        by_text = dict(zip(distinct, scored))
         lines.append(
             {
                 "instance_id": instance.instance_id,
@@ -392,8 +388,8 @@ def _generate_for_instance(cfg: RunConfig, providers: Providers, instance, mask,
                 "variant": variant,
                 "prompt_id": prompt_id(itype, variant),
                 "texts": texts,
-                "nll": [c.nll for c in scored],
-                "perplexity": [c.perplexity for c in scored],
+                "nll": [by_text[t].nll if t else None for t in texts],
+                "perplexity": [by_text[t].perplexity if t else None for t in texts],
             }
         )
     return lines
@@ -452,7 +448,7 @@ _GENERATION_FIELDS = ("instance_id", "inference_type", "condition", "variant", "
 
 
 def _read_generations(path: Path, instance_ids) -> list[dict]:
-    """Generation lines, each with the fields evaluate reads and an instance of the dataset."""
+    """Generation lines of instances of the dataset, each cut to the fields evaluate reads."""
     lines = []
     with open(path, encoding="utf-8") as fh:
         for number, raw in enumerate(fh, 1):
@@ -471,7 +467,7 @@ def _read_generations(path: Path, instance_ids) -> list[dict]:
                     raise ValueError(f"texts must be a list of strings, got {texts!r}")
             except (ValueError, TypeError) as exc:  # JSONDecodeError is a ValueError
                 raise ConfigError(f"{path}:{number}: not a generation record: {exc}") from None
-            lines.append(line)
+            lines.append({f: line[f] for f in _GENERATION_FIELDS})
     return lines
 
 
@@ -484,14 +480,11 @@ def _cell_metrics(cfg: RunConfig, entries, index, by_id, mask, variant, provider
         if not index.references(instance_id):
             continue
         sequence = generation.compose_input_sequence(by_id[instance_id], spec, providers.vision)
-        pools.append(
-            metrics.score_pool(
-                index.pool(instance_id, cfg.seed, cfg.pool_size),
-                lambda text: _retry(
-                    cfg, lambda: generation.score_candidate(sequence, text, providers.lm)
-                ).perplexity,
-            )
-        )
+        score = lambda texts: [
+            c.perplexity
+            for c in _retry(cfg, lambda: generation.score_candidates(sequence, texts, providers.lm))
+        ]
+        pools.append(metrics.score_pool(index.pool(instance_id, cfg.seed, cfg.pool_size), score))
 
     all_texts = [t for e in entries for t in e["texts"]]
     return {

@@ -29,7 +29,7 @@ class CorefProvider(Protocol):
 
 
 class ParseProvider(Protocol):
-    def parse(self, sentence: str) -> "ParseTree": ...
+    def parse_many(self, sentences: Sequence[str]) -> list["ParseTree"]: ...
 
 
 @dataclass(frozen=True)
@@ -145,23 +145,9 @@ def _conj_closure(tree: ParseTree, noun_index: int) -> list[int]:
     return out
 
 
-def extract_verb_ingredient_pairs(
-    resolved_sentence: str,
-    provider: ParseProvider,
-    video_id: str,
-    segment_index: int,
-    relations: frozenset[str] = OBJECT_RELATIONS,
+def _pairs_from_tree(
+    tree: ParseTree, video_id: str, segment_index: int, relations: frozenset[str]
 ) -> list[VerbIngredientPair]:
-    """Mine (verb lemma, noun lemma) pairs where the noun depends on the verb.
-
-    A noun qualifies when its head is a verb through a relation in the
-    allow-list; nouns conjoined to a qualifying noun inherit the same verb.
-    Pairs are emitted in sentence order and deduplicated within the sentence.
-    """
-    if not resolved_sentence:
-        raise ValueError("sentence must be non-empty")
-    tree = provider.parse(resolved_sentence)
-
     candidates = []  # (verb_index, noun_index)
     for head, dep, rel in tree.arcs:
         if rel not in relations:
@@ -189,6 +175,45 @@ def extract_verb_ingredient_pairs(
             )
         )
     return pairs
+
+
+def extract_video_pairs(
+    video_id: str,
+    sentences: Sequence[tuple[int, str]],
+    provider: ParseProvider,
+    relations: frozenset[str] = OBJECT_RELATIONS,
+) -> list[VerbIngredientPair]:
+    """Mine (verb lemma, noun lemma) pairs from one video's resolved sentences.
+
+    ``sentences`` holds (segment index, resolved sentence) pairs; they are
+    parsed in one provider request. A noun qualifies when its head is a verb
+    through a relation in the allow-list; nouns conjoined to a qualifying noun
+    inherit the same verb. Pairs are emitted in segment then sentence order
+    and deduplicated within each sentence.
+    """
+    if not all(sentence for _, sentence in sentences):
+        raise ValueError("sentence must be non-empty")
+    if not sentences:
+        return []
+    trees = provider.parse_many([sentence for _, sentence in sentences])
+    return [
+        pair
+        for (index, _), tree in zip(sentences, trees, strict=True)
+        for pair in _pairs_from_tree(tree, video_id, index, relations)
+    ]
+
+
+def extract_verb_ingredient_pairs(
+    resolved_sentence: str,
+    provider,
+    video_id: str,
+    segment_index: int,
+    relations: frozenset[str] = OBJECT_RELATIONS,
+) -> list[VerbIngredientPair]:
+    """``extract_video_pairs`` for one sentence, over the provider's single-item ``parse``."""
+    if not resolved_sentence:
+        raise ValueError("sentence must be non-empty")
+    return _pairs_from_tree(provider.parse(resolved_sentence), video_id, segment_index, relations)
 
 
 def count_lemma_frequencies(pairs) -> LemmaCounts:

@@ -184,7 +184,9 @@ class VisionProvider(Protocol):
 class LMProvider(Protocol):
     def sample(self, sequence, nucleus_p: float, max_new: int, n: int) -> list[str]: ...
 
-    def logprobs(self, sequence, continuation: str) -> list[float]: ...
+    def logprobs_many(self, sequence, continuations: list[str]) -> list[list[float]]: ...
+
+    def logprobs(self, sequence, continuation: str) -> list[float]: ...  # seq2seq_loss only
 
 
 @dataclass(frozen=True)
@@ -370,15 +372,33 @@ def generate_inferences(
     return out
 
 
-def score_candidate(sequence: TokenSequence, candidate: str, lm: LMProvider) -> ScoredCandidate:
-    """Mean per-token negative log-likelihood of the candidate continuation."""
-    if not candidate.strip():
-        raise ValueError("candidate must be tokenizable")
-    logprobs = lm.logprobs(sequence, candidate)
+def _scored(candidate: str, logprobs: list[float]) -> ScoredCandidate:
     if not logprobs:
         raise ProviderError("provider returned no token log-probabilities")
     nll = -sum(logprobs) / len(logprobs)
     return ScoredCandidate(text=candidate, nll=nll, perplexity=math.exp(nll))
+
+
+def score_candidates(
+    sequence: TokenSequence, candidates: Sequence[str], lm: LMProvider
+) -> list[ScoredCandidate]:
+    """Mean per-token negative log-likelihood of each candidate, in one provider request.
+
+    No candidates means no request.
+    """
+    if not all(c.strip() for c in candidates):
+        raise ValueError("candidate must be tokenizable")
+    if not candidates:
+        return []
+    rows = lm.logprobs_many(sequence, list(candidates))
+    return [_scored(c, row) for c, row in zip(candidates, rows, strict=True)]
+
+
+def score_candidate(sequence: TokenSequence, candidate: str, lm: LMProvider) -> ScoredCandidate:
+    """``score_candidates`` for one candidate, over the provider's single-item ``logprobs``."""
+    if not candidate.strip():
+        raise ValueError("candidate must be tokenizable")
+    return _scored(candidate, lm.logprobs(sequence, candidate))
 
 
 def _conditioning_sequence(sequence: TokenSequence, keep: tuple[str, ...]) -> TokenSequence:

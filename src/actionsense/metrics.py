@@ -349,9 +349,9 @@ class ReferenceIndex:
     def overlap_scores(self, entries: Iterable[tuple[str, Sequence[str]]]) -> dict[str, float]:
         """Mean B, M and C of one report cell from (instance id, generated texts) entries.
 
-        Instances without references and texts without tokens are skipped.
-        Each kept text is one CIDEr document, keyed ``instance_id#k``; C is 0
-        below two documents.
+        Instances without a usable reference (one with a word character) and
+        texts without tokens are skipped. Each kept text is one CIDEr
+        document, keyed ``instance_id#k``; C is 0 below two documents.
         """
         refs_of = lambda instance_id: [self._tokens[r] for r in self.references(instance_id)]
         bleu_scores = []
@@ -359,7 +359,7 @@ class ReferenceIndex:
         cider_cands: dict[str, tuple[str, list[str]]] = {}
         for instance_id, texts in entries:
             refs = refs_of(instance_id)
-            if not refs:
+            if not any(refs):
                 continue
             bleu_refs = _bleu_references([ref for ref in refs if ref])
             for k, text in enumerate(texts):
@@ -456,10 +456,16 @@ def build_candidate_pool(
     )
 
 
-def score_pool(pool: CandidatePool, perplexity_fn: Callable[[str], float]) -> CandidatePool:
+def score_pool(
+    pool: CandidatePool, perplexities_fn: Callable[[list[str]], Sequence[float]]
+) -> CandidatePool:
+    """The pool with perplexities filled in by one call of ``perplexities_fn`` on all its texts."""
+    perplexities = perplexities_fn([c.text for c in pool.candidates])
     return CandidatePool(
         instance_id=pool.instance_id,
-        candidates=tuple(c.with_perplexity(perplexity_fn(c.text)) for c in pool.candidates),
+        candidates=tuple(
+            c.with_perplexity(p) for c, p in zip(pool.candidates, perplexities, strict=True)
+        ),
         gt_count=pool.gt_count,
         size=pool.size,
     )

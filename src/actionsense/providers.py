@@ -5,16 +5,29 @@ Text-tool providers speak a single JSON-over-HTTP envelope:
     POST {"task": "coref" | "parse" | "rc", "inputs": [...]}
     ->   {"outputs": [...]}
 
-and the language-model provider speaks:
+with one output per input, in order. A request carries a natural unit of
+work: coref and parse get every sentence of one video, rc gets the five
+effect questions of one triplet as ``{"context": ..., "question": ...}``
+objects sharing one context.
+
+The language-model provider speaks:
 
     POST {"op": "sample" | "logprobs",
           "sequence": {"text_fields": {...}, "visual_refs": [...]},
           "params": {...}}
     ->   {"texts": [...]} or {"logprobs": [...]}
 
+A ``logprobs`` request scores either ``params.continuation`` (one string,
+answered by one list of per-token log-probabilities) or
+``params.continuations`` (a list, answered by one such list per continuation
+in request order). The pipeline always sends the list form: the distinct
+non-empty samples of one composed input, or the candidates of one A@50 pool,
+in one request.
+
 Live responses are cached to disk keyed by the SHA-256 of the request payload
 so that reruns are deterministic and work offline. Cache writes are atomic and
-write-once, which makes them safe under concurrent writers.
+write-once, which makes them safe under concurrent writers. A response is
+checked before it is cached, so a malformed one is never stored.
 """
 
 from __future__ import annotations
@@ -120,9 +133,9 @@ class _HttpTaskProvider:
         if not isinstance(response, dict) or "outputs" not in response:
             raise ProviderError(f"{self.url} response missing 'outputs'")
         outputs = response["outputs"]
-        if len(outputs) != len(inputs):
+        if not isinstance(outputs, list) or len(outputs) != len(inputs):
             raise ProviderError(
-                f"{self.url} returned {len(outputs)} outputs for {len(inputs)} inputs"
+                f"{self.url} returned {_count(outputs)} outputs for {len(inputs)} inputs"
             )
         if self.cache is not None:
             self.cache.put(payload, {"outputs": outputs})
@@ -139,27 +152,46 @@ class HttpCorefProvider(_HttpTaskProvider):
 class HttpParseProvider(_HttpTaskProvider):
     task = "parse"
 
-    def parse(self, sentence: str):
+    def parse_many(self, sentences) -> list:
         from .extraction import ParseTree
 
-        raw = self._call([sentence])[0]
-        try:
-            return ParseTree.from_dict(raw)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ProviderError(f"malformed parse for {sentence!r}: {exc}") from exc
+        sentences = list(sentences)
+        trees = []
+        for sentence, raw in zip(sentences, self._call(sentences)):
+            try:
+                trees.append(ParseTree.from_dict(raw))
+            except (KeyError, TypeError, ValueError) as exc:
+                raise ProviderError(f"malformed parse for {sentence!r}: {exc}") from exc
+        return trees
+
+    def parse(self, sentence: str):
+        return self.parse_many([sentence])[0]
 
 
 class HttpRCProvider(_HttpTaskProvider):
     task = "rc"
 
+    def answer_many(self, context: str, questions) -> list[str | None]:
+        outputs = self._call([{"context": context, "question": q} for q in questions])
+        answers = [None if out is None else str(out) for out in outputs]
+        for answer in answers:
+            if answer is not None and answer not in context:
+                raise ProviderError(f"rc answer {answer!r} is not a span of the context")
+        return answers
+
     def answer(self, context: str, question: str) -> str | None:
-        out = self._call([{"context": context, "question": question}])[0]
-        if out is None:
-            return None
-        answer = str(out)
-        if answer not in context:
-            raise ProviderError(f"rc answer {answer!r} is not a span of the context")
-        return answer
+        return self.answer_many(context, [question])[0]
+
+
+def _count(value) -> str:
+    return str(len(value)) if isinstance(value, list) else f"a {type(value).__name__}"
+
+
+def _floats(values) -> list[float]:
+    try:
+        return [float(v) for v in values]
+    except (TypeError, ValueError) as exc:
+        raise ProviderError(f"log-probabilities are not a list of numbers: {exc}") from exc
 
 
 class HttpLMProvider:
@@ -170,17 +202,19 @@ class HttpLMProvider:
         self.cache = cache
         self.timeout = timeout
 
-    def _call(self, payload, result_key):
+    def _call(self, payload, result_key, check):
+        """The checked ``result_key`` value of the response; only checked values are cached."""
         if self.cache is not None:
             hit = self.cache.get(payload)
             if hit is not None:
-                return hit[result_key]
+                return check(hit[result_key])
         response = _post_json(self.url, payload, timeout=self.timeout)
         if not isinstance(response, dict) or result_key not in response:
             raise ProviderError(f"{self.url} response missing {result_key!r}")
+        result = check(response[result_key])
         if self.cache is not None:
             self.cache.put(payload, {result_key: response[result_key]})
-        return response[result_key]
+        return result
 
     def sample(self, sequence, nucleus_p: float, max_new: int, n: int) -> list[str]:
         payload = {
@@ -188,10 +222,31 @@ class HttpLMProvider:
             "sequence": sequence.to_wire(),
             "params": {"p": nucleus_p, "n": n, "max_new": max_new},
         }
-        texts = self._call(payload, "texts")
-        if len(texts) != n:
-            raise ProviderError(f"asked for {n} samples, got {len(texts)}")
-        return [str(t) for t in texts]
+
+        def check(texts):
+            if not isinstance(texts, list) or len(texts) != n:
+                raise ProviderError(f"asked for {n} samples, got {_count(texts)}")
+            return [str(t) for t in texts]
+
+        return self._call(payload, "texts", check)
+
+    def logprobs_many(self, sequence, continuations) -> list[list[float]]:
+        """Per-token log-probabilities of each continuation, in one request."""
+        continuations = list(continuations)
+        payload = {
+            "op": "logprobs",
+            "sequence": sequence.to_wire(),
+            "params": {"continuations": continuations},
+        }
+
+        def check(rows):
+            if not isinstance(rows, list) or len(rows) != len(continuations):
+                raise ProviderError(
+                    f"asked for {len(continuations)} score lists, got {_count(rows)}"
+                )
+            return [_floats(row) for row in rows]
+
+        return self._call(payload, "logprobs", check)
 
     def logprobs(self, sequence, continuation: str) -> list[float]:
         payload = {
@@ -199,4 +254,4 @@ class HttpLMProvider:
             "sequence": sequence.to_wire(),
             "params": {"continuation": continuation},
         }
-        return [float(v) for v in self._call(payload, "logprobs")]
+        return self._call(payload, "logprobs", _floats)

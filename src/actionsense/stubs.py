@@ -43,11 +43,17 @@ class StubParseProvider:
         self.path = str(path)
         self.table = _load(path)
 
+    def parse_many(self, sentences) -> list[ParseTree]:
+        trees = []
+        for sentence in sentences:
+            raw = self.table.get(sentence)
+            if raw is None:
+                raise ProviderError(f"no canned parse for {sentence!r} in {self.path}")
+            trees.append(ParseTree.from_dict(raw))
+        return trees
+
     def parse(self, sentence: str) -> ParseTree:
-        raw = self.table.get(sentence)
-        if raw is None:
-            raise ProviderError(f"no canned parse for {sentence!r} in {self.path}")
-        return ParseTree.from_dict(raw)
+        return self.parse_many([sentence])[0]
 
 
 class StubRCProvider:
@@ -60,11 +66,13 @@ class StubRCProvider:
     def __init__(self, path):
         self.table = _load(path)
 
+    def answer_many(self, context: str, questions) -> list[str | None]:
+        return [
+            next((c for c in self.table.get(q, []) if c in context), None) for q in questions
+        ]
+
     def answer(self, context: str, question: str) -> str | None:
-        for candidate in self.table.get(question, []):
-            if candidate in context:
-                return candidate
-        return None
+        return self.answer_many(context, [question])[0]
 
 
 class StubLMProvider:
@@ -96,17 +104,22 @@ class StubLMProvider:
         start = _digest(str(self.seed), sequence.text()) % len(texts)
         return [texts[(start + k) % len(texts)] for k in range(n)]
 
-    def logprobs(self, sequence, continuation: str) -> list[float]:
+    def _logprobs(self, context: str, continuation: str) -> list[float]:
         tokens = continuation.split()
-        if not tokens:
-            return []
         if self.vocab_size is not None:
             return [-math.log(self.vocab_size)] * len(tokens)
-        context = sequence.text()
         return [
             -(0.5 + (_digest(str(self.seed), context, str(i), tok) % 2000) / 1000.0)
             for i, tok in enumerate(tokens)
         ]
+
+    def logprobs_many(self, sequence, continuations) -> list[list[float]]:
+        context = sequence.text()
+        return [self._logprobs(context, c) for c in continuations]
+
+    def logprobs(self, sequence, continuation: str) -> list[float]:
+        # not through logprobs_many, so a logprobs_many built on this method cannot recurse
+        return self._logprobs(sequence.text(), continuation)
 
 
 class StubVisionProvider:

@@ -213,6 +213,9 @@ class TestEffects:
 
     def test_answer_filtering(self, corpus, fixture_triplets):
         class Wordy:
+            def answer_many(self, context, questions):
+                return [self.answer(context, q) for q in questions]
+
             def answer(self, context, question):
                 if question.startswith("What color"):
                     return "the bacon turns brown"  # 4 tokens, kept after split

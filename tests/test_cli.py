@@ -250,6 +250,29 @@ class TestGenerate:
             == (partial / "generations_main.jsonl").read_bytes()
         )
 
+    def test_empty_sample_is_kept_unscored(self, fixture_config, tmp_path):
+        samples = json.loads(stubs.fixture_path("lm.json").read_text())
+        samples["samples"]["goal"] = ["e_inf nothing", "Make Boxty", "Cook BLT"]
+        lm_path = tmp_path / "lm.json"
+        lm_path.write_text(json.dumps(samples))
+        cfg = json.loads(fixture_config.read_text())
+        cfg["providers"]["lm"]["path"] = str(lm_path)
+        config = tmp_path / "empty.json"
+        config.write_text(json.dumps(cfg))
+        out = build(config, tmp_path / "run")
+        assert cli.main(
+            ["generate", "--config", str(config), "--out", str(out),
+             "--modalities", "AOPair", "--variants", "1"]
+        ) == 0
+        generated = (out / "generations_main.jsonl").read_text().splitlines()
+        goals = [json.loads(line) for line in generated if '"inference_type": "goal"' in line]
+        assert goals
+        assert all(sorted(line["texts"]) == ["", "Cook BLT", "Make Boxty"] for line in goals)
+        for line in goals:
+            for text, nll, perplexity in zip(line["texts"], line["nll"], line["perplexity"]):
+                assert (nll is None) == (perplexity is None) == (text == "")
+        assert cli.main(["evaluate", "--config", str(config), "--out", str(out)]) == 0
+
 
 class TestProviderFailures:
     def test_unreachable_parse_provider_exits_3(self, fixture_config, tmp_path, capsys):
@@ -438,6 +461,37 @@ class TestEvaluate:
         assert len(calls) == len(instances) * len(generation.InferenceType)
         assert set(calls.values()) == {1}
 
+    def test_generation_records_keep_only_the_fields_evaluate_reads(
+        self, fixture_config, tmp_path
+    ):
+        out = build(fixture_config, tmp_path / "run")
+        assert cli.main(
+            ["generate", "--config", str(fixture_config), "--out", str(out),
+             "--modalities", "AOPair", "--variants", "1"]
+        ) == 0
+        ids = {i.instance_id for i in read_dataset(out / "dataset.jsonl")}
+        records = cli._read_generations(out / "generations_main.jsonl", ids)
+        assert records and all(set(r) == set(cli._GENERATION_FIELDS) for r in records)
+
+    def test_instance_without_usable_references_is_skipped(
+        self, fixture_config, tmp_path, capsys
+    ):
+        out = build(fixture_config, tmp_path / "run")
+        assert cli.main(
+            ["generate", "--config", str(fixture_config), "--out", str(out),
+             "--modalities", "AOPair", "--variants", "1"]
+        ) == 0
+        lines = (out / "dataset.jsonl").read_text().splitlines()
+        first = json.loads(lines[0])
+        first["goals"] = ["!!!"]
+        bad = out / "bad.jsonl"
+        bad.write_text("\n".join([json.dumps(first), *lines[1:]]) + "\n")
+        capsys.readouterr()
+        code = cli.main(
+            ["evaluate", "--config", str(fixture_config), "--out", str(out), "--dataset", str(bad)]
+        )
+        assert code == 0, capsys.readouterr().err
+
     def test_report_matches_rerun(self, fixture_config, tmp_path):
         outputs = []
         for name in ("a", "b"):
@@ -461,13 +515,13 @@ class TestConditioning:
         config.write_text(json.dumps(cfg))
         out = build(config, tmp_path / "run")
         sent = []
-        logprobs = stubs.StubLMProvider.logprobs
+        logprobs_many = stubs.StubLMProvider.logprobs_many
 
-        def recording(lm, sequence, continuation):
+        def recording(lm, sequence, continuations):
             sent.append(json.dumps(sequence.to_wire(), sort_keys=True))
-            return logprobs(lm, sequence, continuation)
+            return logprobs_many(lm, sequence, continuations)
 
-        monkeypatch.setattr(stubs.StubLMProvider, "logprobs", recording)
+        monkeypatch.setattr(stubs.StubLMProvider, "logprobs_many", recording)
         assert cli.main(
             ["generate", "--config", str(config), "--out", str(out),
              "--modalities", "Image+TextDesc+AOPair+OG,AOPair", "--variants", "1"]
@@ -507,6 +561,83 @@ class TestConditioning:
             if by_id[line["instance_id"]].inference_set(line["inference_type"])
         ]
         assert len(calls) == len(scored)
+
+
+def counting(monkeypatch, owner, attr, calls):
+    """Record each call of ``owner.attr`` in ``calls`` as (attr, args without self)."""
+    original = getattr(owner, attr)
+
+    def counted(*args):
+        calls.append((attr, args[1:]))
+        return original(*args)
+
+    monkeypatch.setattr(owner, attr, counted)
+
+
+class TestProviderBatches:
+    def test_generate_sends_one_sample_and_one_score_request_per_composed_input(
+        self, fixture_config, tmp_path, monkeypatch
+    ):
+        out = build(fixture_config, tmp_path / "run")
+        composed, calls = [], []
+        compose = generation.compose_input_sequence
+
+        def recording(*args, **kwargs):
+            composed.append(compose(*args, **kwargs))  # not reached for a missing modality
+            return composed[-1]
+
+        monkeypatch.setattr(generation, "compose_input_sequence", recording)
+        for attr in ("sample", "logprobs_many", "logprobs"):
+            counting(monkeypatch, stubs.StubLMProvider, attr, calls)
+        assert cli.main(
+            ["generate", "--config", str(fixture_config), "--out", str(out), "--variants", "1"]
+        ) == 0
+        sampled = [args[0] for attr, args in calls if attr == "sample"]
+        scored = [args for attr, args in calls if attr == "logprobs_many"]
+        assert len(sampled) == len(scored) == len(composed) > 0
+        assert [seq for seq, _ in scored] == sampled == composed
+        assert all(1 <= len(continuations) <= 3 for _, continuations in scored)
+        assert not [attr for attr, _ in calls if attr == "logprobs"]
+
+    def test_evaluate_sends_one_score_request_per_scored_entry(
+        self, fixture_config, tmp_path, monkeypatch
+    ):
+        out = build(fixture_config, tmp_path / "run")
+        assert cli.main(
+            ["generate", "--config", str(fixture_config), "--out", str(out),
+             "--modalities", "AOPair,TextDesc", "--variants", "1,2"]
+        ) == 0
+        calls = []
+        for attr in ("logprobs_many", "logprobs"):
+            counting(monkeypatch, stubs.StubLMProvider, attr, calls)
+        assert cli.main(["evaluate", "--config", str(fixture_config), "--out", str(out)]) == 0
+        by_id = {i.instance_id: i for i in read_dataset(out / "dataset.jsonl")}
+        generated = (out / "generations_main.jsonl").read_text().splitlines()
+        lines = [json.loads(line) for line in generated]
+        entries = [l for l in lines if by_id[l["instance_id"]].inference_set(l["inference_type"])]
+        pool_size = json.loads(fixture_config.read_text())["pool_size"]
+        assert len(calls) == len(entries)
+        assert {(attr, len(args[1])) for attr, args in calls} == {("logprobs_many", pool_size)}
+
+    def test_build_sends_one_parse_request_per_video_and_one_rc_request_per_triplet(
+        self, fixture_config, tmp_path, monkeypatch
+    ):
+        calls = []
+        for owner, attr in (
+            (stubs.StubParseProvider, "parse_many"),
+            (stubs.StubParseProvider, "parse"),
+            (stubs.StubRCProvider, "answer_many"),
+            (stubs.StubRCProvider, "answer"),
+        ):
+            counting(monkeypatch, owner, attr, calls)
+        out = build(fixture_config, tmp_path / "run")
+        parses = [args[0] for attr, args in calls if attr == "parse_many"]
+        questions = [args[1] for attr, args in calls if attr == "answer_many"]
+        triplets = (out / "triplets.jsonl").read_text().splitlines()
+        assert len(parses) == 5 and sum(map(len, parses)) == 27  # the fixture's videos, segments
+        assert 0 < len(questions) <= len(triplets)
+        assert {len(q) for q in questions} == {5}
+        assert not [attr for attr, _ in calls if attr in ("parse", "answer")]
 
 
 class TestAblate:

@@ -263,6 +263,15 @@ class TestConfigErrors:
         with pytest.raises(cli.ConfigError):
             cli.load_config(path)
 
+    @pytest.mark.parametrize("text", ["[]", "5", '"x"', "null"])
+    def test_config_that_is_not_an_object_exits_2(self, tmp_path, capsys, text):
+        path = tmp_path / "cfg.json"
+        path.write_text(text)
+        code = cli.main(["build-dataset", "--config", str(path), "--out", str(tmp_path / "r")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and "JSON object" in err
+
     def test_missing_config_file(self, tmp_path):
         with pytest.raises(cli.ConfigError):
             cli.load_config(tmp_path / "absent.json")

@@ -315,6 +315,19 @@ class TestReferenceIndex:
             assert ReferenceIndex(dataset, itype).overlap_scores(entries) == expected
 
 
+    def test_instance_without_usable_references_is_skipped(self):
+        dataset = [
+            pool_instance("a", ["fry the bacon", "toast the bread"]),
+            pool_instance("b", ["boil the potatoes"]),
+            pool_instance("bad", ["!!!", "..."]),
+        ]
+        entries = [("a", ["fry bacon", "toast it"]), ("b", ["boil the potatoes", "!?"])]
+        index = ReferenceIndex(dataset, "goal")
+        scores = index.overlap_scores(entries)
+        assert index.overlap_scores(entries + [("bad", ["fry the bacon"])]) == scores
+        assert scores["B"] > 0 and scores["C"] > 0
+
+
 class TestAccAt50:
     def separable_pool(self):
         candidates = [ScoredText("gt", 1.0, True)] + [
@@ -377,7 +390,7 @@ class TestAccAt50:
     def test_score_pool_fills_perplexities(self):
         candidates = [ScoredText("b", None, True)] + [ScoredText(f"n{i}") for i in range(49)]
         pool = CandidatePool("p", tuple(candidates), gt_count=1)
-        scored = score_pool(pool, lambda text: float(len(text)))
+        scored = score_pool(pool, lambda texts: [float(len(text)) for text in texts])
         assert all(c.perplexity is not None for c in scored.candidates)
         assert acc_at_50([scored]) == 1.0
 

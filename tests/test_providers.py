@@ -13,15 +13,25 @@ from actionsense.providers import (
     content_key,
     with_retries,
 )
-from actionsense.stubs import StubLMProvider, StubRCProvider, StubVisionProvider, fixture_path
+from actionsense.stubs import (
+    StubLMProvider,
+    StubParseProvider,
+    StubRCProvider,
+    StubVisionProvider,
+    fixture_path,
+)
 from actionsense.generation import FieldBlock, InferenceType, TokenSequence
+
+
+def token_logprobs(continuation):
+    return [-1.0 - i for i, _ in enumerate(continuation.split())]
 
 
 @pytest.fixture()
 def wire_server():
     """Tiny HTTP endpoint speaking the task/inputs and op/sequence envelopes."""
     requests = []
-    state = {"fail_next": 0}
+    state = {"fail_next": 0, "drop_row": False}
 
     class Handler(BaseHTTPRequestHandler):
         def do_POST(self):
@@ -39,8 +49,11 @@ def wire_server():
                 body = {"outputs": ["golden" if "golden" in i["context"] else None for i in payload["inputs"]]}
             elif payload.get("op") == "sample":
                 body = {"texts": ["canned"] * payload["params"]["n"]}
+            elif payload.get("op") == "logprobs" and "continuations" in payload["params"]:
+                rows = [token_logprobs(c) for c in payload["params"]["continuations"]]
+                body = {"logprobs": rows[:-1] if state["drop_row"] else rows}
             elif payload.get("op") == "logprobs":
-                body = {"logprobs": [-1.0, -2.0]}
+                body = {"logprobs": token_logprobs(payload["params"]["continuation"])}
             else:
                 body = {"outputs": []}
             data = json.dumps(body).encode()
@@ -104,6 +117,41 @@ class TestWireContract:
         lps = provider.logprobs(sequence(), "two tokens")
         assert lps == [-1.0, -2.0]
         assert requests[-1]["op"] == "logprobs"
+
+    def test_lm_logprobs_many_equals_single_calls_in_one_request(self, wire_server):
+        url, requests, _ = wire_server
+        provider = HttpLMProvider(url)
+        continuations = ["two tokens", "one", "three more tokens"]
+        batched = provider.logprobs_many(sequence(), continuations)
+        assert len(requests) == 1
+        assert requests[0]["params"] == {"continuations": continuations}
+        assert batched == [provider.logprobs(sequence(), c) for c in continuations]
+        assert [len(row) for row in batched] == [2, 1, 3]
+
+    def test_lm_logprobs_many_length_mismatch_is_a_provider_error(self, tmp_path, wire_server):
+        url, requests, state = wire_server
+        provider = HttpLMProvider(url, ResponseCache(tmp_path / "cache"))
+        state["drop_row"] = True
+        with pytest.raises(ProviderError, match="2 score lists, got 1"):
+            provider.logprobs_many(sequence(), ["two tokens", "one"])
+        state["drop_row"] = False
+        # the short answer was not cached: the retry asks the server again
+        assert provider.logprobs_many(sequence(), ["two tokens", "one"]) == [[-1.0, -2.0], [-1.0]]
+        assert len(requests) == 2
+
+    def test_rc_answer_many_equals_single_calls_in_one_request(self, wire_server):
+        url, requests, _ = wire_server
+        provider = HttpRCProvider(url)
+        questions = ["What color is it?", "What texture is it?"]
+        assert provider.answer_many("turns golden brown", questions) == ["golden", "golden"]
+        assert len(requests) == 1
+        assert requests[0]["inputs"] == [
+            {"context": "turns golden brown", "question": q} for q in questions
+        ]
+        singles = [provider.answer("turns golden brown", q) for q in questions]
+        assert singles == ["golden", "golden"]
+        # one question sends the same payload as before batching, so its cache entry holds
+        assert requests[-1] == {"task": "rc", "inputs": [requests[0]["inputs"][1]]}
 
     def test_responses_cached_by_content(self, tmp_path, wire_server):
         url, requests, _ = wire_server
@@ -195,6 +243,23 @@ class TestFileStubs:
         assert a.sample(seq, 0.9, 8, 5) != other.sample(seq, 0.9, 8, 5) or a.logprobs(
             seq, "soft curds"
         ) != other.logprobs(seq, "soft curds")
+
+    @pytest.mark.parametrize("vocab_size", [None, 100])
+    def test_lm_stub_logprobs_many_equals_single_calls(self, vocab_size):
+        stub = StubLMProvider(fixture_path("lm.json"), seed=13, vocab_size=vocab_size)
+        continuations = ["soft curds", "", "golden", "soft curds"]
+        assert stub.logprobs_many(sequence(), continuations) == [
+            stub.logprobs(sequence(), c) for c in continuations
+        ]
+
+    def test_parse_and_rc_stubs_batch_like_single_calls(self, resolved):
+        parse = StubParseProvider(fixture_path("parse.json"))
+        sentences = [text for (video_id, _), text in resolved.items() if video_id == "blt01"]
+        assert parse.parse_many(sentences) == [parse.parse(s) for s in sentences]
+        rc = StubRCProvider(fixture_path("rc.json"))
+        context = "the potatoes look golden and crisp now"
+        questions = ["What color is potato?", "What texture is potato?", "What shape is potato?"]
+        assert rc.answer_many(context, questions) == ["golden", "crisp", None]
 
     def test_uniform_mode(self):
         import math
