@@ -17,17 +17,16 @@ The language-model provider speaks:
           "params": {...}}
     ->   {"texts": [...]} or {"logprobs": [...]}
 
-A ``logprobs`` request scores either ``params.continuation`` (one string,
-answered by one list of per-token log-probabilities) or
-``params.continuations`` (a list, answered by one such list per continuation
-in request order). The pipeline always sends the list form: the distinct
-non-empty samples of one composed input, or the candidates of one A@50 pool,
-in one request.
+A ``logprobs`` request scores ``params.continuations``, a list answered by
+one list of per-token log-probabilities per continuation, in request order:
+the distinct non-empty samples of one composed input, or the candidates of
+one A@50 pool, in one request.
 
 Live responses are cached to disk keyed by the SHA-256 of the request payload
 so that reruns are deterministic and work offline. Cache writes are atomic and
-write-once, which makes them safe under concurrent writers. A response is
-checked before it is cached, so a malformed one is never stored.
+write-once, which makes them safe under concurrent writers. Every provider
+checks a response (output count, parse tree, answer span, score lists) before
+it is cached, so a malformed one is never stored and a retry asks again.
 """
 
 from __future__ import annotations
@@ -123,12 +122,13 @@ class _HttpTaskProvider:
         self.cache = cache
         self.timeout = timeout
 
-    def _call(self, inputs: list):
+    def _call(self, inputs: list, check):
+        """``check(outputs)`` for the request; only outputs that pass are cached."""
         payload = {"task": self.task, "inputs": inputs}
         if self.cache is not None:
             hit = self.cache.get(payload)
             if hit is not None:
-                return hit["outputs"]
+                return check(hit["outputs"])
         response = _post_json(self.url, payload, timeout=self.timeout)
         if not isinstance(response, dict) or "outputs" not in response:
             raise ProviderError(f"{self.url} response missing 'outputs'")
@@ -137,16 +137,17 @@ class _HttpTaskProvider:
             raise ProviderError(
                 f"{self.url} returned {_count(outputs)} outputs for {len(inputs)} inputs"
             )
+        result = check(outputs)
         if self.cache is not None:
             self.cache.put(payload, {"outputs": outputs})
-        return outputs
+        return result
 
 
 class HttpCorefProvider(_HttpTaskProvider):
     task = "coref"
 
     def resolve(self, texts) -> list[str]:
-        return [str(t) for t in self._call(list(texts))]
+        return self._call(list(texts), lambda outputs: [str(t) for t in outputs])
 
 
 class HttpParseProvider(_HttpTaskProvider):
@@ -156,28 +157,31 @@ class HttpParseProvider(_HttpTaskProvider):
         from .extraction import ParseTree
 
         sentences = list(sentences)
-        trees = []
-        for sentence, raw in zip(sentences, self._call(sentences)):
-            try:
-                trees.append(ParseTree.from_dict(raw))
-            except (KeyError, TypeError, ValueError) as exc:
-                raise ProviderError(f"malformed parse for {sentence!r}: {exc}") from exc
-        return trees
 
-    def parse(self, sentence: str):
-        return self.parse_many([sentence])[0]
+        def check(outputs):
+            trees = []
+            for sentence, raw in zip(sentences, outputs):
+                try:
+                    trees.append(ParseTree.from_dict(raw))
+                except (KeyError, TypeError, ValueError) as exc:
+                    raise ProviderError(f"malformed parse for {sentence!r}: {exc}") from exc
+            return trees
+
+        return self._call(sentences, check)
 
 
 class HttpRCProvider(_HttpTaskProvider):
     task = "rc"
 
     def answer_many(self, context: str, questions) -> list[str | None]:
-        outputs = self._call([{"context": context, "question": q} for q in questions])
-        answers = [None if out is None else str(out) for out in outputs]
-        for answer in answers:
-            if answer is not None and answer not in context:
-                raise ProviderError(f"rc answer {answer!r} is not a span of the context")
-        return answers
+        def check(outputs):
+            answers = [None if out is None else str(out) for out in outputs]
+            for answer in answers:
+                if answer is not None and answer not in context:
+                    raise ProviderError(f"rc answer {answer!r} is not a span of the context")
+            return answers
+
+        return self._call([{"context": context, "question": q} for q in questions], check)
 
     def answer(self, context: str, question: str) -> str | None:
         return self.answer_many(context, [question])[0]
@@ -249,9 +253,4 @@ class HttpLMProvider:
         return self._call(payload, "logprobs", check)
 
     def logprobs(self, sequence, continuation: str) -> list[float]:
-        payload = {
-            "op": "logprobs",
-            "sequence": sequence.to_wire(),
-            "params": {"continuation": continuation},
-        }
-        return self._call(payload, "logprobs", _floats)
+        return self.logprobs_many(sequence, [continuation])[0]

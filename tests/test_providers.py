@@ -7,6 +7,7 @@ import pytest
 from actionsense.providers import (
     HttpCorefProvider,
     HttpLMProvider,
+    HttpParseProvider,
     HttpRCProvider,
     ProviderError,
     ResponseCache,
@@ -31,7 +32,7 @@ def token_logprobs(continuation):
 def wire_server():
     """Tiny HTTP endpoint speaking the task/inputs and op/sequence envelopes."""
     requests = []
-    state = {"fail_next": 0, "drop_row": False}
+    state = {"fail_next": 0, "drop_row": False, "bad_parse": False, "rc_off_span": False}
 
     class Handler(BaseHTTPRequestHandler):
         def do_POST(self):
@@ -45,15 +46,20 @@ def wire_server():
                 return
             if payload.get("task") == "coref":
                 body = {"outputs": [t.replace("them", "the tomatoes") for t in payload["inputs"]]}
+            elif payload.get("task") == "parse":
+                tree = {"tokens": [{"text": "stir", "lemma": "stir", "pos": "VERB"}], "arcs": []}
+                if state["bad_parse"]:
+                    tree = {"tokens": tree["tokens"], "arcs": [[0, 5, "dobj"]]}
+                body = {"outputs": [tree for _ in payload["inputs"]]}
             elif payload.get("task") == "rc":
                 body = {"outputs": ["golden" if "golden" in i["context"] else None for i in payload["inputs"]]}
+                if state["rc_off_span"]:
+                    body = {"outputs": ["purple" for _ in payload["inputs"]]}
             elif payload.get("op") == "sample":
                 body = {"texts": ["canned"] * payload["params"]["n"]}
-            elif payload.get("op") == "logprobs" and "continuations" in payload["params"]:
+            elif payload.get("op") == "logprobs":
                 rows = [token_logprobs(c) for c in payload["params"]["continuations"]]
                 body = {"logprobs": rows[:-1] if state["drop_row"] else rows}
-            elif payload.get("op") == "logprobs":
-                body = {"logprobs": token_logprobs(payload["params"]["continuation"])}
             else:
                 body = {"outputs": []}
             data = json.dumps(body).encode()
@@ -137,6 +143,29 @@ class TestWireContract:
         state["drop_row"] = False
         # the short answer was not cached: the retry asks the server again
         assert provider.logprobs_many(sequence(), ["two tokens", "one"]) == [[-1.0, -2.0], [-1.0]]
+        assert len(requests) == 2
+
+    def test_malformed_parse_is_a_provider_error_and_not_cached(self, tmp_path, wire_server):
+        url, requests, state = wire_server
+        provider = HttpParseProvider(url, ResponseCache(tmp_path / "cache"))
+        state["bad_parse"] = True
+        with pytest.raises(ProviderError, match="malformed parse for 'stir'"):
+            provider.parse_many(["stir", "stir again"])
+        state["bad_parse"] = False
+        # the bad answer was not cached: the retry asks the server again
+        trees = provider.parse_many(["stir", "stir again"])
+        assert [t.tokens[0].lemma for t in trees] == ["stir", "stir"]
+        assert len(requests) == 2
+
+    def test_rc_non_span_answer_is_a_provider_error_and_not_cached(self, tmp_path, wire_server):
+        url, requests, state = wire_server
+        provider = HttpRCProvider(url, ResponseCache(tmp_path / "cache"))
+        questions = ["What color is it?", "What texture is it?"]
+        state["rc_off_span"] = True
+        with pytest.raises(ProviderError, match="'purple' is not a span"):
+            provider.answer_many("turns golden brown", questions)
+        state["rc_off_span"] = False
+        assert provider.answer_many("turns golden brown", questions) == ["golden", "golden"]
         assert len(requests) == 2
 
     def test_rc_answer_many_equals_single_calls_in_one_request(self, wire_server):
