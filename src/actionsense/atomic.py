@@ -1,4 +1,8 @@
-"""The one way run artifacts, caches and manifests reach disk."""
+"""The one way run artifacts and manifests reach disk.
+
+The response cache is not written here: it appends to its own log
+(``providers.ResponseCache``).
+"""
 
 from __future__ import annotations
 

@@ -12,6 +12,7 @@ after retries.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import itertools
 import json
@@ -37,6 +38,7 @@ from .providers import (
     HttpLMProvider,
     HttpParseProvider,
     HttpRCProvider,
+    HttpSession,
     ProviderError,
     ResponseCache,
     with_retries,
@@ -193,16 +195,27 @@ class Manifest:
 
 @dataclass
 class Providers:
+    """One command's providers, with the connections and response log they share."""
+
     coref: object | None = None
     parse: object | None = None
     rc: object | None = None
     lm: object | None = None
     vision: object | None = None
+    session: HttpSession = field(default_factory=HttpSession)
+    cache: ResponseCache | None = None
+
+    def close(self) -> None:
+        self.session.close()
+        if self.cache is not None:
+            self.cache.close()
 
 
 def make_providers(cfg: RunConfig, cache_dir: Path) -> Providers:
+    """The configured providers; the command that made them closes them."""
     cache = ResponseCache(cache_dir)
-    built = Providers()
+    session = HttpSession()
+    built = Providers(session=session, cache=cache)
     stub_lookup = {
         "coref": lambda spec: stubs.StubCorefProvider(spec["path"]),
         "parse": lambda spec: stubs.StubParseProvider(spec["path"]),
@@ -211,10 +224,10 @@ def make_providers(cfg: RunConfig, cache_dir: Path) -> Providers:
         "vision": lambda spec: stubs.StubVisionProvider(),
     }
     http_lookup = {
-        "coref": lambda spec: HttpCorefProvider(spec["url"], cache),
-        "parse": lambda spec: HttpParseProvider(spec["url"], cache),
-        "rc": lambda spec: HttpRCProvider(spec["url"], cache),
-        "lm": lambda spec: HttpLMProvider(spec["url"], cache),
+        "coref": lambda spec: HttpCorefProvider(spec["url"], cache, session=session),
+        "parse": lambda spec: HttpParseProvider(spec["url"], cache, session=session),
+        "rc": lambda spec: HttpRCProvider(spec["url"], cache, session=session),
+        "lm": lambda spec: HttpLMProvider(spec["url"], cache, session=session),
     }
     for name, spec in cfg.providers.items():
         kind = spec.get("kind")
@@ -255,6 +268,11 @@ def run_build_dataset(cfg: RunConfig) -> None:
 
     corpus = Corpus.load(cfg.annotation_file, cfg.recipe_file)
     providers = make_providers(cfg, run_dir / "cache")
+    with contextlib.closing(providers):
+        _build_dataset(cfg, run_dir, manifest, corpus, providers)
+
+
+def _build_dataset(cfg: RunConfig, run_dir: Path, manifest: Manifest, corpus, providers) -> None:
     if providers.coref is None or providers.parse is None:
         raise ConfigError("build-dataset needs coref and parse providers")
 
@@ -584,35 +602,38 @@ def _evaluate(cfg: RunConfig, run: _Run, generations_path, masks=None, variants=
 
 def run_generate(cfg: RunConfig, resume: bool = False) -> None:
     run = _open_run(cfg, "generate", "assemble")
-    _generate(cfg, run, cfg.mask_list(), cfg.variants, resume, "main")
+    with contextlib.closing(run.providers):
+        _generate(cfg, run, cfg.mask_list(), cfg.variants, resume, "main")
 
 
 def run_evaluate(cfg: RunConfig, generations_path=None, dataset_path=None) -> None:
     run = _open_run(cfg, "evaluate", None if generations_path else "generate", dataset_path)
-    if generations_path:
-        _evaluate(cfg, run, generations_path)
-    else:
-        record = run.manifest.data["stages"]["generate"]
-        masks = [parse_combo_label(label) for label in record["masks"]]
-        _evaluate(cfg, run, record["file"], masks, record["variants"])
+    with contextlib.closing(run.providers):
+        if generations_path:
+            _evaluate(cfg, run, generations_path)
+        else:
+            record = run.manifest.data["stages"]["generate"]
+            masks = [parse_combo_label(label) for label in record["masks"]]
+            _evaluate(cfg, run, record["file"], masks, record["variants"])
 
 
 def run_ablate(cfg: RunConfig, resume: bool = False, modalities_only: bool = False) -> None:
     """The modality grid at one prompt variant, then every variant on its best row."""
     run = _open_run(cfg, "ablate", "assemble")
-    masks, variants = list(MODALITY_COMBOS), [cfg.modality_stage_variant]
-    combined = _generate(cfg, run, masks, variants, resume, "modality")
-    modality_report = _evaluate(cfg, run, combined, masks, variants)
-    if modalities_only:
-        return
-    # Best modality row: argmax of mean(B, M, C, A50) on the display scale.
-    best = max(
-        modality_report.rows, key=lambda r: (r.B * 100 + r.M * 100 + r.C * 10 + r.A50 * 100) / 4
-    )
-    best_mask = parse_combo_label(best.condition)
-    combined = _generate(cfg, run, [best_mask], cfg.variants, resume, "prompt")
-    _evaluate(cfg, run, combined, [best_mask], cfg.variants)
-    print(f"best modality: {best.condition}")
+    with contextlib.closing(run.providers):
+        masks, variants = list(MODALITY_COMBOS), [cfg.modality_stage_variant]
+        combined = _generate(cfg, run, masks, variants, resume, "modality")
+        modality_report = _evaluate(cfg, run, combined, masks, variants)
+        if modalities_only:
+            return
+        # Best modality row: argmax of mean(B, M, C, A50) on the display scale.
+        best = max(
+            modality_report.rows, key=lambda r: (r.B * 100 + r.M * 100 + r.C * 10 + r.A50 * 100) / 4
+        )
+        best_mask = parse_combo_label(best.condition)
+        combined = _generate(cfg, run, [best_mask], cfg.variants, resume, "prompt")
+        _evaluate(cfg, run, combined, [best_mask], cfg.variants)
+        print(f"best modality: {best.condition}")
 
 
 # ---------------------------------------------------------------------------

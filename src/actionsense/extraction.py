@@ -108,7 +108,8 @@ def resolve_coreferences(video: VideoRecord, provider: CorefProvider) -> list[Re
     """Resolve pronouns in all segment sentences of one video.
 
     If the provider fails or breaks its length contract, the originals are
-    kept and flagged rather than aborting the video.
+    kept and flagged rather than aborting the video; a sentence resolved to
+    nothing but whitespace keeps its original and is flagged alone.
     """
     originals = [seg.sentence for seg in video.segments]
     try:
@@ -122,6 +123,8 @@ def resolve_coreferences(video: VideoRecord, provider: CorefProvider) -> list[Re
         return [ResolvedSentence(original=s, resolved=s, flagged=True) for s in originals]
     return [
         ResolvedSentence(original=orig, resolved=res)
+        if res.strip()
+        else ResolvedSentence(original=orig, resolved=orig, flagged=True)
         for orig, res in zip(originals, resolved)
     ]
 

@@ -1,4 +1,4 @@
-"""Provider plumbing: errors, content-addressed response cache, HTTP adapters.
+"""Provider plumbing: errors, the response log, kept-alive HTTP connections, HTTP adapters.
 
 Text-tool providers speak a single JSON-over-HTTP envelope:
 
@@ -22,11 +22,30 @@ one list of per-token log-probabilities per continuation, in request order:
 the distinct non-empty samples of one composed input, or the candidates of
 one A@50 pool, in one request.
 
-Live responses are cached to disk keyed by the SHA-256 of the request payload
-so that reruns are deterministic and work offline. Cache writes are atomic and
-write-once, which makes them safe under concurrent writers. Every provider
-checks a response (output count, parse tree, answer span, score lists) before
-it is cached, so a malformed one is never stored and a retry asks again.
+Live responses are cached so that reruns are deterministic and work offline,
+in one append-only log per run directory, ``cache/responses.log``: one
+``<64-hex key>\\t<json>\\n`` line per response, keyed by the SHA-256 of the
+request payload and appended with a single write. The first record of a key
+wins, across threads and across caches opened on one directory. A torn line
+(a write cut short) and a record whose key does not match at its offset read
+as misses. Memory holds only each key's byte offset. Every provider checks a
+response (output count, parse tree, answer span, score lists) before it is
+cached, so a malformed one is never stored and a retry asks again. Caches
+written in the earlier one-file-per-response layout are not read; they miss
+once.
+
+A command sends its requests through one ``HttpSession``, which keeps
+connections alive: one per endpoint per thread sending at once. A thread
+takes an idle connection to the endpoint, or opens one, and gives it back
+once it has read the response, so no two threads share a connection. A
+reused connection that the server has dropped is reopened once, without a
+retry. After sending each request the client sets ``TCP_QUICKACK`` on the
+socket, because a server that writes headers and body in two writes
+without ``TCP_NODELAY`` (``http.server`` does) holds the body until the
+client acknowledges the headers, and a delayed acknowledgement costs about
+40 ms per request on a reused connection. On platforms without
+``TCP_QUICKACK`` that wait may remain. Without a session, each request
+opens and closes its own connection.
 """
 
 from __future__ import annotations
@@ -35,13 +54,17 @@ import hashlib
 import http.client
 import json
 import os
+import re
+import socket
+import threading
 import time
-import urllib.request
 from pathlib import Path
-
-from .atomic import write_atomic
+from urllib.parse import urlsplit
 
 CREDENTIALS_ENV_VAR = "ACTIONSENSE_PROVIDER_TOKEN"
+
+_KEY = re.compile(rb"[0-9a-f]{64}")
+_QUICKACK = getattr(socket, "TCP_QUICKACK", None)
 
 
 class ProviderError(Exception):
@@ -57,27 +80,78 @@ def content_key(payload) -> str:
 
 
 class ResponseCache:
-    """Write-once response store addressed by request-content hash."""
+    """Append-only response log addressed by request-content hash.
+
+    The log is opened, and indexed, on first use; ``close`` releases it and a
+    later use opens it again.
+    """
 
     def __init__(self, root):
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
+        self._lock = threading.Lock()
+        self._index: dict[bytes, int] = {}  # key -> byte offset of its first record
+        self._scanned = 0  # the log is indexed up to this byte
+        self._reader = None
+        self._writer = None
 
-    def _path(self, key: str) -> Path:
-        return self.root / key[:2] / f"{key}.json"
+    def _open(self) -> None:
+        path = self.root / "responses.log"
+        self._writer = open(path, "ab", buffering=0)  # one write() per record
+        self._reader = open(path, "rb")
+        self._index.clear()
+        self._scanned = 0
+        self._catch_up()
+
+    def _catch_up(self) -> None:
+        """Index the complete lines written since the last scan; the first record of a key wins."""
+        self._reader.seek(self._scanned)
+        for line in self._reader:
+            if not line.endswith(b"\n"):
+                break  # torn: the next record appended completes this line
+            # after a torn write the line holds its remains, then a whole record
+            tab = line.rfind(b"\t")
+            if tab >= 64 and _KEY.fullmatch(line, tab - 64, tab):
+                self._index.setdefault(line[tab - 64 : tab], self._scanned + tab - 64)
+            self._scanned += len(line)
 
     def get(self, payload):
-        path = self._path(content_key(payload))
-        if not path.exists():
+        key = content_key(payload).encode("ascii")
+        with self._lock:
+            if self._reader is None:
+                self._open()
+            offset = self._index.get(key)
+            if offset is None:
+                return None
+            self._reader.seek(offset)
+            line = self._reader.readline()
+        if not (line.startswith(key + b"\t") and line.endswith(b"\n")):
             return None
-        with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
+        try:
+            return json.loads(line[len(key) + 1 :])
+        except ValueError:  # invalid JSON or UTF-8
+            return None
 
     def put(self, payload, response) -> None:
-        path = self._path(content_key(payload))
-        if path.exists():  # first writer wins
-            return
-        write_atomic(path, (json.dumps(response, ensure_ascii=False),))
+        key = content_key(payload)
+        record = f"{key}\t{json.dumps(response, ensure_ascii=False)}\n".encode("utf-8")
+        with self._lock:
+            if self._reader is None:
+                self._open()
+            self._catch_up()
+            if key.encode("ascii") in self._index:  # first writer wins
+                return
+            rest = memoryview(record)
+            while rest:
+                rest = rest[self._writer.write(rest) :]
+            self._catch_up()
+
+    def close(self) -> None:
+        with self._lock:
+            for fh in (self._reader, self._writer):
+                if fh is not None:
+                    fh.close()
+            self._reader = self._writer = None
 
 
 def with_retries(fn, attempts: int = 3, base_delay: float = 0.1, sleep=time.sleep):
@@ -93,22 +167,84 @@ def with_retries(fn, attempts: int = 3, base_delay: float = 0.1, sleep=time.slee
     raise last
 
 
-def _post_json(url: str, payload, timeout: float = 30.0):
+def _exchange(conn: http.client.HTTPConnection, target: str, body: bytes, headers, timeout):
+    """Send one POST on ``conn``, opening it if closed, and read the whole response."""
+    conn.timeout = timeout
+    if conn.sock is not None:
+        conn.sock.settimeout(timeout)
+    conn.request("POST", target, body, headers)
+    if _QUICKACK is not None:
+        conn.sock.setsockopt(socket.IPPROTO_TCP, _QUICKACK, 1)
+    response = conn.getresponse()
+    return response.status, response.read()
+
+
+class HttpSession:
+    """Kept-alive HTTP connections for one command, given out one thread at a time."""
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._idle: dict[tuple[str, str], list[http.client.HTTPConnection]] = {}
+
+    def post(self, url: str, body: bytes, headers, timeout: float) -> tuple[int, bytes]:
+        """Status and body of one POST to ``url`` on an idle or new connection."""
+        parts = urlsplit(url)
+        if parts.scheme not in ("http", "https"):
+            raise ProviderError(f"unsupported URL scheme in {url!r}")
+        endpoint = (parts.scheme, parts.netloc)
+        with self._lock:
+            idle = self._idle.get(endpoint)
+            conn = idle.pop() if idle else None
+        if conn is None:
+            https = parts.scheme == "https"
+            factory = http.client.HTTPSConnection if https else http.client.HTTPConnection
+            conn = factory(parts.netloc, timeout=timeout)
+        target = (parts.path or "/") + (f"?{parts.query}" if parts.query else "")
+        reused = conn.sock is not None
+        try:
+            try:
+                result = _exchange(conn, target, body, headers, timeout)
+            except ConnectionError:
+                if not reused:
+                    raise
+                conn.close()  # the server dropped the idle connection: open a new one
+                result = _exchange(conn, target, body, headers, timeout)
+        except BaseException:
+            conn.close()  # never reuse a connection left mid-exchange
+            raise
+        with self._lock:
+            self._idle.setdefault(endpoint, []).append(conn)
+        return result
+
+    def close(self) -> None:
+        with self._lock:
+            idle = [conn for conns in self._idle.values() for conn in conns]
+            self._idle.clear()
+        for conn in idle:
+            conn.close()
+
+
+def _post_json(url: str, payload, timeout: float = 30.0, session: HttpSession | None = None):
+    """The decoded JSON answer to one POST, through ``session`` or a connection of its own."""
     body = json.dumps(payload, ensure_ascii=False).encode("utf-8")
     headers = {"Content-Type": "application/json"}
     token = os.environ.get(CREDENTIALS_ENV_VAR)
     if token:
         headers["Authorization"] = f"Bearer {token}"
-    request = urllib.request.Request(url, data=body, headers=headers, method="POST")
+    sender = session or HttpSession()
     try:
-        with urllib.request.urlopen(request, timeout=timeout) as resp:
-            if resp.status != 200:
-                raise ProviderError(f"{url} returned HTTP {resp.status}")
-            return json.loads(resp.read().decode("utf-8"))
+        status, data = sender.post(url, body, headers, timeout)
     except (OSError, http.client.HTTPException) as exc:
-        # URLError and read timeouts are OSErrors; a cut-off body is an HTTPException.
+        # refused connections and read timeouts are OSErrors; a cut-off body is an HTTPException
         raise ProviderError(f"request to {url} failed: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    finally:
+        if session is None:
+            sender.close()
+    if status != 200:
+        raise ProviderError(f"{url} returned HTTP {status}")
+    try:
+        return json.loads(data.decode("utf-8"))
+    except ValueError as exc:  # invalid JSON or UTF-8
         raise ProviderError(f"{url} returned invalid JSON: {exc}") from exc
 
 
@@ -117,10 +253,17 @@ class _HttpTaskProvider:
 
     task = ""
 
-    def __init__(self, url: str, cache: ResponseCache | None = None, timeout: float = 30.0):
+    def __init__(
+        self,
+        url: str,
+        cache: ResponseCache | None = None,
+        timeout: float = 30.0,
+        session: HttpSession | None = None,
+    ):
         self.url = url
         self.cache = cache
         self.timeout = timeout
+        self.session = session
 
     def _call(self, inputs: list, check):
         """``check(outputs)`` for the request; only outputs that pass are cached."""
@@ -129,7 +272,7 @@ class _HttpTaskProvider:
             hit = self.cache.get(payload)
             if hit is not None:
                 return check(hit["outputs"])
-        response = _post_json(self.url, payload, timeout=self.timeout)
+        response = _post_json(self.url, payload, self.timeout, self.session)
         if not isinstance(response, dict) or "outputs" not in response:
             raise ProviderError(f"{self.url} response missing 'outputs'")
         outputs = response["outputs"]
@@ -201,10 +344,17 @@ def _floats(values) -> list[float]:
 class HttpLMProvider:
     """Language-model provider over the op/sequence/params envelope."""
 
-    def __init__(self, url: str, cache: ResponseCache | None = None, timeout: float = 60.0):
+    def __init__(
+        self,
+        url: str,
+        cache: ResponseCache | None = None,
+        timeout: float = 60.0,
+        session: HttpSession | None = None,
+    ):
         self.url = url
         self.cache = cache
         self.timeout = timeout
+        self.session = session
 
     def _call(self, payload, result_key, check):
         """The checked ``result_key`` value of the response; only checked values are cached."""
@@ -212,7 +362,7 @@ class HttpLMProvider:
             hit = self.cache.get(payload)
             if hit is not None:
                 return check(hit[result_key])
-        response = _post_json(self.url, payload, timeout=self.timeout)
+        response = _post_json(self.url, payload, self.timeout, self.session)
         if not isinstance(response, dict) or result_key not in response:
             raise ProviderError(f"{self.url} response missing {result_key!r}")
         result = check(response[result_key])

@@ -73,6 +73,32 @@ class TestBuildDataset:
         assert cli.main(["build-dataset", "--config", "c200/config.json"]) == 0
         assert (tmp_path / "c200" / "from_config" / "dataset.jsonl").exists()
 
+    @pytest.mark.parametrize("resolved_to", ["", "  "])
+    def test_sentence_resolved_to_nothing_keeps_its_original_flagged(
+        self, fixture_config, tmp_path, corpus, resolved_to
+    ):
+        from actionsense.extraction import resolve_coreferences
+        from actionsense.stubs import fixture_path
+
+        video = corpus.videos[0]
+        first = video.segments[0].sentence
+        coref = json.loads(fixture_path("coref.json").read_text())
+        parse = json.loads(fixture_path("parse.json").read_text())
+        # the original's tree is the resolved sentence's, so both yield the same pairs
+        parse[first] = parse[coref[first]]
+        coref[first] = resolved_to
+        cfg = json.loads(fixture_config.read_text())
+        for name, table in (("coref", coref), ("parse", parse)):
+            (tmp_path / f"{name}.json").write_text(json.dumps(table))
+            cfg["providers"][name] = {"kind": "stub", "path": str(tmp_path / f"{name}.json")}
+        config = tmp_path / "empty_coref.json"
+        config.write_text(json.dumps(cfg))
+        out = build(config, tmp_path / "run")
+        assert len(read_dataset(out / "dataset.jsonl")) == 9
+        sentences = resolve_coreferences(video, stubs.StubCorefProvider(tmp_path / "coref.json"))
+        assert (sentences[0].resolved, sentences[0].flagged) == (first, True)
+        assert not any(s.flagged for s in sentences[1:])
+
     @pytest.mark.parametrize("field", ["annotation_file", "recipe_file"])
     def test_input_file_that_is_a_directory_exits_2(self, fixture_config, tmp_path, capsys, field):
         cfg = {**json.loads(fixture_config.read_text()), field: str(tmp_path)}

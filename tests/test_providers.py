@@ -1,4 +1,5 @@
 import json
+import sys
 import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
@@ -96,6 +97,98 @@ class TestResponseCache:
 
     def test_content_addressing_is_order_insensitive(self):
         assert content_key({"a": 1, "b": 2}) == content_key({"b": 2, "a": 1})
+
+    def test_one_line_per_response_in_one_log(self, tmp_path):
+        cache = ResponseCache(tmp_path / "cache")
+        for word in ("a", "b", "a"):
+            cache.put({"inputs": [word]}, {"outputs": [word.upper()]})
+        cache.close()
+        lines = (tmp_path / "cache" / "responses.log").read_text().splitlines()
+        assert lines == [
+            f'{content_key({"inputs": [w]})}\t{{"outputs": ["{w.upper()}"]}}' for w in ("a", "b")
+        ]
+        assert [p.name for p in (tmp_path / "cache").iterdir()] == ["responses.log"]
+
+    def test_torn_last_line_is_a_miss_and_a_later_record_reads_back(self, tmp_path):
+        first, torn, later = ({"inputs": [w]} for w in ("first", "torn", "later"))
+        cache = ResponseCache(tmp_path / "cache")
+        cache.put(first, {"outputs": ["one"]})
+        cache.close()
+        log = tmp_path / "cache" / "responses.log"
+        with open(log, "a", encoding="utf-8") as fh:  # a write cut short
+            fh.write(f'{content_key(torn)}\t{{"outputs": ["tw')
+        cache = ResponseCache(tmp_path / "cache")
+        assert cache.get(torn) is None
+        assert cache.get(first) == {"outputs": ["one"]}
+        cache.put(later, {"outputs": ["three"]})
+        assert cache.get(later) == {"outputs": ["three"]}
+        cache.close()
+        reopened = ResponseCache(tmp_path / "cache")
+        assert reopened.get(later) == {"outputs": ["three"]}
+        assert reopened.get(first) == {"outputs": ["one"]}
+        assert reopened.get(torn) is None
+        # the torn key can still be cached, and then it reads back
+        reopened.put(torn, {"outputs": ["two"]})
+        assert ResponseCache(tmp_path / "cache").get(torn) == {"outputs": ["two"]}
+
+    def test_two_caches_on_one_directory_keep_the_first_writer(self, tmp_path):
+        payload = {"inputs": ["shared"]}
+        a, b = ResponseCache(tmp_path / "cache"), ResponseCache(tmp_path / "cache")
+        assert a.get(payload) is None and b.get(payload) is None  # both logs indexed
+        a.put(payload, {"outputs": ["from a"]})
+        b.put(payload, {"outputs": ["from b"]})
+        assert a.get(payload) == b.get(payload) == {"outputs": ["from a"]}
+        assert ResponseCache(tmp_path / "cache").get(payload) == {"outputs": ["from a"]}
+        assert len((tmp_path / "cache" / "responses.log").read_text().splitlines()) == 1
+
+    def test_a_later_cache_reads_what_an_earlier_one_wrote(self, tmp_path):
+        payload = {"op": "sample", "params": {"n": 2}}
+        earlier = ResponseCache(tmp_path / "cache")
+        earlier.put(payload, {"texts": ["eggs \u00e9", "tab\there"]})
+        earlier.close()
+        later = ResponseCache(tmp_path / "cache")
+        assert later.get(payload) == {"texts": ["eggs \u00e9", "tab\there"]}
+        later.close()
+        assert later.get(payload) == {"texts": ["eggs \u00e9", "tab\there"]}  # reopens
+
+    def test_record_whose_key_does_not_match_its_offset_is_a_miss(self, tmp_path):
+        one, two = {"inputs": ["one"]}, {"inputs": ["two"]}
+        cache = ResponseCache(tmp_path / "cache")
+        cache.put(one, {"outputs": ["1"]})
+        cache.put(two, {"outputs": ["2"]})
+        log = tmp_path / "cache" / "responses.log"
+        first, second = log.read_bytes().splitlines(keepends=True)
+        assert len(first) == len(second)
+        log.write_bytes(second + first)  # each record now sits at the other's offset
+        assert cache.get(one) is None
+        assert cache.get(two) is None
+        assert ResponseCache(tmp_path / "cache").get(one) == {"outputs": ["1"]}
+
+    def test_threads_sharing_a_cache_write_each_key_once(self, tmp_path):
+        cache = ResponseCache(tmp_path / "cache")
+        payloads = [{"inputs": [str(i)]} for i in range(40)]
+
+        def worker(offset):
+            for i in range(len(payloads)):
+                payload = payloads[(i + offset) % len(payloads)]
+                if cache.get(payload) is None:
+                    cache.put(payload, {"outputs": payload["inputs"]})
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(k * 5,)) for k in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        cache.close()
+        assert len((tmp_path / "cache" / "responses.log").read_text().splitlines()) == 40
+        reopened = ResponseCache(tmp_path / "cache")
+        assert all(reopened.get(p) == {"outputs": p["inputs"]} for p in payloads)
 
 
 class TestWireContract:
