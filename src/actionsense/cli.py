@@ -108,6 +108,7 @@ def load_config(path, overrides: dict | None = None) -> RunConfig:
     unknown = set(raw) - known
     if unknown:
         raise ConfigError(f"unknown config fields in {path}: {sorted(unknown)}")
+    _check_types(raw, path)
     cfg = replace(cfg, **raw)
 
     base = path.parent
@@ -125,6 +126,42 @@ def load_config(path, overrides: dict | None = None) -> RunConfig:
             setattr(cfg, key, value)
     _check_grid(cfg)
     return cfg
+
+
+_JSON_TYPES = {
+    str: "a string",
+    int: "an integer",
+    float: "a number",
+    list: "a list",
+    dict: "an object",
+}
+_ACC_MODES = ("top_gt", "top1")
+
+
+def _check_types(raw: dict, path: Path) -> None:
+    """Raise ConfigError naming the first field whose value is not of its default's JSON type."""
+    defaults = vars(RunConfig())
+    for name, value in raw.items():
+        expected = type(defaults[name])
+        accepted = (int, float) if expected is float else expected
+        if isinstance(value, bool) or not isinstance(value, accepted):
+            problem = f"must be {_JSON_TYPES[expected]}, not {json.dumps(value)}"
+        elif name == "acc_mode" and value not in _ACC_MODES:
+            problem = f"must be one of {', '.join(_ACC_MODES)}, not {json.dumps(value)}"
+        elif name == "providers" and not all(_provider_spec(spec) for spec in value.values()):
+            problem = 'must map each role to an object with a string "kind" and string "path"/"url"'
+        else:
+            continue
+        raise ConfigError(f"config field {name!r} in {path} {problem}")
+
+
+def _provider_spec(spec) -> bool:
+    """An object with a string ``kind``, and a string ``path`` or ``url`` where it has one."""
+    return (
+        isinstance(spec, dict)
+        and isinstance(spec.get("kind"), str)
+        and all(isinstance(spec[f], str) for f in ("path", "url") if f in spec)
+    )
 
 
 _VARIANTS = {str(v): v for _, v in generation.PROMPTS}  # flags give variants as strings
@@ -164,8 +201,19 @@ class Manifest:
     def load(cls, run_dir: Path) -> "Manifest":
         manifest = cls(run_dir)
         if manifest.path.exists():
-            with open(manifest.path, encoding="utf-8") as fh:
-                manifest.data = json.load(fh)
+            try:
+                with open(manifest.path, encoding="utf-8") as fh:
+                    data = json.load(fh)
+            except (OSError, ValueError) as exc:  # a directory, not JSON, not UTF-8
+                raise ConfigError(f"manifest {manifest.path} is not readable JSON: {exc}") from exc
+            shape = {"stages": dict, "cells": dict, "failures": list}
+            if not isinstance(data, dict) or any(
+                not isinstance(data.get(k), t) for k, t in shape.items()
+            ):
+                raise ConfigError(
+                    f"manifest {manifest.path} is not an object holding stages, cells and failures"
+                )
+            manifest.data = data
         return manifest
 
     def save(self) -> None:
@@ -216,30 +264,32 @@ def make_providers(cfg: RunConfig, cache_dir: Path) -> Providers:
     cache = ResponseCache(cache_dir)
     session = HttpSession()
     built = Providers(session=session, cache=cache)
-    stub_lookup = {
-        "coref": lambda spec: stubs.StubCorefProvider(spec["path"]),
-        "parse": lambda spec: stubs.StubParseProvider(spec["path"]),
-        "rc": lambda spec: stubs.StubRCProvider(spec["path"]),
-        "lm": lambda spec: stubs.StubLMProvider(spec.get("path"), seed=cfg.seed),
-        "vision": lambda spec: stubs.StubVisionProvider(),
-    }
-    http_lookup = {
-        "coref": lambda spec: HttpCorefProvider(spec["url"], cache, session=session),
-        "parse": lambda spec: HttpParseProvider(spec["url"], cache, session=session),
-        "rc": lambda spec: HttpRCProvider(spec["url"], cache, session=session),
-        "lm": lambda spec: HttpLMProvider(spec["url"], cache, session=session),
+    factories = {
+        ("coref", "stub"): lambda spec: stubs.StubCorefProvider(spec["path"]),
+        ("parse", "stub"): lambda spec: stubs.StubParseProvider(spec["path"]),
+        ("rc", "stub"): lambda spec: stubs.StubRCProvider(spec["path"]),
+        ("lm", "stub"): lambda spec: stubs.StubLMProvider(spec.get("path"), seed=cfg.seed),
+        ("vision", "stub"): lambda spec: stubs.StubVisionProvider(),
+        ("coref", "http"): lambda spec: HttpCorefProvider(spec["url"], cache, session=session),
+        ("parse", "http"): lambda spec: HttpParseProvider(spec["url"], cache, session=session),
+        ("rc", "http"): lambda spec: HttpRCProvider(spec["url"], cache, session=session),
+        ("lm", "http"): lambda spec: HttpLMProvider(spec["url"], cache, session=session),
     }
     for name, spec in cfg.providers.items():
         kind = spec.get("kind")
-        if kind == "stub":
-            factory = stub_lookup.get(name)
-        elif kind == "http":
-            factory = http_lookup.get(name)
-        else:
-            raise ConfigError(f"provider {name!r} has unknown kind {kind!r}")
+        factory = factories.get((name, kind))
         if factory is None:
+            if kind not in {k for _, k in factories}:
+                raise ConfigError(f"provider {name!r} has unknown kind {kind!r}")
             raise ConfigError(f"no {kind} implementation for provider {name!r}")
-        setattr(built, name, factory(spec))
+        try:
+            setattr(built, name, factory(spec))
+        except KeyError as exc:  # a spec without the field its kind reads, or a table without it
+            raise ConfigError(f"provider {name!r} of kind {kind!r} lacks {exc}") from exc
+        except (OSError, ValueError) as exc:  # missing, a directory, not JSON, not UTF-8
+            raise ConfigError(
+                f"provider {name!r} table {spec.get('path')} is not a JSON object: {exc}"
+            ) from exc
     return built
 
 

@@ -26,13 +26,19 @@ Live responses are cached so that reruns are deterministic and work offline,
 in one append-only log per run directory, ``cache/responses.log``: one
 ``<64-hex key>\\t<json>\\n`` line per response, keyed by the SHA-256 of the
 request payload and appended with a single write. The first record of a key
-wins, across threads and across caches opened on one directory. A torn line
-(a write cut short) and a record whose key does not match at its offset read
-as misses. Memory holds only each key's byte offset. Every provider checks a
-response (output count, parse tree, answer span, score lists) before it is
-cached, so a malformed one is never stored and a retry asks again. Caches
-written in the earlier one-file-per-response layout are not read; they miss
-once.
+that reads back wins, across threads and across caches opened on one
+directory. A torn line (a write cut short), a record whose key does not match
+at its offset and a whole line that is not JSON do not read back; a key none
+of whose records reads back is a miss, and its next response is appended.
+Memory holds each key's byte offset, and those of any later records of it.
+Caches written in the earlier one-file-per-response layout are not read; they
+miss once.
+
+Every provider sends through one request path, ``_HttpProvider._call``: log
+lookup, POST, check, log append. It checks a response (output count, parse
+tree, answer span, score lists) before it is logged, and a logged record the
+same way, so a malformed answer is never stored or returned and a retry asks
+again. A logged record without the answer's result key is a miss.
 
 A command sends its requests through one ``HttpSession``, which keeps
 connections alive: one per endpoint per thread sending at once. A thread
@@ -79,6 +85,16 @@ def content_key(payload) -> str:
     return hashlib.sha256(canonical_payload(payload).encode("utf-8")).hexdigest()
 
 
+def _record(key: bytes, line: bytes):
+    """The response in a whole log line of ``key``, or None if the line does not read back."""
+    if not (line.startswith(key + b"\t") and line.endswith(b"\n")):
+        return None
+    try:
+        return json.loads(line[len(key) + 1 :])
+    except ValueError:  # invalid JSON or UTF-8
+        return None
+
+
 class ResponseCache:
     """Append-only response log addressed by request-content hash.
 
@@ -91,6 +107,7 @@ class ResponseCache:
         self.root.mkdir(parents=True, exist_ok=True)
         self._lock = threading.Lock()
         self._index: dict[bytes, int] = {}  # key -> byte offset of its first record
+        self._later: dict[bytes, list[int]] = {}  # key -> offsets of its later records
         self._scanned = 0  # the log is indexed up to this byte
         self._reader = None
         self._writer = None
@@ -100,11 +117,12 @@ class ResponseCache:
         self._writer = open(path, "ab", buffering=0)  # one write() per record
         self._reader = open(path, "rb")
         self._index.clear()
+        self._later.clear()
         self._scanned = 0
         self._catch_up()
 
     def _catch_up(self) -> None:
-        """Index the complete lines written since the last scan; the first record of a key wins."""
+        """Index the complete lines written since the last scan."""
         self._reader.seek(self._scanned)
         for line in self._reader:
             if not line.endswith(b"\n"):
@@ -112,8 +130,28 @@ class ResponseCache:
             # after a torn write the line holds its remains, then a whole record
             tab = line.rfind(b"\t")
             if tab >= 64 and _KEY.fullmatch(line, tab - 64, tab):
-                self._index.setdefault(line[tab - 64 : tab], self._scanned + tab - 64)
+                key, offset = line[tab - 64 : tab], self._scanned + tab - 64
+                if key in self._index:
+                    self._later.setdefault(key, []).append(offset)
+                else:
+                    self._index[key] = offset
             self._scanned += len(line)
+
+    def _first_readable(self, key: bytes):
+        """The first record of ``key`` that reads back, which the index then points at.
+
+        With none, the key leaves the index, so that ``put`` appends a record.
+        """
+        if key not in self._index:
+            return None
+        for offset in (self._index[key], *self._later.pop(key, ())):
+            self._reader.seek(offset)
+            response = _record(key, self._reader.readline())
+            if response is not None:
+                self._index[key] = offset
+                return response
+        del self._index[key]
+        return None
 
     def get(self, payload):
         key = content_key(payload).encode("ascii")
@@ -125,22 +163,23 @@ class ResponseCache:
                 return None
             self._reader.seek(offset)
             line = self._reader.readline()
-        if not (line.startswith(key + b"\t") and line.endswith(b"\n")):
-            return None
-        try:
-            return json.loads(line[len(key) + 1 :])
-        except ValueError:  # invalid JSON or UTF-8
-            return None
+        response = _record(key, line)
+        if response is None:  # a damaged record: a later one of the key may read back
+            with self._lock:
+                self._catch_up()
+                response = self._first_readable(key)
+        return response
 
     def put(self, payload, response) -> None:
         key = content_key(payload)
         record = f"{key}\t{json.dumps(response, ensure_ascii=False)}\n".encode("utf-8")
+        key = key.encode("ascii")
         with self._lock:
             if self._reader is None:
                 self._open()
             self._catch_up()
-            if key.encode("ascii") in self._index:  # first writer wins
-                return
+            if self._first_readable(key) is not None:
+                return  # the first record that reads back wins
             rest = memoryview(record)
             while rest:
                 rest = rest[self._writer.write(rest) :]
@@ -248,10 +287,8 @@ def _post_json(url: str, payload, timeout: float = 30.0, session: HttpSession | 
         raise ProviderError(f"{url} returned invalid JSON: {exc}") from exc
 
 
-class _HttpTaskProvider:
-    """Shared plumbing for the task/inputs -> outputs envelope."""
-
-    task = ""
+class _HttpProvider:
+    """One HTTP endpoint; ``_call`` is the one request path, for network and logged answers."""
 
     def __init__(
         self,
@@ -265,35 +302,41 @@ class _HttpTaskProvider:
         self.timeout = timeout
         self.session = session
 
-    def _call(self, inputs: list, check):
-        """``check(outputs)`` for the request; only outputs that pass are cached."""
-        payload = {"task": self.task, "inputs": inputs}
+    def _call(self, payload, result_key, check):
+        """The checked ``result_key`` value, logged or sent; only values that pass are logged."""
         if self.cache is not None:
             hit = self.cache.get(payload)
-            if hit is not None:
-                return check(hit["outputs"])
+            if isinstance(hit, dict) and result_key in hit:
+                return check(hit[result_key])
         response = _post_json(self.url, payload, self.timeout, self.session)
-        if not isinstance(response, dict) or "outputs" not in response:
-            raise ProviderError(f"{self.url} response missing 'outputs'")
-        outputs = response["outputs"]
-        if not isinstance(outputs, list) or len(outputs) != len(inputs):
-            raise ProviderError(
-                f"{self.url} returned {_count(outputs)} outputs for {len(inputs)} inputs"
-            )
-        result = check(outputs)
+        if not isinstance(response, dict) or result_key not in response:
+            raise ProviderError(f"{self.url} response missing {result_key!r}")
+        result = check(response[result_key])
         if self.cache is not None:
-            self.cache.put(payload, {"outputs": outputs})
+            self.cache.put(payload, {result_key: response[result_key]})
         return result
 
+    def _task(self, inputs: list, check):
+        """``check(outputs)`` of a task/inputs -> outputs request, given one output per input."""
 
-class HttpCorefProvider(_HttpTaskProvider):
+        def counted(outputs):
+            if not isinstance(outputs, list) or len(outputs) != len(inputs):
+                raise ProviderError(
+                    f"{self.url} returned {_count(outputs)} outputs for {len(inputs)} inputs"
+                )
+            return check(outputs)
+
+        return self._call({"task": self.task, "inputs": inputs}, "outputs", counted)
+
+
+class HttpCorefProvider(_HttpProvider):
     task = "coref"
 
     def resolve(self, texts) -> list[str]:
-        return self._call(list(texts), lambda outputs: [str(t) for t in outputs])
+        return self._task(list(texts), lambda outputs: [str(t) for t in outputs])
 
 
-class HttpParseProvider(_HttpTaskProvider):
+class HttpParseProvider(_HttpProvider):
     task = "parse"
 
     def parse_many(self, sentences) -> list:
@@ -310,10 +353,10 @@ class HttpParseProvider(_HttpTaskProvider):
                     raise ProviderError(f"malformed parse for {sentence!r}: {exc}") from exc
             return trees
 
-        return self._call(sentences, check)
+        return self._task(sentences, check)
 
 
-class HttpRCProvider(_HttpTaskProvider):
+class HttpRCProvider(_HttpProvider):
     task = "rc"
 
     def answer_many(self, context: str, questions) -> list[str | None]:
@@ -324,10 +367,7 @@ class HttpRCProvider(_HttpTaskProvider):
                     raise ProviderError(f"rc answer {answer!r} is not a span of the context")
             return answers
 
-        return self._call([{"context": context, "question": q} for q in questions], check)
-
-    def answer(self, context: str, question: str) -> str | None:
-        return self.answer_many(context, [question])[0]
+        return self._task([{"context": context, "question": q} for q in questions], check)
 
 
 def _count(value) -> str:
@@ -341,7 +381,7 @@ def _floats(values) -> list[float]:
         raise ProviderError(f"log-probabilities are not a list of numbers: {exc}") from exc
 
 
-class HttpLMProvider:
+class HttpLMProvider(_HttpProvider):
     """Language-model provider over the op/sequence/params envelope."""
 
     def __init__(
@@ -351,24 +391,7 @@ class HttpLMProvider:
         timeout: float = 60.0,
         session: HttpSession | None = None,
     ):
-        self.url = url
-        self.cache = cache
-        self.timeout = timeout
-        self.session = session
-
-    def _call(self, payload, result_key, check):
-        """The checked ``result_key`` value of the response; only checked values are cached."""
-        if self.cache is not None:
-            hit = self.cache.get(payload)
-            if hit is not None:
-                return check(hit[result_key])
-        response = _post_json(self.url, payload, self.timeout, self.session)
-        if not isinstance(response, dict) or result_key not in response:
-            raise ProviderError(f"{self.url} response missing {result_key!r}")
-        result = check(response[result_key])
-        if self.cache is not None:
-            self.cache.put(payload, {result_key: response[result_key]})
-        return result
+        super().__init__(url, cache, timeout, session)
 
     def sample(self, sequence, nucleus_p: float, max_new: int, n: int) -> list[str]:
         payload = {

@@ -18,7 +18,10 @@ from .providers import ProviderError
 
 def _load(path) -> dict:
     with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
+        table = json.load(fh)
+    if not isinstance(table, dict):
+        raise ValueError(f"{path} holds a {type(table).__name__}, not a JSON object")
+    return table
 
 
 def _digest(*parts: str) -> int:

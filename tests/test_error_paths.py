@@ -52,6 +52,10 @@ def segment(raw, key, value, index=0):
     raw["videos"][0]["segments"][index][key] = value
 
 
+def one_error_line(err: str) -> bool:
+    return err.startswith("error: ") and err.count("\n") == 1
+
+
 class TestCorpusSchemaErrors:
     @pytest.mark.parametrize(
         "mutate,fragment",
@@ -284,6 +288,62 @@ class TestConfigErrors:
         code = cli.main(["build-dataset", "--config", str(bad), "--out", str(tmp_path / "r")])
         assert code == 2
         assert "carrier-pigeon" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["3", None, [], {}], ids=["string", "null", "list", "object"])
+    @pytest.mark.parametrize("field", sorted(vars(cli.RunConfig())))
+    def test_config_field_of_wrong_type_never_escapes_the_exit_codes(
+        self, fixture_config, tmp_path, capsys, field, value
+    ):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({**json.loads(fixture_config.read_text()), field: value}))
+        flags = ["--config", str(config), "--out", str(tmp_path / "run")]
+        for command in (
+            ["build-dataset", *flags],
+            ["generate", *flags, "--modalities", "AOPair", "--variants", "1"],
+            ["evaluate", *flags],
+        ):
+            code = cli.main(command)
+            err = capsys.readouterr().err
+            assert code in (0, 2, 3) and "Traceback" not in err
+            assert err == "" if code == 0 else one_error_line(err)
+
+    @pytest.mark.parametrize("content", [None, b"\xff\xfe", b"{nope", b"[]"])
+    @pytest.mark.parametrize("role", ["coref", "parse", "rc", "lm"])
+    def test_unreadable_provider_table_exits_2(
+        self, fixture_config, tmp_path, capsys, role, content
+    ):
+        table = tmp_path / f"{role}.json"
+        if content is not None:
+            table.write_bytes(content)
+        cfg = json.loads(fixture_config.read_text())
+        cfg["providers"][role]["path"] = str(table)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(cfg))
+        code = cli.main(["build-dataset", "--config", str(config), "--out", str(tmp_path / "r")])
+        err = capsys.readouterr().err
+        assert code == 2 and one_error_line(err) and repr(role) in err and str(table) in err
+
+    def test_provider_spec_without_its_url_exits_2(self, fixture_config, tmp_path, capsys):
+        cfg = json.loads(fixture_config.read_text())
+        cfg["providers"]["lm"] = {"kind": "http"}
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(cfg))
+        code = cli.main(["build-dataset", "--config", str(config), "--out", str(tmp_path / "r")])
+        err = capsys.readouterr().err
+        assert code == 2 and one_error_line(err) and "'lm'" in err and "'url'" in err
+
+    @pytest.mark.parametrize(
+        "content", [b"{nope", b"[]", b'{"stages": {"assemble": {}}}'], ids=["json", "list", "cells"]
+    )
+    def test_unreadable_manifest_exits_2(self, fixture_config, tmp_path, capsys, content):
+        flags = ["--config", str(fixture_config), "--out", str(tmp_path / "run")]
+        assert cli.main(["build-dataset", *flags]) == 0
+        manifest = tmp_path / "run" / "manifest.json"
+        manifest.write_bytes(content)
+        capsys.readouterr()
+        code = cli.main(["generate", *flags, "--modalities", "AOPair", "--variants", "1"])
+        err = capsys.readouterr().err
+        assert code == 2 and one_error_line(err) and str(manifest) in err
 
     def test_out_dir_required(self, fixture_config, capsys):
         code = cli.main(["build-dataset", "--config", str(fixture_config)])

@@ -164,6 +164,20 @@ class TestResponseCache:
         assert cache.get(two) is None
         assert ResponseCache(tmp_path / "cache").get(one) == {"outputs": ["1"]}
 
+    def test_first_record_that_reads_back_wins_over_a_damaged_one(self, tmp_path):
+        payload = {"inputs": ["damaged"]}
+        log = tmp_path / "cache" / "responses.log"
+        log.parent.mkdir()
+        log.write_text(f"{content_key(payload)}\t{{not json\n")  # whole, but not JSON
+        caches = [ResponseCache(tmp_path / "cache") for _ in range(3)]
+        answers = []
+        for turn in range(2):
+            for number, cache in enumerate(caches):
+                answers.append(cache.get(payload))
+                cache.put(payload, {"outputs": [f"{turn}/{number}"]})
+        assert answers == [None] + [{"outputs": ["0/0"]}] * 5
+        assert len(log.read_text().splitlines()) == 2
+
     def test_threads_sharing_a_cache_write_each_key_once(self, tmp_path):
         cache = ResponseCache(tmp_path / "cache")
         payloads = [{"inputs": [str(i)]} for i in range(40)]
@@ -202,8 +216,8 @@ class TestWireContract:
     def test_rc_answer_must_be_span(self, wire_server):
         url, _, _ = wire_server
         provider = HttpRCProvider(url)
-        assert provider.answer("turns golden brown", "What color is it?") == "golden"
-        assert provider.answer("nothing relevant", "What color is it?") is None
+        assert provider.answer_many("turns golden brown", ["What color is it?"])[0] == "golden"
+        assert provider.answer_many("nothing relevant", ["What color is it?"])[0] is None
 
     def test_lm_sample_and_logprobs_envelopes(self, wire_server):
         url, requests, _ = wire_server
@@ -270,10 +284,24 @@ class TestWireContract:
         assert requests[0]["inputs"] == [
             {"context": "turns golden brown", "question": q} for q in questions
         ]
-        singles = [provider.answer("turns golden brown", q) for q in questions]
+        singles = [provider.answer_many("turns golden brown", [q])[0] for q in questions]
         assert singles == ["golden", "golden"]
         # one question sends the same payload as before batching, so its cache entry holds
         assert requests[-1] == {"task": "rc", "inputs": [requests[0]["inputs"][1]]}
+
+    def test_logged_record_is_checked_like_a_network_answer(self, tmp_path):
+        cache = ResponseCache(tmp_path / "cache")
+        cache.put({"task": "coref", "inputs": ["grill them"]}, {"outputs": ["one", "two"]})
+        provider = HttpCorefProvider("http://127.0.0.1:1/none", cache)
+        with pytest.raises(ProviderError, match="2 outputs for 1 inputs"):
+            provider.resolve(["grill them"])
+
+    def test_logged_record_without_the_result_key_is_a_miss(self, tmp_path, wire_server):
+        url, requests, _ = wire_server
+        cache = ResponseCache(tmp_path / "cache")
+        cache.put({"task": "coref", "inputs": ["grill them"]}, {"texts": ["grill"]})
+        assert HttpCorefProvider(url, cache).resolve(["grill them"]) == ["grill the tomatoes"]
+        assert len(requests) == 1
 
     def test_responses_cached_by_content(self, tmp_path, wire_server):
         url, requests, _ = wire_server
