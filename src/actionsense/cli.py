@@ -136,10 +136,15 @@ _JSON_TYPES = {
     dict: "an object",
 }
 _ACC_MODES = ("top_gt", "top1")
+_RANGES = {  # field -> (test of a value of the right type, what a value must be)
+    # compared without a float conversion, so an int too large for a float is rejected too
+    "fps": (lambda v: 0 < v <= 1000, "must be above 0 and at most 1000"),
+    "retries": (lambda v: v >= 1, "must be at least 1"),
+}
 
 
 def _check_types(raw: dict, path: Path) -> None:
-    """Raise ConfigError naming the first field whose value is not of its default's JSON type."""
+    """Raise ConfigError naming the first field not of its default's JSON type or out of range."""
     defaults = vars(RunConfig())
     for name, value in raw.items():
         expected = type(defaults[name])
@@ -150,6 +155,8 @@ def _check_types(raw: dict, path: Path) -> None:
             problem = f"must be one of {', '.join(_ACC_MODES)}, not {json.dumps(value)}"
         elif name == "providers" and not all(_provider_spec(spec) for spec in value.values()):
             problem = 'must map each role to an object with a string "kind" and string "path"/"url"'
+        elif name in _RANGES and not _RANGES[name][0](value):
+            problem = f"{_RANGES[name][1]}, not {json.dumps(value)}"
         else:
             continue
         raise ConfigError(f"config field {name!r} in {path} {problem}")

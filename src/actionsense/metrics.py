@@ -65,32 +65,74 @@ def _prep(text: str) -> list[str]:
 
 
 def _ngrams(tokens: Sequence[str], n: int) -> Counter:
-    return Counter(tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
+    return Counter(zip(*(tokens[k:] for k in range(n))))
 
 
-def _bleu_references(refs: Sequence[list[str]]) -> tuple[list[int], list[Counter]]:
-    """Reference lengths and, for n = 1 and 2, each n-gram's highest count in any reference."""
-    max_ref = []
-    for n in (1, 2):
-        counts = Counter()
-        for ref in refs:
-            for gram, count in _ngrams(ref, n).items():
-                counts[gram] = max(counts[gram], count)
-        max_ref.append(counts)
-    return [len(ref) for ref in refs], max_ref
+class _Text:
+    """One text's tokens, with their stems and n-gram counts made on first use."""
+
+    __slots__ = ("tokens", "_stems", "_grams")
+
+    def __init__(self, tokens: list[str]):
+        self.tokens = tokens
+        self._stems: list[str] | None = None
+        self._grams: dict[int, Counter] = {}
+
+    @property
+    def stems(self) -> list[str]:
+        if self._stems is None:
+            self._stems = [_stem(t) for t in self.tokens]
+        return self._stems
+
+    def grams(self, n: int) -> Counter:
+        counts = self._grams.get(n)
+        if counts is None:
+            counts = self._grams[n] = _ngrams(self.tokens, n)
+        return counts
 
 
-def _bleu2(cand: list[str], ref_lengths: Sequence[int], max_ref: Sequence[Counter]) -> float:
+class _References:
+    """One instance's reference texts, with their BLEU clip table made on first use."""
+
+    __slots__ = ("texts", "_bleu")
+
+    def __init__(self, texts: Sequence[_Text]):
+        self.texts = texts
+        self._bleu: tuple[list[int], list[Counter]] | None = None
+
+    @property
+    def usable(self) -> bool:
+        """Whether any reference has a word character."""
+        return any(t.tokens for t in self.texts)
+
+    @property
+    def bleu(self) -> tuple[list[int], list[Counter]]:
+        """Non-empty reference lengths and, for n = 1 and 2, each n-gram's highest count in one."""
+        if self._bleu is None:
+            refs = [t for t in self.texts if t.tokens]
+            max_ref = []
+            for n in (1, 2):
+                counts = Counter()
+                for ref in refs:
+                    for gram, count in ref.grams(n).items():
+                        counts[gram] = max(counts[gram], count)
+                max_ref.append(counts)
+            self._bleu = [len(ref.tokens) for ref in refs], max_ref
+        return self._bleu
+
+
+def _bleu2(cand: _Text, refs: _References) -> float:
+    ref_lengths, max_ref = refs.bleu
     if not ref_lengths:
         raise EmptyCandidate("no usable reference")
     log_precision = 0.0
     for n, max_counts in zip((1, 2), max_ref):
-        guess = max(0, len(cand) - n + 1)
-        correct = sum(min(count, max_counts[gram]) for gram, count in _ngrams(cand, n).items())
+        guess = max(0, len(cand.tokens) - n + 1)
+        correct = sum(min(count, max_counts.get(gram, 0)) for gram, count in cand.grams(n).items())
         precision = correct / guess if guess else 0.0
         log_precision += math.log(precision if precision > 0 else SMOOTH_EPSILON)
 
-    c = len(cand)
+    c = len(cand.tokens)
     r = min((abs(length - c), length) for length in ref_lengths)[1]
     brevity = 1.0 if c >= r else math.exp(1 - r / c)
     return brevity * math.exp(log_precision / 2)
@@ -102,10 +144,10 @@ def bleu2(candidate: str, references: Sequence[str]) -> float:
     Zero precisions are smoothed to SMOOTH_EPSILON; single-sentence inputs
     make exact zeros common otherwise.
     """
-    cand = _prep(candidate)
-    if not cand:
+    cand = _Text(_prep(candidate))
+    if not cand.tokens:
         raise EmptyCandidate(candidate)
-    return _bleu2(cand, *_bleu_references([ref for ref in map(_prep, references) if ref]))
+    return _bleu2(cand, _References([_Text(_prep(r)) for r in references]))
 
 
 def _stem(token: str) -> str:
@@ -117,28 +159,30 @@ def _stem(token: str) -> str:
 
 
 def _align(
-    cand: list[str], ref: list[str], synonyms: Mapping[str, set[str]] | None
+    cand_text: _Text, ref_text: _Text, synonyms: Mapping[str, set[str]] | None
 ) -> list[tuple[int, int]]:
-    cand_stems = [_stem(t) for t in cand]
-    ref_stems = [_stem(t) for t in ref]
-    stages: list[Callable[[int, int], bool]] = [
-        lambda i, j: cand[i] == ref[j],
-        lambda i, j: cand_stems[i] == ref_stems[j],
-    ]
-    if synonyms:
-        stages.append(
-            lambda i, j: ref[j] in synonyms.get(cand[i], ()) or cand[i] in synonyms.get(ref[j], ())
-        )
-
+    cand, ref = cand_text.tokens, ref_text.tokens
     matched: list[tuple[int, int]] = []
     cand_used = [False] * len(cand)
     ref_used = [False] * len(ref)
-    for stage in stages:
+    # exact, then stem stages: each candidate token takes the first free equal reference token
+    for cand_keys, ref_keys in ((cand, ref), (cand_text.stems, ref_text.stems)):
+        for i, key in enumerate(cand_keys):
+            if cand_used[i]:
+                continue
+            for j, ref_key in enumerate(ref_keys):
+                if not ref_used[j] and key == ref_key:
+                    matched.append((i, j))
+                    cand_used[i] = ref_used[j] = True
+                    break
+    if synonyms:
         for i in range(len(cand)):
             if cand_used[i]:
                 continue
             for j in range(len(ref)):
-                if not ref_used[j] and stage(i, j):
+                if not ref_used[j] and (
+                    ref[j] in synonyms.get(cand[i], ()) or cand[i] in synonyms.get(ref[j], ())
+                ):
                     matched.append((i, j))
                     cand_used[i] = ref_used[j] = True
                     break
@@ -146,18 +190,18 @@ def _align(
 
 
 def _meteor(
-    cand: list[str], refs: Sequence[list[str]], synonyms=None, alpha=0.9, beta=3.0, gamma=0.5
+    cand: _Text, refs: Sequence[_Text], synonyms=None, alpha=0.9, beta=3.0, gamma=0.5
 ) -> float:
     best = 0.0
     for ref in refs:
-        if not ref:
+        if not ref.tokens:
             continue
         matched = _align(cand, ref, synonyms)
         m = len(matched)
         if m == 0:
             continue
-        precision = m / len(cand)
-        recall = m / len(ref)
+        precision = m / len(cand.tokens)
+        recall = m / len(ref.tokens)
         fmean = precision * recall / (alpha * precision + (1 - alpha) * recall)
         chunks = 1
         for (i0, j0), (i1, j1) in zip(matched, matched[1:]):
@@ -182,60 +226,69 @@ def meteor(
     pluggable. A single contiguous alignment carries no penalty, so exact
     matches score 1.0.
     """
-    cand = _prep(candidate)
-    if not cand:
+    cand = _Text(_prep(candidate))
+    if not cand.tokens:
         raise EmptyCandidate(candidate)
-    return _meteor(cand, [_prep(r) for r in references], synonyms, alpha, beta, gamma)
+    return _meteor(cand, [_Text(_prep(r)) for r in references], synonyms, alpha, beta, gamma)
 
 
-def _tfidf_vector(tokens: list[str], n: int, doc_freq: Counter, n_docs: int):
-    counts = _ngrams(tokens, n)
+def _tfidf_vector(counts: Counter, idf: Mapping[tuple, float], unseen: float):
+    """TF-IDF vector of n-gram ``counts`` and its norm; ``unseen`` weighs n-grams not in ``idf``."""
     total = sum(counts.values())
     vec = {}
     norm_sq = 0.0
     for gram, count in counts.items():
-        weight = (count / total) * math.log(n_docs / max(1.0, doc_freq[gram]))
+        weight = (count / total) * idf.get(gram, unseen)
         vec[gram] = weight
         norm_sq += weight * weight
     return vec, math.sqrt(norm_sq)
 
 
-def _cider(groups: Sequence[tuple[list, list[tuple[str, list[str]]]]], nmax: int) -> dict:
-    """CIDEr per candidate key; ``groups`` pairs tokenized references with (key, tokens) candidates.
+class _Cider:
+    """One CIDEr corpus: IDF weights from its documents' references, and scoring against them.
 
-    Every candidate is one document holding its group's references, so a
-    group's n-grams count once per candidate in the document frequencies, and
-    its reference vectors are built once.
+    Every candidate is one document holding its references, so a reference
+    set's n-grams count once per candidate in the document frequencies.
     """
-    n_docs = sum(len(cands) for _, cands in groups)
-    doc_freq = [Counter() for _ in range(nmax + 1)]
-    for refs, cands in groups:
-        for n in range(1, nmax + 1):
-            grams = set()
-            for ref in refs:
-                grams.update(_ngrams(ref, n).keys())
-            for gram in grams:
-                doc_freq[n][gram] += len(cands)
 
-    scores = {}
-    for refs, cands in groups:
-        ref_vecs = [
-            [_tfidf_vector(ref, n, doc_freq[n], n_docs) for ref in refs] for n in range(1, nmax + 1)
-        ]
-        for key, cand in cands:
-            per_n = []
-            for n, vecs in enumerate(ref_vecs, 1):
-                cand_vec, cand_norm = _tfidf_vector(cand, n, doc_freq[n], n_docs)
-                sims = []
-                for ref_vec, ref_norm in vecs:
-                    if cand_norm == 0 or ref_norm == 0:
-                        sims.append(0.0)
-                        continue
-                    dot = sum(w * ref_vec.get(g, 0.0) for g, w in cand_vec.items())
-                    sims.append(dot / (cand_norm * ref_norm))
-                per_n.append(sum(sims) / len(sims) if sims else 0.0)
-            scores[key] = 10.0 * sum(per_n) / nmax
-    return scores
+    def __init__(self, documents: Iterable[tuple[_References, int]], nmax: int):
+        """``documents`` pairs each reference set with its number of candidate documents."""
+        documents = list(documents)
+        n_docs = sum(count for _, count in documents)
+        self.nmax = nmax
+        # an n-gram in no document weighs as one in a single document
+        self.unseen = math.log(n_docs / 1.0)
+        self.idf = []
+        for n in range(1, nmax + 1):
+            doc_freq: dict[tuple, int] = {}
+            for refs, count in documents:
+                for gram in set().union(*(t.grams(n) for t in refs.texts)):
+                    doc_freq[gram] = doc_freq.get(gram, 0) + count
+            self.idf.append({g: math.log(n_docs / max(1.0, df)) for g, df in doc_freq.items()})
+        self._last: tuple[_References | None, list] = (None, [])  # last refs, their vectors
+
+    def _vector(self, text: _Text, n: int) -> tuple[dict, float]:
+        return _tfidf_vector(text.grams(n), self.idf[n - 1], self.unseen)
+
+    def score(self, cand: _Text, refs: _References) -> float:
+        """One candidate's CIDEr; candidates in a row with the same references share vectors."""
+        if self._last[0] is not refs:
+            n_range = range(1, self.nmax + 1)
+            self._last = refs, [[self._vector(ref, n) for ref in refs.texts] for n in n_range]
+        per_n = []
+        for n, ref_vectors in enumerate(self._last[1], 1):
+            cand_vec, cand_norm = self._vector(cand, n)
+            sims = []
+            for ref_vec, ref_norm in ref_vectors:
+                if cand_norm == 0 or ref_norm == 0:
+                    sims.append(0.0)
+                    continue
+                # an n-gram missing from the reference adds 0.0 to a sum of
+                # non-negative terms, so skipping it leaves the sum unchanged
+                dot = sum(w * ref_vec[g] for g, w in cand_vec.items() if g in ref_vec)
+                sims.append(dot / (cand_norm * ref_norm))
+            per_n.append(sum(sims) / len(sims) if sims else 0.0)
+        return 10.0 * sum(per_n) / self.nmax
 
 
 def cider(
@@ -255,11 +308,11 @@ def cider(
     if missing:
         raise KeyError(f"instances without references: {missing}")
 
-    groups = [
-        ([_prep(r) for r in references_by_instance[i]], [(i, _prep(candidates_by_instance[i]))])
-        for i in ids
-    ]
-    scores = _cider(groups, nmax)
+    refs = [_References([_Text(_prep(r)) for r in references_by_instance[i]]) for i in ids]
+    corpus = _Cider(((r, 1) for r in refs), nmax)
+    scores = {
+        i: corpus.score(_Text(_prep(candidates_by_instance[i])), r) for i, r in zip(ids, refs)
+    }
     return scores, sum(scores.values()) / len(scores)
 
 
@@ -312,10 +365,13 @@ class _Without(Sequence):
 class ReferenceIndex:
     """One inference type's references over an evaluation dataset, read once.
 
-    It holds each instance's sorted references, every reference text's
-    tokens, and which instances, with their image keys, own each text.
-    Candidate pools drawn from it are cached per instance, so evaluate builds
-    each pool once however many masks and variants it scores.
+    It holds each instance's sorted references and which instances, with
+    their image keys, own each reference text. The reference side of the
+    overlap metrics is made on first use and kept: each reference text's
+    tokens, stems and n-gram counts, and each reference set's BLEU clip
+    table. Generated texts are counted afresh in every cell. Candidate pools
+    are cached per instance too, so evaluate builds each pool once however
+    many masks and variants it scores.
     """
 
     def __init__(self, instances: Iterable, inference_type: str):
@@ -324,7 +380,8 @@ class ReferenceIndex:
         self._images: list[str | None] = []
         self._members: dict[tuple[str, str], list[int]] = {}  # ("id"|"image", key) -> positions
         self._owners: dict[str, list[int]] = {}  # reference text -> positions
-        self._tokens: dict[str, list[str]] = {}
+        self._texts: dict[str, _Text] = {}  # reference text -> its tokens, stems and n-grams
+        self._ref_sets: dict[tuple[str, ...], _References] = {}  # references -> their tables
         self._pools: dict[tuple, CandidatePool] = {}
         for position, instance in enumerate(instances):
             refs = tuple(sorted(instance.inference_set(inference_type)))
@@ -336,8 +393,6 @@ class ReferenceIndex:
                 self._members.setdefault(("image", image), []).append(position)
             for text in refs:
                 self._owners.setdefault(text, []).append(position)
-                if text not in self._tokens:
-                    self._tokens[text] = _prep(text)
         self.texts = sorted(self._owners)  # every reference text of the type
 
     def _position(self, instance_id: str) -> int:
@@ -346,6 +401,17 @@ class ReferenceIndex:
     def references(self, instance_id: str) -> tuple[str, ...]:
         return self._refs[self._position(instance_id)]
 
+    def _references(self, position: int) -> _References:
+        """The tables of a position's references, shared by every position with the same ones."""
+        key = self._refs[position]
+        refs = self._ref_sets.get(key)
+        if refs is None:
+            for text in key:
+                if text not in self._texts:
+                    self._texts[text] = _Text(_prep(text))
+            refs = self._ref_sets[key] = _References([self._texts[t] for t in key])
+        return refs
+
     def overlap_scores(self, entries: Iterable[tuple[str, Sequence[str]]]) -> dict[str, float]:
         """Mean B, M and C of one report cell from (instance id, generated texts) entries.
 
@@ -353,32 +419,36 @@ class ReferenceIndex:
         texts without tokens are skipped. Each kept text is one CIDEr
         document, keyed ``instance_id#k``; C is 0 below two documents.
         """
-        refs_of = lambda instance_id: [self._tokens[r] for r in self.references(instance_id)]
+        kept: list[tuple[str, int, list[str]]] = []  # (CIDEr key, position, tokens)
+        for instance_id, texts in entries:
+            position = self._position(instance_id)
+            if not self._references(position).usable:
+                continue
+            for k, text in enumerate(texts):
+                tokens = _prep(text)
+                if tokens:
+                    kept.append((f"{instance_id}#{k}", position, tokens))
+        documents = {key: position for key, position, _ in kept}  # a repeated key is one document
+        corpus = None
+        if len(documents) >= 2:
+            counts = Counter(documents.values())
+            corpus = _Cider(((self._references(p), c) for p, c in counts.items()), 4)
+
         bleu_scores = []
         meteor_scores = []
-        cider_cands: dict[str, tuple[str, list[str]]] = {}
-        for instance_id, texts in entries:
-            refs = refs_of(instance_id)
-            if not any(refs):
-                continue
-            bleu_refs = _bleu_references([ref for ref in refs if ref])
-            for k, text in enumerate(texts):
-                cand = _prep(text)
-                if not cand:
-                    continue
-                bleu_scores.append(_bleu2(cand, *bleu_refs))
-                meteor_scores.append(_meteor(cand, refs))
-                cider_cands[f"{instance_id}#{k}"] = (instance_id, cand)
-
+        cider_scores: dict[str, float] = {}  # a repeated key keeps its first place, its last score
+        for key, position, tokens in kept:
+            cand, refs = _Text(tokens), self._references(position)
+            bleu_scores.append(_bleu2(cand, refs))
+            meteor_scores.append(_meteor(cand, refs.texts))
+            if corpus is not None:
+                cider_scores[key] = corpus.score(cand, refs)
         mean = lambda xs: sum(xs) / len(xs) if xs else 0.0
-        cider_mean = 0.0
-        if len(cider_cands) >= 2:
-            by_instance: dict[str, list[tuple[str, list[str]]]] = {}
-            for key, (instance_id, cand) in cider_cands.items():
-                by_instance.setdefault(instance_id, []).append((key, cand))
-            scores = _cider([(refs_of(i), cands) for i, cands in by_instance.items()], 4)
-            cider_mean = mean([scores[key] for key in cider_cands])
-        return {"B": mean(bleu_scores), "M": mean(meteor_scores), "C": cider_mean}
+        return {
+            "B": mean(bleu_scores),
+            "M": mean(meteor_scores),
+            "C": mean(list(cider_scores.values())),
+        }
 
     def pool(self, instance_id: str, seed, pool_size: int = DEFAULT_POOL_SIZE) -> CandidatePool:
         """The candidate pool of an indexed instance: drawn on first use, then cached."""

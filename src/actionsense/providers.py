@@ -194,7 +194,9 @@ class ResponseCache:
 
 
 def with_retries(fn, attempts: int = 3, base_delay: float = 0.1, sleep=time.sleep):
-    """Call fn(), retrying ProviderError with exponential backoff."""
+    """Call fn() up to ``attempts`` times, retrying ProviderError with exponential backoff."""
+    if attempts < 1:
+        raise ValueError(f"attempts must be at least 1, not {attempts}")
     last = None
     for attempt in range(attempts):
         try:

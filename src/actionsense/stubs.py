@@ -107,22 +107,30 @@ class StubLMProvider:
         start = _digest(str(self.seed), sequence.text()) % len(texts)
         return [texts[(start + k) % len(texts)] for k in range(n)]
 
-    def _logprobs(self, context: str, continuation: str) -> list[float]:
+    def _context_hash(self, sequence):
+        """Hash state after the seed, the context and their separators; each token extends it."""
+        return hashlib.sha256(f"{self.seed}\x1f{sequence.text()}\x1f".encode("utf-8"))
+
+    def _logprobs(self, context_hash, continuation: str) -> list[float]:
+        """Token i's score is that of ``_digest(seed, context, str(i), token)``."""
         tokens = continuation.split()
         if self.vocab_size is not None:
             return [-math.log(self.vocab_size)] * len(tokens)
-        return [
-            -(0.5 + (_digest(str(self.seed), context, str(i), tok) % 2000) / 1000.0)
-            for i, tok in enumerate(tokens)
-        ]
+        scores = []
+        for i, tok in enumerate(tokens):
+            token_hash = context_hash.copy()
+            token_hash.update(f"{i}\x1f{tok}".encode("utf-8"))
+            digest = int.from_bytes(token_hash.digest()[:8], "big")
+            scores.append(-(0.5 + (digest % 2000) / 1000.0))
+        return scores
 
     def logprobs_many(self, sequence, continuations) -> list[list[float]]:
-        context = sequence.text()
-        return [self._logprobs(context, c) for c in continuations]
+        context_hash = self._context_hash(sequence)
+        return [self._logprobs(context_hash, c) for c in continuations]
 
     def logprobs(self, sequence, continuation: str) -> list[float]:
         # not through logprobs_many, so a logprobs_many built on this method cannot recurse
-        return self._logprobs(sequence.text(), continuation)
+        return self._logprobs(self._context_hash(sequence), continuation)
 
 
 class StubVisionProvider:

@@ -307,6 +307,32 @@ class TestConfigErrors:
             assert code in (0, 2, 3) and "Traceback" not in err
             assert err == "" if code == 0 else one_error_line(err)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("retries", "0"),
+            ("retries", "-1"),
+            ("fps", "0"),
+            ("fps", "-2.5"),
+            ("fps", "Infinity"),
+            ("fps", "-Infinity"),
+            ("fps", "NaN"),
+            ("fps", "1e308"),
+            pytest.param("fps", "1" + "0" * 400, id="fps-1e400-int"),
+        ],
+    )
+    def test_config_field_out_of_range_exits_2(
+        self, fixture_config, tmp_path, capsys, field, value
+    ):
+        # Python's JSON reader takes Infinity, NaN and ints too large for a float,
+        # so the values are written raw
+        text = fixture_config.read_text().rstrip()
+        config = tmp_path / "config.json"
+        config.write_text(f'{text[:-1]}, "{field}": {value}}}')
+        code = cli.main(["build-dataset", "--config", str(config), "--out", str(tmp_path / "r")])
+        err = capsys.readouterr().err
+        assert code == 2 and one_error_line(err) and repr(field) in err
+
     @pytest.mark.parametrize("content", [None, b"\xff\xfe", b"{nope", b"[]"])
     @pytest.mark.parametrize("role", ["coref", "parse", "rc", "lm"])
     def test_unreadable_provider_table_exits_2(

@@ -2,11 +2,13 @@ import json
 import math
 import random
 import re
+from collections import Counter
 from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
+from actionsense import metrics
 from actionsense.corpus import FrameRef
 from actionsense.assembly import CommonsenseInstance, build_instance, merge_by_action_object
 from actionsense.metrics import (
@@ -251,6 +253,24 @@ def oracle_pool(instance, dataset, seed, inference_type, pool_size):
     return gts + rng.sample(sorted(negatives - set(gts)), pool_size - len(gts))
 
 
+def string_level_overlap(dataset, entries):
+    """A cell's B, M and C from the string-level metrics; a later duplicate id's references win."""
+    refs_of = {i.instance_id: sorted(i.goals) for i in dataset}
+    mean = lambda xs: sum(xs) / len(xs) if xs else 0.0
+    bleu, met, cands, refs = [], [], {}, {}
+    for instance_id, texts in entries:
+        gts = refs_of[instance_id]
+        if not any(tokenize(g) for g in gts):
+            continue
+        for k, text in enumerate(texts):
+            if tokenize(text):
+                bleu.append(bleu2(text, gts))
+                met.append(meteor(text, gts))
+                cands[f"{instance_id}#{k}"], refs[f"{instance_id}#{k}"] = text, gts
+    c = cider(cands, refs)[1] if len(cands) >= 2 else 0.0
+    return {"B": mean(bleu), "M": mean(met), "C": c}
+
+
 class TestReferenceIndex:
     def synthetic_dataset(self, n_others):
         # a and b share an image; c and d have none; "common" is owned by a,
@@ -326,6 +346,80 @@ class TestReferenceIndex:
         scores = index.overlap_scores(entries)
         assert index.overlap_scores(entries + [("bad", ["fry the bacon"])]) == scores
         assert scores["B"] > 0 and scores["C"] > 0
+
+    def shared_cells(self):
+        """Three cells over one dataset, their generated texts repeating across cells.
+
+        "a" has a reference without tokens, "dup" is indexed twice (the later
+        instance wins), and "b" and "c" each have a sample without tokens.
+        """
+        dataset = [
+            pool_instance("a", ["fry the bacon until crisp", "!!!", "serve the toast warm"]),
+            pool_instance("dup", ["boil the potatoes"]),
+            pool_instance("b", ["slice the tomatoes thin", "toast the bread"]),
+            pool_instance("dup", ["mash the boiled potatoes", "salt the water"]),
+            pool_instance("c", ["crack the eggs into a bowl"]),
+        ]
+        cells = [
+            [
+                ("a", ["fry bacon crisp", "toast warm bread"]),
+                ("b", ["slice tomatoes", "", "toast the bread"]),
+                ("dup", ["boil the potatoes"]),
+            ],
+            [
+                ("a", ["fry bacon crisp", "serve the toast warm"]),
+                ("dup", ["mashing potatoes", "boil the potatoes"]),
+                ("c", ["crack eggs", "fry bacon crisp"]),
+            ],
+            [
+                ("b", ["toast the bread", "fry bacon crisp"]),
+                ("c", ["crack the eggs into a bowl", "?!", "slice tomatoes"]),
+                ("a", ["fry bacon crisp"]),
+            ],
+        ]
+        return dataset, cells
+
+    def test_shared_index_equals_string_metrics_and_fresh_indexes(self):
+        dataset, cells = self.shared_cells()
+        index = ReferenceIndex(dataset, "goal")
+        for entries in cells + cells:  # the second round reads what the first one kept
+            scores = index.overlap_scores(entries)
+            assert scores == string_level_overlap(dataset, entries)
+            assert scores == ReferenceIndex(dataset, "goal").overlap_scores(entries)
+            assert scores["B"] > 0.1 and scores["M"] > 0.1 and scores["C"] > 0.1
+
+    def test_each_reference_is_counted_once_per_index(self, monkeypatch):
+        dataset, cells = self.shared_cells()
+        ngram_calls, stem_calls = Counter(), []
+        ngrams, stem = metrics._ngrams, metrics._stem
+
+        def counted_ngrams(tokens, n):
+            ngram_calls[(tuple(tokens), n)] += 1
+            return ngrams(tokens, n)
+
+        def counted_stem(token):
+            stem_calls.append(token)
+            return stem(token)
+
+        monkeypatch.setattr(metrics, "_ngrams", counted_ngrams)
+        monkeypatch.setattr(metrics, "_stem", counted_stem)
+        index = ReferenceIndex(dataset, "goal")
+        for entries in cells + cells:
+            index.overlap_scores(entries)
+        scored = [i for k, i in enumerate(dataset) if k != 1]  # the first "dup" is shadowed
+        refs = Counter({tuple(tokenize(r)) for i in scored for r in i.goals})
+        generated = Counter(
+            tuple(tokenize(text))
+            for entries in cells + cells
+            for _, texts in entries
+            for text in texts
+            if tokenize(text)
+        )
+        # a reference is counted and stemmed once per index, a generated text once per entry
+        assert ngram_calls == {
+            (tokens, n): count for tokens, count in (refs + generated).items() for n in (1, 2, 3, 4)
+        }
+        assert len(stem_calls) == sum(len(t) * count for t, count in (refs + generated).items())
 
 
 class TestAccAt50:

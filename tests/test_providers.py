@@ -20,6 +20,7 @@ from actionsense.stubs import (
     StubParseProvider,
     StubRCProvider,
     StubVisionProvider,
+    _digest,
     fixture_path,
 )
 from actionsense.generation import FieldBlock, InferenceType, TokenSequence
@@ -374,6 +375,13 @@ class TestRetries:
         with pytest.raises(ProviderError):
             with_retries(lambda: provider.resolve(["x"]), attempts=3, sleep=lambda _: None)
 
+    @pytest.mark.parametrize("attempts", [0, -1])
+    def test_no_attempts_is_a_value_error(self, attempts):
+        calls = []
+        with pytest.raises(ValueError, match="attempts"):
+            with_retries(lambda: calls.append(1), attempts=attempts, sleep=lambda _: None)
+        assert calls == []
+
 
 class TestFileStubs:
     def test_rc_stub_returns_first_span_present(self):
@@ -400,6 +408,18 @@ class TestFileStubs:
         continuations = ["soft curds", "", "golden", "soft curds"]
         assert stub.logprobs_many(sequence(), continuations) == [
             stub.logprobs(sequence(), c) for c in continuations
+        ]
+
+    def test_lm_stub_logprobs_many_equals_the_digest_formula(self):
+        stub = StubLMProvider(fixture_path("lm.json"), seed=13)
+        continuations = ["soft curds", "golden brown crust", "crème brûlée", ""]
+        context = sequence().text()
+        assert stub.logprobs_many(sequence(), continuations) == [
+            [
+                -(0.5 + (_digest("13", context, str(i), tok) % 2000) / 1000.0)
+                for i, tok in enumerate(c.split())
+            ]
+            for c in continuations
         ]
 
     def test_parse_and_rc_stubs_batch_like_single_calls(self, resolved):
