@@ -18,7 +18,7 @@ import itertools
 import json
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from . import assembly, extraction, generation, metrics, stubs, triplets
@@ -53,35 +53,78 @@ class ConfigError(Exception):
     pass
 
 
+def _setting(default, valid=lambda value: True, must: str = "", stages=()):
+    """Declare a RunConfig field: all that load_config checks and a run records of it.
+
+    A value must have the JSON type of ``default`` and pass ``valid``, which
+    compares without a float conversion, so an int too large for a float is
+    judged too; ``must`` says what ``valid`` asks. ``stages`` names the stages
+    whose output the value shapes; for ``providers`` it maps each role to them.
+    """
+    metadata = {"valid": valid, "must": must, "stages": stages}
+    if isinstance(default, (list, dict)):
+        return field(default_factory=default.copy, metadata=metadata)
+    return field(default=default, metadata=metadata)
+
+
 @dataclass
 class RunConfig:
-    annotation_file: str = ""
-    recipe_file: str = ""
-    out_dir: str = ""
-    min_count: int = extraction.DEFAULT_MIN_COUNT
-    seed: int = 13
-    nucleus_p: float = 0.9
-    n_samples: int = 5
-    max_new_tokens: int = 16
-    fps: float = 30.0
-    pool_size: int = metrics.DEFAULT_POOL_SIZE
-    acc_mode: str = "top_gt"
-    workers: int = 1
-    modalities: list[str] = field(default_factory=lambda: ["all"])
-    variants: list[int] = field(default_factory=lambda: [1, 2, 3, 4])
-    modality_stage_variant: int = 1
-    retries: int = 3
-    retry_base_delay: float = 0.05
-    providers: dict = field(default_factory=dict)
-
-    def hash(self) -> str:
-        canon = json.dumps(self.__dict__, sort_keys=True, ensure_ascii=False)
-        return hashlib.sha256(canon.encode("utf-8")).hexdigest()
+    annotation_file: str = _setting("", stages=("build",))
+    recipe_file: str = _setting("", stages=("build",))
+    out_dir: str = _setting("")
+    min_count: int = _setting(
+        extraction.DEFAULT_MIN_COUNT, lambda v: v >= 0, "at least 0", ("build",)
+    )
+    seed: int = _setting(13, stages=("generate", "evaluate"))
+    nucleus_p: float = _setting(0.9, lambda v: 0 <= v <= 1, "from 0 to 1", ("generate",))
+    n_samples: int = _setting(5, lambda v: v >= 1, "at least 1", ("generate",))
+    max_new_tokens: int = _setting(16, lambda v: v >= 1, "at least 1", ("generate",))
+    fps: float = _setting(30.0, lambda v: 0 < v <= 1000, "above 0 and at most 1000", ("build",))
+    pool_size: int = _setting(
+        metrics.DEFAULT_POOL_SIZE, lambda v: v >= 2, "at least 2", ("evaluate",)
+    )
+    acc_mode: str = _setting(
+        "top_gt", lambda v: v in ("top_gt", "top1"), "one of top_gt, top1", ("evaluate",)
+    )
+    workers: int = _setting(1, lambda v: v >= 1, "at least 1")
+    # the grid fields pick cells rather than shape them; _check_grid tests the cells after the flags
+    modalities: list[str] = _setting(["all"], bool, "a non-empty list")
+    variants: list[int] = _setting([1, 2, 3, 4], bool, "a non-empty list")
+    modality_stage_variant: int = _setting(1)
+    retries: int = _setting(3, lambda v: v >= 1, "at least 1")
+    retry_base_delay: float = _setting(0.05, lambda v: 0 <= v <= 60, "from 0 to 60")
+    providers: dict = _setting(
+        {},
+        lambda v: all(_provider_spec(spec) for spec in v.values()),
+        'an object mapping each role to an object with a string "kind" and string "path"/"url"',
+        {
+            "coref": ("build",),
+            "parse": ("build",),
+            "rc": ("build",),
+            "lm": ("generate", "evaluate"),
+            "vision": ("generate", "evaluate"),
+        },
+    )
 
     def mask_list(self) -> list[frozenset[Modality]]:
         if self.modalities == ["all"]:
             return list(MODALITY_COMBOS)
         return [parse_combo_label(label) for label in self.modalities]
+
+
+_SCHEMA = {f.name: f.metadata for f in fields(RunConfig)}
+
+
+def stage_settings(cfg: RunConfig, stage: str) -> dict:
+    """The values of the fields that shape ``stage``'s output, with only its provider roles."""
+    settings = {}
+    for name, schema in _SCHEMA.items():
+        stages, value = schema["stages"], getattr(cfg, name)
+        if isinstance(stages, dict):
+            settings[name] = {r: s for r, s in value.items() if stage in stages.get(r, ())}
+        elif stage in stages:
+            settings[name] = value
+    return settings
 
 
 def _resolve_path(value: str, base: Path) -> str:
@@ -103,13 +146,11 @@ def load_config(path, overrides: dict | None = None) -> RunConfig:
 
     if not isinstance(raw, dict):
         raise ConfigError(f"config {path} must hold a JSON object, not {type(raw).__name__}")
-    cfg = RunConfig()
-    known = set(cfg.__dict__)
-    unknown = set(raw) - known
+    unknown = set(raw) - set(_SCHEMA)
     if unknown:
         raise ConfigError(f"unknown config fields in {path}: {sorted(unknown)}")
-    _check_types(raw, path)
-    cfg = replace(cfg, **raw)
+    _check_fields(raw, path)
+    cfg = RunConfig(**raw)
 
     base = path.parent
     for attr in ("annotation_file", "recipe_file", "out_dir"):
@@ -135,31 +176,23 @@ _JSON_TYPES = {
     list: "a list",
     dict: "an object",
 }
-_ACC_MODES = ("top_gt", "top1")
-_RANGES = {  # field -> (test of a value of the right type, what a value must be)
-    # compared without a float conversion, so an int too large for a float is rejected too
-    "fps": (lambda v: 0 < v <= 1000, "must be above 0 and at most 1000"),
-    "retries": (lambda v: v >= 1, "must be at least 1"),
-}
 
 
-def _check_types(raw: dict, path: Path) -> None:
+def _check_fields(raw: dict, path: Path) -> None:
     """Raise ConfigError naming the first field not of its default's JSON type or out of range."""
     defaults = vars(RunConfig())
     for name, value in raw.items():
         expected = type(defaults[name])
         accepted = (int, float) if expected is float else expected
         if isinstance(value, bool) or not isinstance(value, accepted):
-            problem = f"must be {_JSON_TYPES[expected]}, not {json.dumps(value)}"
-        elif name == "acc_mode" and value not in _ACC_MODES:
-            problem = f"must be one of {', '.join(_ACC_MODES)}, not {json.dumps(value)}"
-        elif name == "providers" and not all(_provider_spec(spec) for spec in value.values()):
-            problem = 'must map each role to an object with a string "kind" and string "path"/"url"'
-        elif name in _RANGES and not _RANGES[name][0](value):
-            problem = f"{_RANGES[name][1]}, not {json.dumps(value)}"
+            must = _JSON_TYPES[expected]
+        elif not _SCHEMA[name]["valid"](value):
+            must = _SCHEMA[name]["must"]
         else:
             continue
-        raise ConfigError(f"config field {name!r} in {path} {problem}")
+        raise ConfigError(
+            f"config field {name!r} in {path} must be {must}, not {json.dumps(value)}"
+        )
 
 
 def _provider_spec(spec) -> bool:
@@ -200,9 +233,9 @@ def _check_grid(cfg: RunConfig) -> None:
 
 
 class Manifest:
-    def __init__(self, run_dir: Path, config_hash: str = ""):
+    def __init__(self, run_dir: Path):
         self.path = Path(run_dir) / "manifest.json"
-        self.data = {"config_hash": config_hash, "stages": {}, "cells": {}, "failures": []}
+        self.data = {"stages": {}, "cells": {}, "failures": []}
 
     @classmethod
     def load(cls, run_dir: Path) -> "Manifest":
@@ -232,6 +265,20 @@ class Manifest:
 
     def has_stage(self, stage: str) -> bool:
         return stage in self.data["stages"]
+
+    def check_settings(self, cfg: RunConfig, mark: str, stage: str, command: str) -> None:
+        """Raise ConfigError naming each ``stage`` setting other than the one ``mark`` recorded."""
+        record = self.data["stages"].get(mark)
+        if record is None:
+            return
+        recorded = record.get("settings") if isinstance(record, dict) else None
+        recorded = recorded if isinstance(recorded, dict) else {}
+        changed = [k for k, v in stage_settings(cfg, stage).items() if recorded.get(k) != v]
+        if changed:
+            raise ConfigError(
+                f"stage {mark!r} in {self.path.parent} ran with other {', '.join(changed)}"
+                f" than the config gives; run {command} again"
+            )
 
     def mark_cell(self, key: str, path: str) -> None:
         # a cell file holds what its last writer made, so no other key may claim it
@@ -316,7 +363,7 @@ def _retry(cfg: RunConfig, fn):
 def run_build_dataset(cfg: RunConfig) -> None:
     run_dir = Path(cfg.out_dir)
     run_dir.mkdir(parents=True, exist_ok=True)
-    manifest = Manifest(run_dir, cfg.hash())
+    manifest = Manifest(run_dir)
 
     for attr, label in (("annotation_file", "annotation"), ("recipe_file", "recipe index")):
         value = getattr(cfg, attr)
@@ -378,7 +425,8 @@ def _build_dataset(cfg: RunConfig, run_dir: Path, manifest: Manifest, corpus, pr
     stats = assembly.compute_statistics(merged)
     _write_atomic(run_dir / "stats.json", (json.dumps(stats.to_dict(), indent=1) + "\n",))
     manifest.mark_stage(
-        "assemble", instances=len(merged), dataset=str(dataset_path), stats=str(run_dir / "stats.json")
+        "assemble", instances=len(merged), dataset=str(dataset_path), stats=str(run_dir / "stats.json"),
+        settings=stage_settings(cfg, "build"),
     )
     print(f"wrote {len(merged)} instances to {dataset_path}")
 
@@ -423,6 +471,8 @@ def _open_run(cfg: RunConfig, command: str, after: str | None, dataset_path=None
         raise ConfigError(
             f"stage {command!r} requires completed stage {after!r}; run the pipeline in order"
         )
+    if dataset_path is None:
+        manifest.check_settings(cfg, "assemble", "build", "build-dataset")
     instances = _read_dataset(Path(dataset_path or run_dir / "dataset.jsonl"))
     providers = make_providers(cfg, run_dir / "cache")
     if providers.lm is None:
@@ -475,7 +525,7 @@ def _generate(cfg: RunConfig, run: _Run, masks, variants, resume: bool, phase: s
     failures = 0
     cell_paths: list[Path] = []
     # a resumed run reuses only cells made under the same generation settings
-    settings = [cfg.seed, cfg.nucleus_p, cfg.n_samples, cfg.max_new_tokens, cfg.providers]
+    settings = stage_settings(cfg, "generate")
     digest = hashlib.sha256(json.dumps(settings, sort_keys=True).encode("utf-8")).hexdigest()
     for mask in masks:
         for variant in variants:
@@ -514,6 +564,7 @@ def _generate(cfg: RunConfig, run: _Run, masks, variants, resume: bool, phase: s
         variants=list(variants),
         request_groups=len(masks) * len(variants) * len(run.instances),
         phase=phase,
+        settings=settings,
     )
     print(f"wrote generations to {combined}")
     return combined
@@ -669,6 +720,7 @@ def run_evaluate(cfg: RunConfig, generations_path=None, dataset_path=None) -> No
         if generations_path:
             _evaluate(cfg, run, generations_path)
         else:
+            run.manifest.check_settings(cfg, "generate", "generate", "generate")
             record = run.manifest.data["stages"]["generate"]
             masks = [parse_combo_label(label) for label in record["masks"]]
             _evaluate(cfg, run, record["file"], masks, record["variants"])
@@ -786,10 +838,8 @@ def main(argv=None) -> int:
             run_ablate(_load(args), resume=args.resume, modalities_only=args.modalities_only)
         elif args.command == "report":
             run_report(args.report, as_csv=args.csv)
-    except (ConfigError, MalformedAnnotation) as exc:
+    except (ConfigError, MalformedAnnotation, metrics.InsufficientNegatives) as exc:
         return _fail(str(exc), EXIT_CONFIG)
-    except metrics.InsufficientNegatives as exc:
-        return _fail(f"{exc}; lower pool_size for desk-scale runs", EXIT_CONFIG)
     except ProviderError as exc:
         return _fail(str(exc), EXIT_PROVIDER)
     return EXIT_OK

@@ -241,7 +241,6 @@ def compose_input_sequence(
     instance: CommonsenseInstance,
     spec: PromptSpec,
     vision: VisionProvider | None = None,
-    annotations: Sequence[ObjectAnnotation] | None = None,
 ) -> TokenSequence:
     """Serialize the masked modalities of an instance into a model input.
 
@@ -263,8 +262,7 @@ def compose_input_sequence(
         if instance.image is None:
             raise MissingModality(f"instance {instance.instance_id} has no image")
         if vision is not None:
-            by_label = {a.label: a for a in annotations or ()}
-            boxes = [by_label.get(label, ObjectAnnotation(label=label)) for _, label in tag_labels]
+            boxes = [ObjectAnnotation(label=label) for _, label in tag_labels]
             features = vision.features(instance.image, boxes)
             img_tokens = ["<img>"]
             if Modality.OG in mask:

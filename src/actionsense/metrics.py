@@ -473,7 +473,8 @@ class ReferenceIndex:
             raise ValueError(f"instance {instance_id} has no {self.inference_type} ground truth")
         if len(gts) >= pool_size:
             raise InsufficientNegatives(
-                f"{len(gts)} ground truths leave no room in a pool of {pool_size}"
+                f"{len(gts)} ground truths leave no room in a pool of {pool_size};"
+                f" raise pool_size above {len(gts)}"
             )
         excluded = set(self._members.get(("id", instance_id), ()))
         if image is not None:
@@ -491,7 +492,8 @@ class ReferenceIndex:
         if len(negatives) < need:
             raise InsufficientNegatives(
                 f"need {need} negatives for {instance_id}/{self.inference_type},"
-                f" only {len(negatives)} available"
+                f" only {len(negatives)} available;"
+                f" lower pool_size to at most {len(gts) + len(negatives)}"
             )
         rng = random.Random(f"{seed}:{instance_id}:{self.inference_type}")
         sampled = rng.sample(negatives, need)

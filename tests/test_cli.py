@@ -343,7 +343,11 @@ class TestProviderFailures:
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(cfg))
         capsys.readouterr()
-        code = cli.main(["evaluate", "--config", str(bad), "--out", str(out)])
+        # named generations skip the check that they were made with this lm
+        generations = str(out / "generations_main.jsonl")
+        code = cli.main(
+            ["evaluate", "--config", str(bad), "--out", str(out), "--generations", generations]
+        )
         assert code == 3
         err = capsys.readouterr().err
         assert "after retries" in err and "Traceback" not in err
@@ -381,6 +385,35 @@ class TestStageOrdering:
             ["ablate", "--config", str(fixture_config), "--out", str(tmp_path / "fresh")]
         )
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "command, edit, flag",
+        [
+            ("generate", {"min_count": 2}, None),
+            ("ablate", {"min_count": 2, "fps": 25}, None),
+            ("evaluate", {"min_count": 2}, "--dataset"),
+            ("evaluate", {"seed": 14}, "--generations"),
+        ],
+        ids=["min_count-generate", "two-fields-ablate", "min_count-evaluate", "seed-evaluate"],
+    )
+    def test_stage_made_under_other_settings_exits_2_naming_them(
+        self, fixture_config, tmp_path, capsys, command, edit, flag
+    ):
+        out = build(fixture_config, tmp_path / "run")
+        grid = ["--modalities", "AOPair", "--variants", "1"]
+        assert cli.main(["generate", "--config", str(fixture_config), "--out", str(out), *grid]) == 0
+        edited = tmp_path / "edited.json"
+        edited.write_text(json.dumps({**json.loads(fixture_config.read_text()), **edit}))
+        argv = [command, "--config", str(edited), "--out", str(out)]
+        capsys.readouterr()
+        assert cli.main([*argv, *grid] if command == "generate" else argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert all(name in err for name in edit)
+        if flag:
+            # an input named on the command line is taken as it is
+            named = {"--dataset": "dataset.jsonl", "--generations": "generations_main.jsonl"}
+            assert cli.main([*argv, flag, str(out / named[flag])]) == 0
 
 
 class TestEvaluate:

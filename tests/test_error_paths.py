@@ -1,7 +1,10 @@
 """Failure-branch coverage: schema violations, contract breaches, bad config."""
 
+import contextlib
 import copy
+import dataclasses
 import functools
+import io
 import json
 import operator
 
@@ -319,6 +322,19 @@ class TestConfigErrors:
             ("fps", "NaN"),
             ("fps", "1e308"),
             pytest.param("fps", "1" + "0" * 400, id="fps-1e400-int"),
+            ("n_samples", "0"),
+            ("max_new_tokens", "0"),
+            ("workers", "0"),
+            ("workers", "-1"),
+            ("nucleus_p", "1.5"),
+            ("nucleus_p", "-0.1"),
+            ("min_count", "-5"),
+            ("pool_size", "1"),
+            ("pool_size", "0"),
+            ("retry_base_delay", "-1"),
+            ("retry_base_delay", "1e308"),
+            ("modalities", "[]"),
+            ("variants", "[]"),
         ],
     )
     def test_config_field_out_of_range_exits_2(
@@ -332,6 +348,33 @@ class TestConfigErrors:
         code = cli.main(["build-dataset", "--config", str(config), "--out", str(tmp_path / "r")])
         err = capsys.readouterr().err
         assert code == 2 and one_error_line(err) and repr(field) in err
+
+    def test_every_config_field_declares_its_range_and_stages(self):
+        for field in dataclasses.fields(cli.RunConfig):
+            assert set(field.metadata) == {"valid", "must", "stages"}, field.name
+
+    # Any JSON value in any one field of the run config: every command keeps its exit codes.
+    @settings(max_examples=50, deadline=None)
+    @given(name=st.sampled_from(sorted(vars(cli.RunConfig()))), data=st.data())
+    def test_one_replaced_field_never_escapes_the_exit_codes(self, tmp_path_factory, name, data):
+        if name in ("n_samples", "workers"):  # they size a list and a thread pool
+            value = data.draw(st.integers(-2, 4) | JSON_VALUES.filter(lambda v: type(v) is not int))
+        else:
+            value = data.draw(JSON_VALUES)
+        cfg = json.loads(fixture_path("run_config.json").read_text(encoding="utf-8"))
+        cfg.update({"retry_base_delay": 0, name: value})
+        work = tmp_path_factory.mktemp("fuzz")
+        (work / "config.json").write_text(json.dumps(cfg))
+        flags = ["--config", str(work / "config.json"), "--out", str(work / "run")]
+        for command in (
+            ["build-dataset", *flags],
+            ["generate", *flags, "--modalities", "AOPair", "--variants", "1"],
+            ["evaluate", *flags],
+        ):
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = cli.main(command)
+            assert code in (0, 2, 3) and "Traceback" not in err.getvalue()
 
     @pytest.mark.parametrize("content", [None, b"\xff\xfe", b"{nope", b"[]"])
     @pytest.mark.parametrize("role", ["coref", "parse", "rc", "lm"])

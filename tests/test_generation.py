@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from actionsense.assembly import CommonsenseInstance
-from actionsense.corpus import FrameRef, ObjectAnnotation
+from actionsense.corpus import FrameRef
 from actionsense.generation import (
     AO_END,
     AO_START,
@@ -166,9 +166,8 @@ class TestCompose:
 
     def test_grounded_image_layout(self):
         mask = frozenset({Modality.IMAGE, Modality.TEXT_DESC, Modality.OG})
-        annotations = [ObjectAnnotation("egg"), ObjectAnnotation("fork")]
         sequence = compose_input_sequence(
-            make_instance(), spec(mask=mask), vision=StubVisionProvider(), annotations=annotations
+            make_instance(), spec(mask=mask), vision=StubVisionProvider()
         )
         prompt_tokens = build_prompt(spec()).split()
         expected = [
@@ -240,7 +239,6 @@ class TestCompose:
         # (2 delimiters + global + 2 objects with vision), the event block the
         # 4 description words, the pair block "crack egg"
         instance = make_instance()
-        annotations = [ObjectAnnotation("egg"), ObjectAnnotation("fork")]
         prompt_len = len(build_prompt(spec()).split())
         image, event, ao, start = 5, 6, 4, 1
         expected = {
@@ -257,7 +255,7 @@ class TestCompose:
         }
         for mask in MODALITY_COMBOS:
             sequence = compose_input_sequence(
-                instance, spec(mask=mask), vision=StubVisionProvider(), annotations=annotations
+                instance, spec(mask=mask), vision=StubVisionProvider()
             )
             assert len(sequence) == expected[combo_label(mask)] + prompt_len + start, mask
 

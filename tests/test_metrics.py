@@ -205,8 +205,11 @@ class TestCandidatePool:
 
     def test_insufficient_negatives(self):
         target, dataset = self.make_dataset(20)
-        with pytest.raises(InsufficientNegatives):
+        with pytest.raises(InsufficientNegatives, match="lower pool_size to at most 21"):
             build_candidate_pool(target, dataset, seed=13, inference_type="goal")
+        # a pool no larger than the ground truths needs a larger pool_size, not a smaller one
+        with pytest.raises(InsufficientNegatives, match="raise pool_size above 1"):
+            build_candidate_pool(target, dataset, seed=13, inference_type="goal", pool_size=1)
 
     def test_same_image_negatives_excluded(self):
         target = pool_instance("target", ["gt"], image_key="shared")
