@@ -48,7 +48,22 @@ _IRREGULAR_NOUNS = {
 
 
 class RCProvider(Protocol):
-    def answer_many(self, context: str, questions: Sequence[str]) -> list[str | None]: ...
+    """Reading comprehension over ``(context, question)`` items, one answer per item in order.
+
+    An answer is a span of its own item's context, or None.
+    """
+
+    def answer_many(self, items: Sequence[tuple[str, str]]) -> list[str | None]: ...
+
+
+class AnswerTable:
+    """The answers to one RC request, served again to ``answer_many`` by item."""
+
+    def __init__(self, items: Sequence[tuple[str, str]], answers: Sequence[str | None]):
+        self._answers = dict(zip(items, answers, strict=True))
+
+    def answer_many(self, items: Sequence[tuple[str, str]]) -> list[str | None]:
+        return [self._answers[item] for item in items]
 
 
 def simple_lemma(word: str) -> str:
@@ -248,25 +263,28 @@ def _filter_effect_answer(answer: str, keyword: str) -> list[str]:
     return [piece.strip() for piece in re.split(r",| and | or ", answer) if piece.strip()]
 
 
-def extract_effects(
-    triplet: SegmentTriplet, corpus: Corpus, rc: RCProvider
-) -> frozenset[str]:
-    """Mine post-action object states from narration after the current event.
+def effect_questions(triplet: SegmentTriplet, corpus: Corpus) -> list[tuple[str, str]]:
+    """The ``(context, question)`` items that ask for the triplet's effects.
 
     The context is the transcript between the start of the current segment
-    and the start of the future segment; each attribute question is put to
-    the reading-comprehension provider, all in one request, and answers are
-    split on conjunctions, length-filtered, and deduplicated.
+    and the start of the future segment, and there is one question per
+    attribute in ``EFFECT_QUESTIONS`` order; with no narration in that window
+    there are none.
     """
     video = corpus.video(triplet.video_id)
     current = video.segment(triplet.current.segment_index)
     future = video.segment(triplet.future.segment_index)
     window = slice_transcript(video, current.t_start, future.t_start)
     if not window.text:
-        return frozenset()
+        return []
+    return [(window.text, template.format(triplet.ingredient)) for _, template in EFFECT_QUESTIONS]
 
-    questions = [template.format(triplet.ingredient) for _, template in EFFECT_QUESTIONS]
-    answers = rc.answer_many(window.text, questions)
+
+def effects_from_answers(answers: Sequence[str | None]) -> frozenset[str]:
+    """The effects in the answers to ``EFFECT_QUESTIONS``, in order.
+
+    Answers are split on conjunctions, length-filtered, and deduplicated.
+    """
     effects: dict[str, str] = {}
     for (keyword, _), answer in zip(EFFECT_QUESTIONS, answers, strict=True):
         if answer is None:
@@ -274,6 +292,21 @@ def extract_effects(
         for piece in _filter_effect_answer(answer, keyword):
             effects.setdefault(normalize_phrase(piece), piece)
     return frozenset(effects.values())
+
+
+def extract_effects(
+    triplet: SegmentTriplet, corpus: Corpus, rc: RCProvider
+) -> frozenset[str]:
+    """Mine post-action object states from narration after the current event.
+
+    The triplet's ``effect_questions`` go to the reading-comprehension
+    provider in one ``answer_many`` call, and ``effects_from_answers`` reads
+    the effects from its answers. A build asks the questions of all of a
+    video's triplets in one request instead and answers each triplet from an
+    ``AnswerTable``.
+    """
+    questions = effect_questions(triplet, corpus)
+    return effects_from_answers(rc.answer_many(questions)) if questions else frozenset()
 
 
 def form_before_after(
@@ -304,8 +337,13 @@ def build_instance(
     rc: RCProvider | None = None,
     resolved: Mapping[tuple[str, int], str] | None = None,
     fps: float = 30.0,
+    questions: Sequence[tuple[str, str]] | None = None,
 ) -> CommonsenseInstance:
-    """Assemble one instance from a triplet; flags record missing components."""
+    """Assemble one instance from a triplet; flags record missing components.
+
+    ``questions`` are the triplet's ``effect_questions``, which a caller that
+    has already asked them passes so that the transcript is sliced once.
+    """
     video = corpus.video(triplet.video_id)
     current = video.segment(triplet.current.segment_index)
 
@@ -323,15 +361,13 @@ def build_instance(
     if not preconditions:
         flags.append(FLAG_NO_OBJECTS)
 
-    if rc is None:
-        effects = frozenset()
-    else:
-        effects = extract_effects(triplet, corpus, rc)
-    window = slice_transcript(
-        video, current.t_start, video.segment(triplet.future.segment_index).t_start
-    )
-    if not window.text:
+    if questions is None:
+        questions = effect_questions(triplet, corpus)
+    effects = frozenset()
+    if not questions:
         flags.append(FLAG_NO_TRANSCRIPT)
+    elif rc is not None:
+        effects = effects_from_answers(rc.answer_many(questions))
 
     before, after = form_before_after(triplet, corpus, resolved)
 

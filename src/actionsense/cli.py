@@ -208,14 +208,19 @@ _VARIANTS = {str(v): v for _, v in generation.PROMPTS}  # flags give variants as
 _MASK_LABELS = [combo_label(mask) for mask in MODALITY_COMBOS]
 
 
-def _grid_cell(label, variant) -> int:
-    """Check that a mask label and a prompt variant name a grid cell; return the variant."""
-    if str(variant) not in _VARIANTS:
-        raise ValueError(f"unknown prompt variant {variant!r}; choose from {', '.join(_VARIANTS)}")
+def _check_mask(label) -> None:
+    """Raise ValueError unless ``label`` names a modality mask."""
     try:
         PromptSpec(InferenceType.GOAL, 1, parse_combo_label(label))
     except (ValueError, AttributeError, TypeError) as exc:
         raise ValueError(f"bad modality mask {label!r}: {exc}") from None
+
+
+def _grid_cell(label, variant) -> int:
+    """Check that a mask label and a prompt variant name a grid cell; return the variant."""
+    if str(variant) not in _VARIANTS:
+        raise ValueError(f"unknown prompt variant {variant!r}; choose from {', '.join(_VARIANTS)}")
+    _check_mask(label)
     return _VARIANTS[str(variant)]
 
 
@@ -386,7 +391,9 @@ def _build_dataset(cfg: RunConfig, run_dir: Path, manifest: Manifest, corpus, pr
     pairs = []
     try:
         for video in corpus.videos:
-            sentences = extraction.resolve_coreferences(video, providers.coref)
+            sentences = extraction.resolve_coreferences(
+                video, providers.coref, lambda resolve: _retry(cfg, resolve)
+            )
             indexed = [(seg.index, s.resolved) for seg, s in zip(video.segments, sentences)]
             resolved.update(((video.video_id, index), text) for index, text in indexed)
             parse = lambda: extraction.extract_video_pairs(video.video_id, indexed, providers.parse)
@@ -405,19 +412,28 @@ def _build_dataset(cfg: RunConfig, run_dir: Path, manifest: Manifest, corpus, pr
     triplets.write_triplets(triplet_list, triplets_path)
     manifest.mark_stage("triplets", count=len(triplet_list), file=str(triplets_path))
 
-    try:
-        instances = [
-            _retry(
-                cfg,
-                lambda t=triplet: assembly.build_instance(
-                    t, corpus, rc=providers.rc, resolved=resolved, fps=cfg.fps
-                ),
+    # one RC request per video asks the effect questions of all its triplets
+    by_video: dict[str, list[int]] = {}  # video id -> the positions of its triplets
+    for position, triplet in enumerate(triplet_list):
+        by_video.setdefault(triplet.video_id, []).append(position)
+    instances = [None] * len(triplet_list)
+    for positions in by_video.values():
+        questions = [assembly.effect_questions(triplet_list[p], corpus) for p in positions]
+        items = [item for asked in questions for item in asked]
+        answers = None
+        if items and providers.rc is not None:
+            try:
+                answers = assembly.AnswerTable(
+                    items, _retry(cfg, lambda: providers.rc.answer_many(items))
+                )
+            except ProviderError as exc:
+                manifest.record_failure(f"assemble: {exc}")
+                raise ProviderError(f"rc provider failed after retries: {exc}") from exc
+        for position, asked in zip(positions, questions):
+            instances[position] = assembly.build_instance(
+                triplet_list[position], corpus, rc=answers, resolved=resolved, fps=cfg.fps,
+                questions=asked,
             )
-            for triplet in triplet_list
-        ]
-    except ProviderError as exc:
-        manifest.record_failure(f"assemble: {exc}")
-        raise ProviderError(f"rc provider failed after retries: {exc}") from exc
 
     merged = sorted(assembly.merge_by_action_object(instances), key=lambda i: i.instance_id)
     dataset_path = run_dir / "dataset.jsonl"
@@ -714,16 +730,50 @@ def run_generate(cfg: RunConfig, resume: bool = False) -> None:
         _generate(cfg, run, cfg.mask_list(), cfg.variants, resume, "main")
 
 
+def _is_mask(label) -> bool:
+    try:
+        _check_mask(label)
+    except ValueError:
+        return False
+    return True
+
+
+def _is_variant(value) -> bool:
+    return type(value) is int and value in _VARIANTS.values()
+
+
+# each field evaluate reads of the generate record: what it must be, and its test
+_GENERATE_RECORD = (
+    ("file", "a string", lambda v: isinstance(v, str)),
+    ("masks", "a non-empty list of modality mask labels",
+     lambda v: isinstance(v, list) and v and all(map(_is_mask, v))),
+    ("variants", f"a non-empty list of prompt variants ({', '.join(_VARIANTS)})",
+     lambda v: isinstance(v, list) and v and all(map(_is_variant, v))),
+)
+
+
+def _generated_grid(manifest: Manifest) -> tuple:
+    """The file, mask labels and variants of the manifest's ``generate`` record."""
+    record = manifest.data["stages"]["generate"]
+    if not isinstance(record, dict):
+        raise ConfigError(f"manifest {manifest.path}: stage 'generate' must be an object")
+    for name, must, valid in _GENERATE_RECORD:
+        if name not in record or not valid(record[name]):
+            raise ConfigError(
+                f"manifest {manifest.path}: field {name!r} of stage 'generate' must be {must}"
+            )
+    return tuple(record[name] for name, _, _ in _GENERATE_RECORD)
+
+
 def run_evaluate(cfg: RunConfig, generations_path=None, dataset_path=None) -> None:
     run = _open_run(cfg, "evaluate", None if generations_path else "generate", dataset_path)
     with contextlib.closing(run.providers):
         if generations_path:
             _evaluate(cfg, run, generations_path)
         else:
+            file, labels, variants = _generated_grid(run.manifest)
             run.manifest.check_settings(cfg, "generate", "generate", "generate")
-            record = run.manifest.data["stages"]["generate"]
-            masks = [parse_combo_label(label) for label in record["masks"]]
-            _evaluate(cfg, run, record["file"], masks, record["variants"])
+            _evaluate(cfg, run, file, [parse_combo_label(label) for label in labels], variants)
 
 
 def run_ablate(cfg: RunConfig, resume: bool = False, modalities_only: bool = False) -> None:

@@ -104,21 +104,30 @@ class ResolvedSentence:
     flagged: bool = False
 
 
-def resolve_coreferences(video: VideoRecord, provider: CorefProvider) -> list[ResolvedSentence]:
-    """Resolve pronouns in all segment sentences of one video.
+def resolve_coreferences(
+    video: VideoRecord, provider: CorefProvider, retry=lambda resolve: resolve()
+) -> list[ResolvedSentence]:
+    """Resolve pronouns in all segment sentences of one video, in one request.
 
-    If the provider fails or breaks its length contract, the originals are
-    kept and flagged rather than aborting the video; a sentence resolved to
-    nothing but whitespace keeps its original and is flagged alone.
+    ``retry`` makes the request: it calls the function it is given, which
+    raises ProviderError when the provider fails or breaks its length
+    contract, as many times as it allows. If the last call raises, the
+    originals are kept and flagged rather than aborting the video; a sentence
+    resolved to nothing but whitespace keeps its original and is flagged alone.
     """
     originals = [seg.sentence for seg in video.segments]
-    try:
+
+    def resolve() -> list[str]:
         resolved = provider.resolve(originals)
         if len(resolved) != len(originals):
             raise ProviderError(
                 f"coref returned {len(resolved)} sentences for {len(originals)} inputs"
                 f" (video {video.video_id})"
             )
+        return resolved
+
+    try:
+        resolved = retry(resolve)
     except ProviderError:
         return [ResolvedSentence(original=s, resolved=s, flagged=True) for s in originals]
     return [

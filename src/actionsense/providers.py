@@ -6,9 +6,10 @@ Text-tool providers speak a single JSON-over-HTTP envelope:
     ->   {"outputs": [...]}
 
 with one output per input, in order. A request carries a natural unit of
-work: coref and parse get every sentence of one video, rc gets the five
-effect questions of one triplet as ``{"context": ..., "question": ...}``
-objects sharing one context.
+work: coref and parse get every sentence of one video, rc gets the effect
+questions of every triplet of one video, five per triplet with narration in
+its window, as ``{"context": ..., "question": ...}`` objects; each answer is
+checked against its own object's context.
 
 The language-model provider speaks:
 
@@ -361,15 +362,17 @@ class HttpParseProvider(_HttpProvider):
 class HttpRCProvider(_HttpProvider):
     task = "rc"
 
-    def answer_many(self, context: str, questions) -> list[str | None]:
+    def answer_many(self, items) -> list[str | None]:
+        items = list(items)
+
         def check(outputs):
             answers = [None if out is None else str(out) for out in outputs]
-            for answer in answers:
+            for (context, _), answer in zip(items, answers):
                 if answer is not None and answer not in context:
-                    raise ProviderError(f"rc answer {answer!r} is not a span of the context")
+                    raise ProviderError(f"rc answer {answer!r} is not a span of its context")
             return answers
 
-        return self._task([{"context": context, "question": q} for q in questions], check)
+        return self._task([{"context": c, "question": q} for c, q in items], check)
 
 
 def _count(value) -> str:

@@ -60,7 +60,7 @@ class StubParseProvider:
 
 
 class StubRCProvider:
-    """Canned answer lists per question; first answer found in context wins.
+    """Canned answer lists per question; first answer found in the item's context wins.
 
     Returning only spans present in the context keeps the reading
     comprehension contract (answers are substrings) intact by construction.
@@ -69,13 +69,13 @@ class StubRCProvider:
     def __init__(self, path):
         self.table = _load(path)
 
-    def answer_many(self, context: str, questions) -> list[str | None]:
+    def answer_many(self, items) -> list[str | None]:
         return [
-            next((c for c in self.table.get(q, []) if c in context), None) for q in questions
+            next((c for c in self.table.get(q, []) if c in context), None) for context, q in items
         ]
 
     def answer(self, context: str, question: str) -> str | None:
-        return self.answer_many(context, [question])[0]
+        return self.answer_many([(context, question)])[0]
 
 
 class StubLMProvider:

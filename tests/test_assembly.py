@@ -213,8 +213,8 @@ class TestEffects:
 
     def test_answer_filtering(self, corpus, fixture_triplets):
         class Wordy:
-            def answer_many(self, context, questions):
-                return [self.answer(context, q) for q in questions]
+            def answer_many(self, items):
+                return [self.answer(context, q) for context, q in items]
 
             def answer(self, context, question):
                 if question.startswith("What color"):

@@ -1,3 +1,4 @@
+import importlib.util
 import json
 from collections import Counter
 from pathlib import Path
@@ -5,10 +6,29 @@ from pathlib import Path
 import pytest
 
 from actionsense import cli, generation, stubs
-from actionsense.assembly import CommonsenseInstance, compute_statistics, read_dataset
+from actionsense.assembly import (
+    CommonsenseInstance,
+    compute_statistics,
+    effect_questions,
+    read_dataset,
+)
+from actionsense.corpus import Corpus
 from actionsense.extraction import count_lemma_frequencies, filter_pairs_by_frequency
+from actionsense.providers import ProviderError
+from actionsense.triplets import read_triplets
 
 GOLDEN_DIR = Path(__file__).parent / "data"
+ROOT = Path(__file__).resolve().parent.parent
+SRC_ROOT = ROOT / "src"
+
+
+def load_perfbench(name):
+    """A module of ``perfbench/``, which is not a package, by file path."""
+    path = ROOT / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def build(config, out):
@@ -31,6 +51,24 @@ class TestBuildDataset:
         b = build(fixture_config, tmp_path / "b")
         for name in ("dataset.jsonl", "stats.json", "triplets.jsonl"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
+
+    def test_coref_error_is_retried_before_the_fallback(
+        self, fixture_config, tmp_path, monkeypatch
+    ):
+        expected = build(fixture_config, tmp_path / "steady")
+        resolve = stubs.StubCorefProvider.resolve
+        failures = [ProviderError("coref endpoint busy")]
+
+        def fail_once(self, texts):
+            if failures:
+                raise failures.pop()
+            return resolve(self, texts)
+
+        monkeypatch.setattr(stubs.StubCorefProvider, "resolve", fail_once)
+        out = build(fixture_config, tmp_path / "flaky")
+        assert failures == []
+        for name in ("dataset.jsonl", "stats.json", "triplets.jsonl"):
+            assert (out / name).read_bytes() == (expected / name).read_bytes()
 
     def test_missing_annotation_file_exits_2(self, fixture_config, tmp_path, capsys):
         cfg = json.loads(fixture_config.read_text())
@@ -678,25 +716,43 @@ class TestProviderBatches:
         assert len(calls) == len(entries)
         assert {(attr, len(args[1])) for attr, args in calls} == {("logprobs_many", pool_size)}
 
-    def test_build_sends_one_parse_request_per_video_and_one_rc_request_per_triplet(
-        self, fixture_config, tmp_path, monkeypatch
+    @pytest.mark.parametrize(
+        "copies, groups, requests", [(None, None, (5, 5, 4)), (10, 2, (50, 50, 40))],
+        ids=["fixture", "scale-up"],
+    )
+    def test_build_sends_one_coref_parse_and_rc_request_per_video(
+        self, fixture_config, tmp_path, monkeypatch, copies, groups, requests
     ):
+        config = fixture_config
+        if copies:
+            corpus_gen = load_perfbench("corpus_gen")
+            corpus_gen.generate_corpus(tmp_path / "corpus", SRC_ROOT, copies, groups, seed=1)
+            config = corpus_gen.write_config(tmp_path / "scaled.json", tmp_path / "corpus", 1)
         calls = []
         for owner, attr in (
+            (stubs.StubCorefProvider, "resolve"),
             (stubs.StubParseProvider, "parse_many"),
             (stubs.StubParseProvider, "parse"),
             (stubs.StubRCProvider, "answer_many"),
             (stubs.StubRCProvider, "answer"),
         ):
             counting(monkeypatch, owner, attr, calls)
-        out = build(fixture_config, tmp_path / "run")
-        parses = [args[0] for attr, args in calls if attr == "parse_many"]
-        questions = [args[1] for attr, args in calls if attr == "answer_many"]
-        triplets = (out / "triplets.jsonl").read_text().splitlines()
-        assert len(parses) == 5 and sum(map(len, parses)) == 27  # the fixture's videos, segments
-        assert 0 < len(questions) <= len(triplets)
-        assert {len(q) for q in questions} == {5}
-        assert not [attr for attr, _ in calls if attr in ("parse", "answer")]
+        out = build(config, tmp_path / "run")
+        sent = {}
+        for attr, args in calls:
+            sent.setdefault(attr, []).append(list(args[0]))
+        assert (len(sent["resolve"]), len(sent["parse_many"]), len(sent["answer_many"])) == requests
+        assert set(sent) == {"resolve", "parse_many", "answer_many"}
+
+        cfg = cli.load_config(config)
+        corpus = Corpus.load(cfg.annotation_file, cfg.recipe_file)
+        assert sent["resolve"] == [[s.sentence for s in v.segments] for v in corpus.videos]
+        assert [len(s) for s in sent["parse_many"]] == [len(v.segments) for v in corpus.videos]
+        # each video's request asks its triplets' effect questions, in triplet order
+        asked = {}
+        for triplet in read_triplets(out / "triplets.jsonl"):
+            asked.setdefault(triplet.video_id, []).extend(effect_questions(triplet, corpus))
+        assert sent["answer_many"] == [items for items in asked.values() if items]
 
 
 class TestAblate:

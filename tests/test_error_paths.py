@@ -414,6 +414,36 @@ class TestConfigErrors:
         err = capsys.readouterr().err
         assert code == 2 and one_error_line(err) and str(manifest) in err
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("masks", None), ("file", None), ("variants", None), (None, []),
+            ("masks", "AOPair"), ("masks", []), ("masks", ["Nope"]), ("masks", [3]),
+            ("file", 3), ("variants", 1), ("variants", [5]), ("variants", ["1"]),
+            ("variants", [True]),
+        ],
+    )
+    def test_malformed_generate_record_exits_2_naming_the_field(
+        self, fixture_config, tmp_path, capsys, field, value
+    ):
+        flags = ["--config", str(fixture_config), "--out", str(tmp_path / "run")]
+        assert cli.main(["build-dataset", *flags]) == 0
+        assert cli.main(["generate", *flags, "--modalities", "AOPair", "--variants", "1"]) == 0
+        manifest = tmp_path / "run" / "manifest.json"
+        data = json.loads(manifest.read_text())
+        if field is None:  # the record itself
+            data["stages"]["generate"] = value
+        elif value is None:
+            del data["stages"]["generate"][field]
+        else:
+            data["stages"]["generate"][field] = value
+        manifest.write_text(json.dumps(data))
+        capsys.readouterr()
+        code = cli.main(["evaluate", *flags])
+        err = capsys.readouterr().err
+        assert code == 2 and one_error_line(err) and str(manifest) in err
+        assert f"'{field or 'generate'}'" in err
+
     def test_out_dir_required(self, fixture_config, capsys):
         code = cli.main(["build-dataset", "--config", str(fixture_config)])
         assert code == 2

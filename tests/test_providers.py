@@ -34,7 +34,7 @@ def token_logprobs(continuation):
 def wire_server():
     """Tiny HTTP endpoint speaking the task/inputs and op/sequence envelopes."""
     requests = []
-    state = {"fail_next": 0, "drop_row": False, "bad_parse": False, "rc_off_span": False}
+    state = {"fail_next": 0, "drop_row": False, "bad_parse": False, "rc_answer": None}
 
     class Handler(BaseHTTPRequestHandler):
         def do_POST(self):
@@ -55,8 +55,8 @@ def wire_server():
                 body = {"outputs": [tree for _ in payload["inputs"]]}
             elif payload.get("task") == "rc":
                 body = {"outputs": ["golden" if "golden" in i["context"] else None for i in payload["inputs"]]}
-                if state["rc_off_span"]:
-                    body = {"outputs": ["purple" for _ in payload["inputs"]]}
+                if state["rc_answer"] is not None:  # the same answer to every item
+                    body = {"outputs": [state["rc_answer"] for _ in payload["inputs"]]}
             elif payload.get("op") == "sample":
                 body = {"texts": ["canned"] * payload["params"]["n"]}
             elif payload.get("op") == "logprobs":
@@ -217,8 +217,8 @@ class TestWireContract:
     def test_rc_answer_must_be_span(self, wire_server):
         url, _, _ = wire_server
         provider = HttpRCProvider(url)
-        assert provider.answer_many("turns golden brown", ["What color is it?"])[0] == "golden"
-        assert provider.answer_many("nothing relevant", ["What color is it?"])[0] is None
+        assert provider.answer_many([("turns golden brown", "What color is it?")]) == ["golden"]
+        assert provider.answer_many([("nothing relevant", "What color is it?")]) == [None]
 
     def test_lm_sample_and_logprobs_envelopes(self, wire_server):
         url, requests, _ = wire_server
@@ -268,27 +268,58 @@ class TestWireContract:
     def test_rc_non_span_answer_is_a_provider_error_and_not_cached(self, tmp_path, wire_server):
         url, requests, state = wire_server
         provider = HttpRCProvider(url, ResponseCache(tmp_path / "cache"))
-        questions = ["What color is it?", "What texture is it?"]
-        state["rc_off_span"] = True
+        items = [("turns golden brown", q) for q in ("What color is it?", "What texture is it?")]
+        state["rc_answer"] = "purple"
         with pytest.raises(ProviderError, match="'purple' is not a span"):
-            provider.answer_many("turns golden brown", questions)
-        state["rc_off_span"] = False
-        assert provider.answer_many("turns golden brown", questions) == ["golden", "golden"]
+            provider.answer_many(items)
+        state["rc_answer"] = None
+        assert provider.answer_many(items) == ["golden", "golden"]
         assert len(requests) == 2
 
     def test_rc_answer_many_equals_single_calls_in_one_request(self, wire_server):
         url, requests, _ = wire_server
         provider = HttpRCProvider(url)
         questions = ["What color is it?", "What texture is it?"]
-        assert provider.answer_many("turns golden brown", questions) == ["golden", "golden"]
+        items = [("turns golden brown", q) for q in questions]
+        assert provider.answer_many(items) == ["golden", "golden"]
         assert len(requests) == 1
         assert requests[0]["inputs"] == [
             {"context": "turns golden brown", "question": q} for q in questions
         ]
-        singles = [provider.answer_many("turns golden brown", [q])[0] for q in questions]
+        singles = [provider.answer_many([item])[0] for item in items]
         assert singles == ["golden", "golden"]
         # one question sends the same payload as before batching, so its cache entry holds
         assert requests[-1] == {"task": "rc", "inputs": [requests[0]["inputs"][1]]}
+
+    def test_rc_items_of_several_triplets_go_in_one_request(self, wire_server):
+        url, requests, _ = wire_server
+        provider = HttpRCProvider(url)
+        questions = ["What color is it?", "What texture is it?"]
+        triplets = [
+            [(context, q) for q in questions] for context in ("turns golden brown", "stays pale")
+        ]
+        batched = provider.answer_many([item for items in triplets for item in items])
+        assert len(requests) == 1
+        assert requests[0]["inputs"] == [
+            {"context": c, "question": q} for items in triplets for c, q in items
+        ]
+        per_triplet = [answer for items in triplets for answer in provider.answer_many(items)]
+        assert batched == per_triplet == ["golden", "golden", None, None]
+
+    def test_rc_answer_is_checked_against_its_own_items_context(self, tmp_path, wire_server):
+        url, requests, state = wire_server
+        cache = ResponseCache(tmp_path / "cache")
+        provider = HttpRCProvider(url, cache)
+        items = [("turns golden brown", "What color is it?"), ("stays pale", "What color is it?")]
+        state["rc_answer"] = "golden"  # a span of the first context, not of the second
+        with pytest.raises(ProviderError, match="'golden' is not a span of its context"):
+            provider.answer_many(items)
+        payload = {"task": "rc", "inputs": [{"context": c, "question": q} for c, q in items]}
+        assert cache.get(payload) is None
+        state["rc_answer"] = None
+        # nothing was logged: the retry asks the server again
+        assert provider.answer_many(items) == ["golden", None]
+        assert len(requests) == 2
 
     def test_logged_record_is_checked_like_a_network_answer(self, tmp_path):
         cache = ResponseCache(tmp_path / "cache")
@@ -429,7 +460,9 @@ class TestFileStubs:
         rc = StubRCProvider(fixture_path("rc.json"))
         context = "the potatoes look golden and crisp now"
         questions = ["What color is potato?", "What texture is potato?", "What shape is potato?"]
-        assert rc.answer_many(context, questions) == ["golden", "crisp", None]
+        items = [(context, q) for q in questions] + [("pale and soft", questions[0])]
+        assert rc.answer_many(items) == ["golden", "crisp", None, None]
+        assert rc.answer_many(items) == [rc.answer(c, q) for c, q in items]
 
     def test_uniform_mode(self):
         import math
