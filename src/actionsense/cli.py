@@ -225,12 +225,21 @@ def _grid_cell(label, variant) -> int:
 
 
 def _check_grid(cfg: RunConfig) -> None:
-    """Raise ConfigError unless every cell that generate or ablate can run is a grid cell."""
+    """Raise ConfigError unless every cell that generate or ablate can run is a grid cell, once."""
     try:
         labels = _MASK_LABELS + ([] if cfg.modalities == ["all"] else list(cfg.modalities))
         variants = [*cfg.variants, cfg.modality_stage_variant]
         for label, variant in itertools.product(labels, variants):
             _grid_cell(label, variant)
+        # a cell named twice would be generated, and reported, twice
+        for what, names, values in (
+            ("modality masks", cfg.modalities, cfg.mask_list()),
+            ("prompt variants", cfg.variants, [str(v) for v in cfg.variants]),
+        ):
+            for i, value in enumerate(values):
+                if value in values[:i]:
+                    first = names[values.index(value)]
+                    raise ValueError(f"{what} {first!r} and {names[i]!r} repeat a cell")
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"bad grid in config: {exc}") from None
     cfg.variants = [_VARIANTS[str(v)] for v in cfg.variants]
@@ -258,6 +267,12 @@ class Manifest:
                 raise ConfigError(
                     f"manifest {manifest.path} is not an object holding stages, cells and failures"
                 )
+            wrong = [f"stage {k!r} must be an object"
+                     for k, v in data["stages"].items() if not isinstance(v, dict)]
+            wrong += [f"cell {k!r} must be a file path string"
+                      for k, v in data["cells"].items() if not isinstance(v, str)]
+            if wrong:
+                raise ConfigError(f"manifest {manifest.path}: {wrong[0]}")
             manifest.data = data
         return manifest
 
@@ -276,7 +291,7 @@ class Manifest:
         record = self.data["stages"].get(mark)
         if record is None:
             return
-        recorded = record.get("settings") if isinstance(record, dict) else None
+        recorded = record.get("settings")
         recorded = recorded if isinstance(recorded, dict) else {}
         changed = [k for k, v in stage_settings(cfg, stage).items() if recorded.get(k) != v]
         if changed:
@@ -387,13 +402,19 @@ def _build_dataset(cfg: RunConfig, run_dir: Path, manifest: Manifest, corpus, pr
 
     manifest.mark_stage("ingest", videos=len(corpus.videos))
 
+    def resolve_or_record(resolve):
+        # resolve_coreferences keeps the video's unresolved sentences, flagged, when this raises
+        try:
+            return _retry(cfg, resolve)
+        except ProviderError as exc:
+            manifest.record_failure(f"extract: video {video.video_id} kept its sentences: {exc}")
+            raise
+
     resolved: dict[tuple[str, int], str] = {}
     pairs = []
     try:
         for video in corpus.videos:
-            sentences = extraction.resolve_coreferences(
-                video, providers.coref, lambda resolve: _retry(cfg, resolve)
-            )
+            sentences = extraction.resolve_coreferences(video, providers.coref, resolve_or_record)
             indexed = [(seg.index, s.resolved) for seg, s in zip(video.segments, sentences)]
             resolved.update(((video.video_id, index), text) for index, text in indexed)
             parse = lambda: extraction.extract_video_pairs(video.video_id, indexed, providers.parse)
@@ -587,11 +608,12 @@ def _generate(cfg: RunConfig, run: _Run, masks, variants, resume: bool, phase: s
 
 
 _GENERATION_FIELDS = ("instance_id", "inference_type", "condition", "variant", "texts")
+INFERENCE_TYPE_NAMES = tuple(t.value for t in InferenceType)
 
 
-def _read_generations(path: Path, instance_ids) -> list[dict]:
-    """Generation lines of instances of the dataset, each cut to the fields evaluate reads."""
-    lines = []
+def _read_generations(path: Path, instance_ids) -> dict[tuple[str, str, int], list]:
+    """Dataset instances' generations: (type, mask label, variant) -> [(instance_id, texts)]."""
+    cells: dict[tuple[str, str, int], list] = {}
     with open(path, encoding="utf-8") as fh:
         for number, raw in enumerate(fh, 1):
             if not raw.strip():
@@ -603,22 +625,24 @@ def _read_generations(path: Path, instance_ids) -> list[dict]:
                     raise ValueError(f"lacks fields {missing}")
                 if line["instance_id"] not in instance_ids:
                     raise ValueError(f"instance {line['instance_id']!r} is not in the dataset")
-                line["variant"] = _grid_cell(line["condition"], line["variant"])
+                if line["inference_type"] not in INFERENCE_TYPE_NAMES:
+                    raise ValueError(f"unknown inference type {line['inference_type']!r}")
+                variant = _grid_cell(line["condition"], line["variant"])
                 texts = line["texts"]
                 if not isinstance(texts, list) or not all(isinstance(t, str) for t in texts):
                     raise ValueError(f"texts must be a list of strings, got {texts!r}")
             except (ValueError, TypeError) as exc:  # JSONDecodeError is a ValueError
                 raise ConfigError(f"{path}:{number}: not a generation record: {exc}") from None
-            lines.append({f: line[f] for f in _GENERATION_FIELDS})
-    return lines
+            key = (line["inference_type"], line["condition"], variant)
+            cells.setdefault(key, []).append((line["instance_id"], texts))
+    return cells
 
 
 def _cell_metrics(cfg: RunConfig, entries, index, by_id, mask, variant, providers) -> dict:
     """Six-metric scores for one (type, mask, variant) cell; pools rank against generate's input."""
     spec = PromptSpec(InferenceType(index.inference_type), variant, mask)
     pools = []
-    for entry in entries:
-        instance_id = entry["instance_id"]
+    for instance_id, _ in entries:
         if not index.references(instance_id):
             continue
         sequence = generation.compose_input_sequence(by_id[instance_id], spec, providers.vision)
@@ -628,63 +652,43 @@ def _cell_metrics(cfg: RunConfig, entries, index, by_id, mask, variant, provider
         ]
         pools.append(metrics.score_pool(index.pool(instance_id, cfg.seed, cfg.pool_size), score))
 
-    all_texts = [t for e in entries for t in e["texts"]]
+    all_texts = [t for _, texts in entries for t in texts]
     return {
-        **index.overlap_scores((e["instance_id"], e["texts"]) for e in entries),
+        **index.overlap_scores(entries),
         "A50": metrics.acc_at_50(pools, mode=cfg.acc_mode) if pools else 0.0,
         "unique": metrics.uniqueness(all_texts) if all_texts else 0.0,
         "novel": metrics.novelty(all_texts, index.texts) if all_texts else 0.0,
     }
 
 
-INFERENCE_TYPE_NAMES = tuple(t.value for t in InferenceType)
-
-
-def _evaluate_grid(cfg: RunConfig, generations, instances, providers, masks, variants):
-    """Score every (type, mask, variant) cell; raises MissingCell when absent."""
-    by_id = {i.instance_id: i for i in instances}
-    grouped: dict[tuple[str, str, int], list[dict]] = {}
-    for line in generations:
-        key = (line["inference_type"], line["condition"], line["variant"])
-        grouped.setdefault(key, []).append(line)
+def _evaluate_grid(cfg: RunConfig, cells, instances, providers, masks, variants) -> dict:
+    """Score every (type, mask, variant) cell, type by type; a cell not generated is an error."""
     for mask, variant, itype in itertools.product(masks, variants, INFERENCE_TYPE_NAMES):
-        if (itype, combo_label(mask), variant) not in grouped:
-            raise metrics.MissingCell(f"({itype}, {combo_label(mask)}, P{variant})")
+        if (itype, combo_label(mask), variant) not in cells:
+            missing = f"({itype}, {combo_label(mask)}, P{variant})"
+            raise ConfigError(f"incomplete grid, missing cell {missing}")
 
-    cells = {}
+    by_id = {i.instance_id: i for i in instances}
+    scores = {}
     for itype in INFERENCE_TYPE_NAMES:
         # one type at a time, so only that type's tokens and pools are held
         index = metrics.ReferenceIndex(by_id.values(), itype)
         for mask, variant in itertools.product(masks, variants):
             key = (itype, combo_label(mask), variant)
-            cells[key] = _cell_metrics(cfg, grouped[key], index, by_id, mask, variant, providers)
-    return cells
+            scores[key] = _cell_metrics(cfg, cells[key], index, by_id, mask, variant, providers)
+    return scores
 
 
-def _modality_report(cells, masks, variant: int) -> metrics.EvalReport:
-    """Table-shaped report: one row per mask, metrics averaged over types."""
-    scores = {}
-    for mask in masks:
-        label = combo_label(mask)
-        agg = {}
-        for column in metrics.METRIC_COLUMNS:
-            values = [cells[(t, label, variant)][column] for t in INFERENCE_TYPE_NAMES]
-            agg[column] = sum(values) / len(values)
-        scores[("all", label)] = agg
-    return metrics.aggregate_report(scores, types=["all"], conditions=[combo_label(m) for m in masks])
-
-
-def _prompt_report(cells, mask, variants) -> metrics.EvalReport:
-    """Table-shaped report: one row per (type, prompt variant)."""
-    label = combo_label(mask)
-    rows = tuple(
-        metrics.ReportRow.from_cell(
-            itype, prompt_id(InferenceType(itype), variant), cells[(itype, label, variant)]
-        )
-        for itype in INFERENCE_TYPE_NAMES
-        for variant in variants
+def _report(scores, row_key) -> metrics.EvalReport:
+    """One row per ``row_key(type, mask label, variant)``: the mean of its cells in type order."""
+    groups: dict[tuple[str, str], list] = {}
+    for key, cell in scores.items():
+        groups.setdefault(row_key(*key), []).append(cell)
+    means = (
+        (row, {c: sum(cell[c] for cell in group) / len(group) for c in metrics.METRIC_COLUMNS})
+        for row, group in groups.items()
     )
-    return metrics.EvalReport(rows=rows)
+    return metrics.EvalReport(rows=tuple(metrics.ReportRow.from_cell(*row, m) for row, m in means))
 
 
 def _evaluate(cfg: RunConfig, run: _Run, generations_path, masks=None, variants=None):
@@ -695,27 +699,27 @@ def _evaluate(cfg: RunConfig, run: _Run, generations_path, masks=None, variants=
     generations_path = Path(generations_path)
     if not generations_path.is_file():
         raise ConfigError(f"generations not found: {generations_path}")
-    generations = _read_generations(generations_path, {i.instance_id for i in run.instances})
+    cells = _read_generations(generations_path, {i.instance_id for i in run.instances})
+    if not cells:
+        raise ConfigError(f"generations {generations_path} hold no generation records")
     if masks is None:
-        pairs = dict.fromkeys((line["condition"], line["variant"]) for line in generations)
-        masks = list(dict.fromkeys(parse_combo_label(condition) for condition, _ in pairs))
-        variants = list(dict.fromkeys(variant for _, variant in pairs))
+        masks = list(dict.fromkeys(parse_combo_label(label) for _, label, _ in cells))
+        variants = list(dict.fromkeys(variant for _, _, variant in cells))
 
     try:
-        cells = _evaluate_grid(cfg, generations, run.instances, run.providers, masks, variants)
-    except metrics.MissingCell as exc:
-        raise ConfigError(f"incomplete grid, missing cell {exc}") from exc
+        scores = _evaluate_grid(cfg, cells, run.instances, run.providers, masks, variants)
     except ProviderError as exc:
         run.manifest.record_failure(f"evaluate: {exc}")
         raise ProviderError(f"pool scoring failed after retries: {exc}") from exc
 
+    # each grid shape's report and the row each (type, mask label, variant) cell goes to
     if len(masks) > 1 and len(variants) == 1:
-        report, name = _modality_report(cells, masks, variants[0]), "modality_report"
+        name, row_key = "modality_report", lambda t, label, v: ("all", label)
     elif len(masks) == 1:
-        report, name = _prompt_report(cells, masks[0], variants), "prompt_report"
+        name, row_key = "prompt_report", lambda t, label, v: (t, prompt_id(InferenceType(t), v))
     else:
-        scores = {(t, f"{label}|P{v}"): cell for (t, label, v), cell in cells.items()}
-        report, name = metrics.aggregate_report(scores), "report"
+        name, row_key = "report", lambda t, label, v: (t, f"{label}|P{v}")
+    report = _report(scores, row_key)
     report_path = run.dir / f"{name}.json"
     _write_atomic(report_path, (report.to_json() + "\n",))
     _write_atomic(run.dir / f"{name}.txt", (report.to_text() + "\n",))
@@ -755,8 +759,6 @@ _GENERATE_RECORD = (
 def _generated_grid(manifest: Manifest) -> tuple:
     """The file, mask labels and variants of the manifest's ``generate`` record."""
     record = manifest.data["stages"]["generate"]
-    if not isinstance(record, dict):
-        raise ConfigError(f"manifest {manifest.path}: stage 'generate' must be an object")
     for name, must, valid in _GENERATE_RECORD:
         if name not in record or not valid(record[name]):
             raise ConfigError(

@@ -667,16 +667,10 @@ def format_csv(rows: Sequence[Mapping]) -> str:
     return buf.getvalue()
 
 
-def aggregate_report(
-    scores: Mapping[tuple[str, str], Mapping[str, float]],
-    types: Sequence[str] | None = None,
-    conditions: Sequence[str] | None = None,
-) -> EvalReport:
+def aggregate_report(scores: Mapping[tuple[str, str], Mapping[str, float]]) -> EvalReport:
     """Assemble the full (type x condition) grid; missing cells are an error."""
-    if types is None:
-        types = list(dict.fromkeys(t for t, _ in scores))
-    if conditions is None:
-        conditions = list(dict.fromkeys(c for _, c in scores))
+    types = list(dict.fromkeys(t for t, _ in scores))
+    conditions = list(dict.fromkeys(c for _, c in scores))
 
     rows = []
     for t in types:

@@ -1,3 +1,4 @@
+import contextlib
 import importlib.util
 import json
 from collections import Counter
@@ -5,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from actionsense import cli, generation, stubs
+from actionsense import cli, generation, metrics, stubs
 from actionsense.assembly import (
     CommonsenseInstance,
     compute_statistics,
@@ -67,6 +68,38 @@ class TestBuildDataset:
         monkeypatch.setattr(stubs.StubCorefProvider, "resolve", fail_once)
         out = build(fixture_config, tmp_path / "flaky")
         assert failures == []
+        for name in ("dataset.jsonl", "stats.json", "triplets.jsonl"):
+            assert (out / name).read_bytes() == (expected / name).read_bytes()
+
+    def test_coref_failure_after_retries_is_recorded_per_video(
+        self, fixture_config, tmp_path, monkeypatch, corpus
+    ):
+        # the parse table also holds the unresolved sentences the fallback keeps
+        parse = json.loads(stubs.fixture_path("parse.json").read_text())
+        coref = json.loads(stubs.fixture_path("coref.json").read_text())
+        parse.update({original: parse[coref[original]] for original in coref})
+        (tmp_path / "parse.json").write_text(json.dumps(parse))
+        (tmp_path / "coref.json").write_text("{}")
+        cfg = json.loads(fixture_config.read_text())
+        cfg["providers"]["parse"] = {"kind": "stub", "path": str(tmp_path / "parse.json")}
+        cfg["retry_base_delay"] = 0
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(cfg))
+        cfg["providers"]["coref"] = {"kind": "stub", "path": str(tmp_path / "coref.json")}
+        unresolved = tmp_path / "unresolved.json"
+        unresolved.write_text(json.dumps(cfg))
+        expected = build(unresolved, tmp_path / "unresolved")
+
+        def down(self, texts):
+            raise ProviderError("coref endpoint down")
+
+        monkeypatch.setattr(stubs.StubCorefProvider, "resolve", down)
+        out = build(config, tmp_path / "run")
+        failures = json.loads((out / "manifest.json").read_text())["failures"]
+        assert len(failures) == len(corpus.videos)
+        for failure, video in zip(failures, corpus.videos):
+            assert video.video_id in failure and "coref endpoint down" in failure
+        assert json.loads((expected / "manifest.json").read_text())["failures"] == []
         for name in ("dataset.jsonl", "stats.json", "triplets.jsonl"):
             assert (out / name).read_bytes() == (expected / name).read_bytes()
 
@@ -245,6 +278,34 @@ class TestGenerate:
         assert code == 2
         err = capsys.readouterr().err
         assert ("variant" in err or "modality" in err) and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "flags, fields, repeat",
+        [
+            (["--modalities", "AOPair,AOPair", "--variants", "1"], {}, "'AOPair' and 'AOPair'"),
+            (
+                ["--modalities", "TextDesc+AOPair,AOPair+TextDesc", "--variants", "1"],
+                {},
+                "'TextDesc+AOPair' and 'AOPair+TextDesc'",
+            ),
+            (["--modalities", "AOPair", "--variants", "1,1"], {}, "'1' and '1'"),
+            ([], {"modalities": ["OG+Image", "AOPair", "Image+OG"]}, "'OG+Image' and 'Image+OG'"),
+            ([], {"variants": [2, 3, 2]}, "2 and 2"),
+        ],
+        ids=["flag-mask", "flag-mask-spelled-twice", "flag-variant", "file-mask", "file-variant"],
+    )
+    def test_grid_naming_one_cell_twice_exits_2(
+        self, fixture_config, tmp_path, capsys, flags, fields, repeat
+    ):
+        config = tmp_path / "grid.json"
+        config.write_text(json.dumps({**json.loads(fixture_config.read_text()), **fields}))
+        out = build(fixture_config, tmp_path / "run")
+        capsys.readouterr()
+        code = cli.main(["generate", "--config", str(config), "--out", str(out), *flags])
+        err = capsys.readouterr().err
+        assert code == 2 and err.startswith("error: ") and err.count("\n") == 1
+        assert repeat in err
+        assert not (out / "generations_main.jsonl").exists()
 
     def test_request_group_accounting(self, fixture_config, tmp_path):
         out = build(fixture_config, tmp_path / "run")
@@ -512,10 +573,18 @@ class TestEvaluate:
                 lambda line: json.dumps({**json.loads(line), "texts": "abc"}),
                 "texts must be a list of strings",
             ),
+            (
+                lambda line: json.dumps({**json.loads(line), "inference_type": "bogus"}),
+                "inference type 'bogus'",
+            ),
+            (
+                lambda line: json.dumps({**json.loads(line), "inference_type": ["goal"]}),
+                "inference type ['goal']",
+            ),
         ],
         ids=[
             "not-json", "no-condition", "unknown-instance", "condition-bogus", "condition-og",
-            "variant-7", "variant-list", "texts-string",
+            "variant-7", "variant-list", "texts-string", "type-bogus", "type-list",
         ],
     )
     def test_malformed_generations_exit_2(
@@ -567,8 +636,27 @@ class TestEvaluate:
              "--modalities", "AOPair", "--variants", "1"]
         ) == 0
         ids = {i.instance_id for i in read_dataset(out / "dataset.jsonl")}
-        records = cli._read_generations(out / "generations_main.jsonl", ids)
-        assert records and all(set(r) == set(cli._GENERATION_FIELDS) for r in records)
+        cells = cli._read_generations(out / "generations_main.jsonl", ids)
+        expected = {}
+        for raw in (out / "generations_main.jsonl").read_text().splitlines():
+            line = json.loads(raw)
+            key = (line["inference_type"], line["condition"], line["variant"])
+            expected.setdefault(key, []).append((line["instance_id"], line["texts"]))
+        assert len(cells) == len(generation.InferenceType) and cells == expected
+
+    def test_empty_generations_file_exits_2(self, fixture_config, tmp_path, capsys):
+        out = build(fixture_config, tmp_path / "run")
+        empty = tmp_path / "empty.jsonl"
+        empty.write_text("\n")
+        capsys.readouterr()
+        code = cli.main(
+            ["evaluate", "--config", str(fixture_config), "--out", str(out),
+             "--generations", str(empty)]
+        )
+        err = capsys.readouterr().err
+        assert code == 2 and err.startswith("error: ") and err.count("\n") == 1
+        assert str(empty) in err
+        assert not list(out.glob("*report*"))
 
     def test_instance_without_usable_references_is_skipped(
         self, fixture_config, tmp_path, capsys
@@ -588,6 +676,48 @@ class TestEvaluate:
             ["evaluate", "--config", str(fixture_config), "--out", str(out), "--dataset", str(bad)]
         )
         assert code == 0, capsys.readouterr().err
+
+    @staticmethod
+    def grid_scores(config, out, masks, variants):
+        """Generate the grid, evaluate it, and score its cells again apart from the report."""
+        assert cli.main(
+            ["generate", "--config", str(config), "--out", str(out),
+             "--modalities", ",".join(masks), "--variants", ",".join(map(str, variants))]
+        ) == 0
+        assert cli.main(["evaluate", "--config", str(config), "--out", str(out)]) == 0
+        cfg = cli.load_config(config, {"out_dir": str(out)})
+        instances = read_dataset(out / "dataset.jsonl")
+        ids = {i.instance_id for i in instances}
+        cells = cli._read_generations(out / "generations_main.jsonl", ids)
+        providers = cli.make_providers(cfg, out / "cache")
+        with contextlib.closing(providers):
+            return cli._evaluate_grid(
+                cfg, cells, instances, providers,
+                [generation.parse_combo_label(m) for m in masks], variants,
+            )
+
+    def test_full_report_is_the_aggregate_report_of_its_cells(self, fixture_config, tmp_path):
+        out = build(fixture_config, tmp_path / "run")
+        scores = self.grid_scores(fixture_config, out, ["AOPair", "TextDesc"], [1, 2])
+        expected = metrics.aggregate_report(
+            {(t, f"{label}|P{v}"): cell for (t, label, v), cell in scores.items()}
+        )
+        assert len(expected.rows) == 5 * 2 * 2
+        assert (out / "report.json").read_text() == expected.to_json() + "\n"
+        assert (out / "report.txt").read_text() == expected.to_text() + "\n"
+
+    def test_modality_rows_are_per_mask_means_in_type_order(self, fixture_config, tmp_path):
+        out = build(fixture_config, tmp_path / "run")
+        masks = ["AOPair", "TextDesc", "Image+TextDesc+AOPair+OG"]
+        scores = self.grid_scores(fixture_config, out, masks, [1])
+        rows = []
+        for label in masks:
+            cells = [scores[(t, label, 1)] for t in cli.INFERENCE_TYPE_NAMES]
+            means = {c: sum(x[c] for x in cells) / len(cells) for c in metrics.METRIC_COLUMNS}
+            rows.append(metrics.ReportRow.from_cell("all", label, means))
+        expected = metrics.EvalReport(rows=tuple(rows))
+        assert (out / "modality_report.json").read_text() == expected.to_json() + "\n"
+        assert (out / "modality_report.txt").read_text() == expected.to_text() + "\n"
 
     def test_report_matches_rerun(self, fixture_config, tmp_path):
         outputs = []

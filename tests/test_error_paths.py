@@ -402,15 +402,28 @@ class TestConfigErrors:
         assert code == 2 and one_error_line(err) and "'lm'" in err and "'url'" in err
 
     @pytest.mark.parametrize(
-        "content", [b"{nope", b"[]", b'{"stages": {"assemble": {}}}'], ids=["json", "list", "cells"]
+        "content",
+        [
+            b"{nope",
+            b"[]",
+            b'{"stages": {"assemble": {}}}',
+            lambda data: {**data, "stages": {**data["stages"], "assemble": []}},
+            lambda data: {**data, "cells": dict.fromkeys(data["cells"], 5)},
+        ],
+        ids=["json", "list", "cells", "stage-record", "cell-path"],
     )
     def test_unreadable_manifest_exits_2(self, fixture_config, tmp_path, capsys, content):
+        """``content`` is the manifest's bytes, or makes its JSON from the generated run's."""
         flags = ["--config", str(fixture_config), "--out", str(tmp_path / "run")]
+        grid = ["--modalities", "AOPair", "--variants", "1"]
         assert cli.main(["build-dataset", *flags]) == 0
+        assert cli.main(["generate", *flags, *grid]) == 0
         manifest = tmp_path / "run" / "manifest.json"
+        if callable(content):
+            content = json.dumps(content(json.loads(manifest.read_text()))).encode("utf-8")
         manifest.write_bytes(content)
         capsys.readouterr()
-        code = cli.main(["generate", *flags, "--modalities", "AOPair", "--variants", "1"])
+        code = cli.main(["generate", *flags, *grid, "--resume"])
         err = capsys.readouterr().err
         assert code == 2 and one_error_line(err) and str(manifest) in err
 
