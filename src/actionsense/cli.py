@@ -26,7 +26,6 @@ from .atomic import write_atomic as _write_atomic
 from .corpus import Corpus, MalformedAnnotation
 from .generation import (
     InferenceType,
-    Modality,
     MODALITY_COMBOS,
     PromptSpec,
     combo_label,
@@ -87,7 +86,7 @@ class RunConfig:
         "top_gt", lambda v: v in ("top_gt", "top1"), "one of top_gt, top1", ("evaluate",)
     )
     workers: int = _setting(1, lambda v: v >= 1, "at least 1")
-    # the grid fields pick cells rather than shape them; _check_grid tests the cells after the flags
+    # the grid fields pick cells rather than shape them; _check_grid makes them canonical cells
     modalities: list[str] = _setting(["all"], bool, "a non-empty list")
     variants: list[int] = _setting([1, 2, 3, 4], bool, "a non-empty list")
     modality_stage_variant: int = _setting(1)
@@ -105,11 +104,6 @@ class RunConfig:
             "vision": ("generate", "evaluate"),
         },
     )
-
-    def mask_list(self) -> list[frozenset[Modality]]:
-        if self.modalities == ["all"]:
-            return list(MODALITY_COMBOS)
-        return [parse_combo_label(label) for label in self.modalities]
 
 
 _SCHEMA = {f.name: f.metadata for f in fields(RunConfig)}
@@ -204,46 +198,51 @@ def _provider_spec(spec) -> bool:
     )
 
 
-_VARIANTS = {str(v): v for _, v in generation.PROMPTS}  # flags give variants as strings
+# A grid cell is a mask label in its combo_label spelling and a variant int; config fields,
+# flags, the manifest's generate record and generation lines are all read by _mask and _variant.
+_VARIANTS = {str(v): v for _, v in generation.PROMPTS}  # --variants gives them as text
 _MASK_LABELS = [combo_label(mask) for mask in MODALITY_COMBOS]
 
 
-def _check_mask(label) -> None:
-    """Raise ValueError unless ``label`` names a modality mask."""
+def _mask(label) -> str:
+    """The canonical spelling of mask ``label``, whatever order it lists its modalities in."""
     try:
-        PromptSpec(InferenceType.GOAL, 1, parse_combo_label(label))
+        mask = parse_combo_label(label)
+        PromptSpec(InferenceType.GOAL, 1, mask)
     except (ValueError, AttributeError, TypeError) as exc:
         raise ValueError(f"bad modality mask {label!r}: {exc}") from None
+    return combo_label(mask)
 
 
-def _grid_cell(label, variant) -> int:
-    """Check that a mask label and a prompt variant name a grid cell; return the variant."""
-    if str(variant) not in _VARIANTS:
-        raise ValueError(f"unknown prompt variant {variant!r}; choose from {', '.join(_VARIANTS)}")
-    _check_mask(label)
-    return _VARIANTS[str(variant)]
+def _variant(value) -> int:
+    """``value``, if it is a prompt variant: an int, never its text."""
+    if type(value) is not int or value not in _VARIANTS.values():
+        raise ValueError(f"unknown prompt variant {value!r}; choose from {', '.join(_VARIANTS)}")
+    return value
+
+
+def _cells(values, read) -> list:
+    """``read`` of each of ``values``, a non-empty list in which no cell is named twice."""
+    if not isinstance(values, list) or not values:
+        raise ValueError(f"must be a non-empty list, not {values!r}")
+    cells = [read(value) for value in values]
+    for i, cell in enumerate(cells):
+        if cell in cells[:i]:
+            what = "modality masks" if read is _mask else "prompt variants"
+            first = values[cells.index(cell)]
+            raise ValueError(f"{what} {first!r} and {values[i]!r} repeat a cell")
+    return cells
 
 
 def _check_grid(cfg: RunConfig) -> None:
-    """Raise ConfigError unless every cell that generate or ablate can run is a grid cell, once."""
+    """Read the grid fields into canonical cells, or raise ConfigError."""
     try:
-        labels = _MASK_LABELS + ([] if cfg.modalities == ["all"] else list(cfg.modalities))
-        variants = [*cfg.variants, cfg.modality_stage_variant]
-        for label, variant in itertools.product(labels, variants):
-            _grid_cell(label, variant)
-        # a cell named twice would be generated, and reported, twice
-        for what, names, values in (
-            ("modality masks", cfg.modalities, cfg.mask_list()),
-            ("prompt variants", cfg.variants, [str(v) for v in cfg.variants]),
-        ):
-            for i, value in enumerate(values):
-                if value in values[:i]:
-                    first = names[values.index(value)]
-                    raise ValueError(f"{what} {first!r} and {names[i]!r} repeat a cell")
-    except (ValueError, TypeError) as exc:
+        labels = _MASK_LABELS if cfg.modalities == ["all"] else cfg.modalities
+        cfg.modalities = _cells(labels, _mask)
+        cfg.variants = _cells(cfg.variants, _variant)
+        cfg.modality_stage_variant = _variant(cfg.modality_stage_variant)
+    except ValueError as exc:
         raise ConfigError(f"bad grid in config: {exc}") from None
-    cfg.variants = [_VARIANTS[str(v)] for v in cfg.variants]
-    cfg.modality_stage_variant = _VARIANTS[str(cfg.modality_stage_variant)]
 
 
 class Manifest:
@@ -517,9 +516,9 @@ def _open_run(cfg: RunConfig, command: str, after: str | None, dataset_path=None
     return _Run(run_dir, manifest, providers, instances)
 
 
-def _generate_for_instance(cfg: RunConfig, providers: Providers, instance, mask, variant):
-    """All five inference types for one (instance, mask, variant) request group."""
-    label = combo_label(mask)
+def _generate_for_instance(cfg: RunConfig, providers: Providers, instance, label, variant):
+    """All five inference types for one (instance, mask label, variant) request group."""
+    mask = parse_combo_label(label)
     lines = []
     for itype in InferenceType:
         try:
@@ -557,22 +556,22 @@ def _generate_for_instance(cfg: RunConfig, providers: Providers, instance, mask,
     return lines
 
 
-def _generate(cfg: RunConfig, run: _Run, masks, variants, resume: bool, phase: str) -> Path:
-    """Generate and score each (mask, variant) cell, combine them and mark ``generate``."""
+def _generate(cfg: RunConfig, run: _Run, labels, variants, resume: bool, phase: str) -> Path:
+    """Generate and score each (mask label, variant) cell, combine them and mark ``generate``."""
     failures = 0
     cell_paths: list[Path] = []
     # a resumed run reuses only cells made under the same generation settings
     settings = stage_settings(cfg, "generate")
     digest = hashlib.sha256(json.dumps(settings, sort_keys=True).encode("utf-8")).hexdigest()
-    for mask in masks:
+    for label in labels:
         for variant in variants:
-            cell = f"{combo_label(mask)}__P{variant}"
+            cell = f"{label}__P{variant}"
             key = f"{phase}:{cell}:{digest[:16]}"
             cell_path = run.dir / f"gen_cells_{phase}" / f"{cell}.jsonl"
             cell_paths.append(cell_path)
             if resume and run.manifest.cell_done(key):
                 continue
-            work = lambda i: _generate_for_instance(cfg, run.providers, i, mask, variant)
+            work = lambda i: _generate_for_instance(cfg, run.providers, i, label, variant)
             try:
                 if cfg.workers > 1:
                     # ordered collection keeps parallel runs byte-identical
@@ -597,9 +596,9 @@ def _generate(cfg: RunConfig, run: _Run, masks, variants, resume: bool, phase: s
     run.manifest.mark_stage(
         "generate",
         file=str(combined),
-        masks=[combo_label(m) for m in masks],
+        masks=list(labels),
         variants=list(variants),
-        request_groups=len(masks) * len(variants) * len(run.instances),
+        request_groups=len(labels) * len(variants) * len(run.instances),
         phase=phase,
         settings=settings,
     )
@@ -612,8 +611,12 @@ INFERENCE_TYPE_NAMES = tuple(t.value for t in InferenceType)
 
 
 def _read_generations(path: Path, instance_ids) -> dict[tuple[str, str, int], list]:
-    """Dataset instances' generations: (type, mask label, variant) -> [(instance_id, texts)]."""
+    """Dataset instances' generations: (type, mask label, variant) -> [(instance_id, texts)].
+
+    Cells are keyed by the canonical mask label, however a line spells it.
+    """
     cells: dict[tuple[str, str, int], list] = {}
+    first_line: dict[tuple, int] = {}  # (instance_id, *cell key) -> the line that gave it
     with open(path, encoding="utf-8") as fh:
         for number, raw in enumerate(fh, 1):
             if not raw.strip():
@@ -627,20 +630,23 @@ def _read_generations(path: Path, instance_ids) -> dict[tuple[str, str, int], li
                     raise ValueError(f"instance {line['instance_id']!r} is not in the dataset")
                 if line["inference_type"] not in INFERENCE_TYPE_NAMES:
                     raise ValueError(f"unknown inference type {line['inference_type']!r}")
-                variant = _grid_cell(line["condition"], line["variant"])
+                key = (line["inference_type"], _mask(line["condition"]), _variant(line["variant"]))
                 texts = line["texts"]
                 if not isinstance(texts, list) or not all(isinstance(t, str) for t in texts):
                     raise ValueError(f"texts must be a list of strings, got {texts!r}")
             except (ValueError, TypeError) as exc:  # JSONDecodeError is a ValueError
                 raise ConfigError(f"{path}:{number}: not a generation record: {exc}") from None
-            key = (line["inference_type"], line["condition"], variant)
+            generation_key = (line["instance_id"], *key)
+            first = first_line.setdefault(generation_key, number)
+            if first != number:
+                raise ConfigError(f"{path}:{number}: repeats line {first}'s {generation_key}")
             cells.setdefault(key, []).append((line["instance_id"], texts))
     return cells
 
 
-def _cell_metrics(cfg: RunConfig, entries, index, by_id, mask, variant, providers) -> dict:
+def _cell_metrics(cfg: RunConfig, entries, index, by_id, label, variant, providers) -> dict:
     """Six-metric scores for one (type, mask, variant) cell; pools rank against generate's input."""
-    spec = PromptSpec(InferenceType(index.inference_type), variant, mask)
+    spec = PromptSpec(InferenceType(index.inference_type), variant, parse_combo_label(label))
     pools = []
     for instance_id, _ in entries:
         if not index.references(instance_id):
@@ -661,21 +667,20 @@ def _cell_metrics(cfg: RunConfig, entries, index, by_id, mask, variant, provider
     }
 
 
-def _evaluate_grid(cfg: RunConfig, cells, instances, providers, masks, variants) -> dict:
-    """Score every (type, mask, variant) cell, type by type; a cell not generated is an error."""
-    for mask, variant, itype in itertools.product(masks, variants, INFERENCE_TYPE_NAMES):
-        if (itype, combo_label(mask), variant) not in cells:
-            missing = f"({itype}, {combo_label(mask)}, P{variant})"
-            raise ConfigError(f"incomplete grid, missing cell {missing}")
+def _evaluate_grid(cfg: RunConfig, cells, instances, providers, labels, variants) -> dict:
+    """Score every (type, mask label, variant) cell by type; a cell not generated is an error."""
+    for label, variant, itype in itertools.product(labels, variants, INFERENCE_TYPE_NAMES):
+        if (itype, label, variant) not in cells:
+            raise ConfigError(f"incomplete grid, missing cell ({itype}, {label}, P{variant})")
 
     by_id = {i.instance_id: i for i in instances}
     scores = {}
     for itype in INFERENCE_TYPE_NAMES:
         # one type at a time, so only that type's tokens and pools are held
         index = metrics.ReferenceIndex(by_id.values(), itype)
-        for mask, variant in itertools.product(masks, variants):
-            key = (itype, combo_label(mask), variant)
-            scores[key] = _cell_metrics(cfg, cells[key], index, by_id, mask, variant, providers)
+        for label, variant in itertools.product(labels, variants):
+            key = (itype, label, variant)
+            scores[key] = _cell_metrics(cfg, cells[key], index, by_id, label, variant, providers)
     return scores
 
 
@@ -691,10 +696,10 @@ def _report(scores, row_key) -> metrics.EvalReport:
     return metrics.EvalReport(rows=tuple(metrics.ReportRow.from_cell(*row, m) for row, m in means))
 
 
-def _evaluate(cfg: RunConfig, run: _Run, generations_path, masks=None, variants=None):
+def _evaluate(cfg: RunConfig, run: _Run, generations_path, labels=None, variants=None):
     """Score the grid into a modality, prompt or full report, write it, mark ``evaluate``.
 
-    Without masks and variants the grid is the one the generations cover.
+    Without mask labels and variants the grid is the one the generations cover.
     """
     generations_path = Path(generations_path)
     if not generations_path.is_file():
@@ -702,20 +707,20 @@ def _evaluate(cfg: RunConfig, run: _Run, generations_path, masks=None, variants=
     cells = _read_generations(generations_path, {i.instance_id for i in run.instances})
     if not cells:
         raise ConfigError(f"generations {generations_path} hold no generation records")
-    if masks is None:
-        masks = list(dict.fromkeys(parse_combo_label(label) for _, label, _ in cells))
+    if labels is None:
+        labels = list(dict.fromkeys(label for _, label, _ in cells))
         variants = list(dict.fromkeys(variant for _, _, variant in cells))
 
     try:
-        scores = _evaluate_grid(cfg, cells, run.instances, run.providers, masks, variants)
+        scores = _evaluate_grid(cfg, cells, run.instances, run.providers, labels, variants)
     except ProviderError as exc:
         run.manifest.record_failure(f"evaluate: {exc}")
         raise ProviderError(f"pool scoring failed after retries: {exc}") from exc
 
     # each grid shape's report and the row each (type, mask label, variant) cell goes to
-    if len(masks) > 1 and len(variants) == 1:
+    if len(labels) > 1 and len(variants) == 1:
         name, row_key = "modality_report", lambda t, label, v: ("all", label)
-    elif len(masks) == 1:
+    elif len(labels) == 1:
         name, row_key = "prompt_report", lambda t, label, v: (t, prompt_id(InferenceType(t), v))
     else:
         name, row_key = "report", lambda t, label, v: (t, f"{label}|P{v}")
@@ -731,40 +736,26 @@ def _evaluate(cfg: RunConfig, run: _Run, generations_path, masks=None, variants=
 def run_generate(cfg: RunConfig, resume: bool = False) -> None:
     run = _open_run(cfg, "generate", "assemble")
     with contextlib.closing(run.providers):
-        _generate(cfg, run, cfg.mask_list(), cfg.variants, resume, "main")
+        _generate(cfg, run, cfg.modalities, cfg.variants, resume, "main")
 
 
-def _is_mask(label) -> bool:
-    try:
-        _check_mask(label)
-    except ValueError:
-        return False
-    return True
-
-
-def _is_variant(value) -> bool:
-    return type(value) is int and value in _VARIANTS.values()
-
-
-# each field evaluate reads of the generate record: what it must be, and its test
-_GENERATE_RECORD = (
-    ("file", "a string", lambda v: isinstance(v, str)),
-    ("masks", "a non-empty list of modality mask labels",
-     lambda v: isinstance(v, list) and v and all(map(_is_mask, v))),
-    ("variants", f"a non-empty list of prompt variants ({', '.join(_VARIANTS)})",
-     lambda v: isinstance(v, list) and v and all(map(_is_variant, v))),
-)
-
-
-def _generated_grid(manifest: Manifest) -> tuple:
-    """The file, mask labels and variants of the manifest's ``generate`` record."""
+def _generated_grid(manifest: Manifest) -> tuple[str, list[str], list[int]]:
+    """The file, canonical mask labels and variants of the manifest's ``generate`` record."""
     record = manifest.data["stages"]["generate"]
-    for name, must, valid in _GENERATE_RECORD:
-        if name not in record or not valid(record[name]):
-            raise ConfigError(
-                f"manifest {manifest.path}: field {name!r} of stage 'generate' must be {must}"
-            )
-    return tuple(record[name] for name, _, _ in _GENERATE_RECORD)
+
+    def bad(name, problem):
+        where = f"manifest {manifest.path}: field {name!r} of stage 'generate'"
+        return ConfigError(f"{where}: {problem}")
+
+    if not isinstance(record.get("file"), str):
+        raise bad("file", "must be a string")
+    grid = [record["file"]]
+    for name, read in (("masks", _mask), ("variants", _variant)):
+        try:
+            grid.append(_cells(record.get(name), read))
+        except ValueError as exc:
+            raise bad(name, exc) from None
+    return tuple(grid)
 
 
 def run_evaluate(cfg: RunConfig, generations_path=None, dataset_path=None) -> None:
@@ -775,25 +766,24 @@ def run_evaluate(cfg: RunConfig, generations_path=None, dataset_path=None) -> No
         else:
             file, labels, variants = _generated_grid(run.manifest)
             run.manifest.check_settings(cfg, "generate", "generate", "generate")
-            _evaluate(cfg, run, file, [parse_combo_label(label) for label in labels], variants)
+            _evaluate(cfg, run, file, labels, variants)
 
 
 def run_ablate(cfg: RunConfig, resume: bool = False, modalities_only: bool = False) -> None:
     """The modality grid at one prompt variant, then every variant on its best row."""
     run = _open_run(cfg, "ablate", "assemble")
     with contextlib.closing(run.providers):
-        masks, variants = list(MODALITY_COMBOS), [cfg.modality_stage_variant]
-        combined = _generate(cfg, run, masks, variants, resume, "modality")
-        modality_report = _evaluate(cfg, run, combined, masks, variants)
+        variants = [cfg.modality_stage_variant]
+        combined = _generate(cfg, run, _MASK_LABELS, variants, resume, "modality")
+        modality_report = _evaluate(cfg, run, combined, _MASK_LABELS, variants)
         if modalities_only:
             return
         # Best modality row: argmax of mean(B, M, C, A50) on the display scale.
         best = max(
             modality_report.rows, key=lambda r: (r.B * 100 + r.M * 100 + r.C * 10 + r.A50 * 100) / 4
         )
-        best_mask = parse_combo_label(best.condition)
-        combined = _generate(cfg, run, [best_mask], cfg.variants, resume, "prompt")
-        _evaluate(cfg, run, combined, [best_mask], cfg.variants)
+        combined = _generate(cfg, run, [best.condition], cfg.variants, resume, "prompt")
+        _evaluate(cfg, run, combined, [best.condition], cfg.variants)
         print(f"best modality: {best.condition}")
 
 
@@ -831,7 +821,7 @@ def _load(args) -> RunConfig:
     if getattr(args, "modalities", None):
         overrides["modalities"] = args.modalities.split(",")
     if getattr(args, "variants", None):
-        overrides["variants"] = args.variants.split(",")
+        overrides["variants"] = [_VARIANTS.get(v, v) for v in args.variants.split(",")]
     cfg = load_config(args.config, overrides)
     if not cfg.out_dir:
         raise ConfigError("no output directory; set out_dir in config or pass --out")

@@ -262,10 +262,12 @@ class TestGenerate:
             ([], {"variants": [5]}),
             ([], {"modalities": ["TextDesc+OG"]}),
             ([], {"modality_stage_variant": 9}),
+            ([], {"variants": ["1"]}),
         ],
         ids=[
             "flag-variant-a", "flag-variant-0", "flag-variant-7", "flag-mask-bogus",
             "flag-mask-og", "file-variant", "file-mask", "file-stage-variant",
+            "file-variant-text",
         ],
     )
     def test_bad_grid_values_exit_2(self, fixture_config, tmp_path, capsys, flags, fields):
@@ -288,7 +290,7 @@ class TestGenerate:
                 {},
                 "'TextDesc+AOPair' and 'AOPair+TextDesc'",
             ),
-            (["--modalities", "AOPair", "--variants", "1,1"], {}, "'1' and '1'"),
+            (["--modalities", "AOPair", "--variants", "1,1"], {}, "variants 1 and 1"),
             ([], {"modalities": ["OG+Image", "AOPair", "Image+OG"]}, "'OG+Image' and 'Image+OG'"),
             ([], {"variants": [2, 3, 2]}, "2 and 2"),
         ],
@@ -569,6 +571,12 @@ class TestEvaluate:
             (lambda line: json.dumps({**json.loads(line), "condition": "OG"}), "grounding"),
             (lambda line: json.dumps({**json.loads(line), "variant": 7}), "prompt variant 7"),
             (lambda line: json.dumps({**json.loads(line), "variant": [1]}), "prompt variant [1]"),
+            (lambda line: json.dumps({**json.loads(line), "variant": "1"}), "prompt variant '1'"),
+            # line 1 is the same instance's precondition line
+            (
+                lambda line: json.dumps({**json.loads(line), "inference_type": "precondition"}),
+                "repeats line 1's ('blt01:2:cook_bacon', 'precondition', 'AOPair', 1)",
+            ),
             (
                 lambda line: json.dumps({**json.loads(line), "texts": "abc"}),
                 "texts must be a list of strings",
@@ -584,7 +592,8 @@ class TestEvaluate:
         ],
         ids=[
             "not-json", "no-condition", "unknown-instance", "condition-bogus", "condition-og",
-            "variant-7", "variant-list", "texts-string", "type-bogus", "type-list",
+            "variant-7", "variant-list", "variant-text", "repeated-cell", "texts-string",
+            "type-bogus", "type-list",
         ],
     )
     def test_malformed_generations_exit_2(
@@ -607,6 +616,28 @@ class TestEvaluate:
         assert code == 2
         err = capsys.readouterr().err
         assert f"{doctored}:2:" in err and message in err and "Traceback" not in err
+
+    def test_mask_spelled_in_another_order_is_its_canonical_cell(
+        self, fixture_config, tmp_path, capsys
+    ):
+        out = build(fixture_config, tmp_path / "run")
+        assert cli.main(
+            ["generate", "--config", str(fixture_config), "--out", str(out),
+             "--modalities", "TextDesc+AOPair,AOPair", "--variants", "1"]
+        ) == 0
+        canonical = (out / "generations_main.jsonl").read_text()
+        assert '"condition": "TextDesc+AOPair"' in canonical
+        permuted = out / "permuted.jsonl"
+        permuted.write_text(canonical.replace('"TextDesc+AOPair"', '"AOPair+TextDesc"'))
+        reports = []
+        for generations in (out / "generations_main.jsonl", permuted):
+            code = cli.main(
+                ["evaluate", "--config", str(fixture_config), "--out", str(out),
+                 "--generations", str(generations)]
+            )
+            assert code == 0, capsys.readouterr().err
+            reports.append([(out / f"modality_report.{x}").read_bytes() for x in ("json", "txt")])
+        assert reports[0] == reports[1]
 
     def test_reads_each_reference_set_once(self, fixture_config, tmp_path, monkeypatch):
         out = build(fixture_config, tmp_path / "run")
@@ -691,10 +722,7 @@ class TestEvaluate:
         cells = cli._read_generations(out / "generations_main.jsonl", ids)
         providers = cli.make_providers(cfg, out / "cache")
         with contextlib.closing(providers):
-            return cli._evaluate_grid(
-                cfg, cells, instances, providers,
-                [generation.parse_combo_label(m) for m in masks], variants,
-            )
+            return cli._evaluate_grid(cfg, cells, instances, providers, masks, variants)
 
     def test_full_report_is_the_aggregate_report_of_its_cells(self, fixture_config, tmp_path):
         out = build(fixture_config, tmp_path / "run")

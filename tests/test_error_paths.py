@@ -196,6 +196,70 @@ class TestCorpusSchemaErrors:
         assert cli.main(["build-dataset", "--config", config, "--out", out]) in (0, 2, 3)
 
 
+def evaluate_lines(run, lines, out):
+    """Exit code, stderr and reports of ``evaluate --generations`` on ``lines``, into ``out``."""
+    generations = out / "generations.jsonl"
+    generations.write_text("\n".join(lines) + "\n")
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = cli.main(
+            ["evaluate", "--config", str(run / "config.json"), "--out", str(out),
+             "--dataset", str(run / "dataset.jsonl"), "--generations", str(generations)]
+        )
+    return code, err.getvalue(), sorted((p.name, p.read_bytes()) for p in out.glob("*report*"))
+
+
+class TestGenerationsFileErrors:
+    """Evaluate on a generated fixture file with one of its lines changed."""
+
+    @pytest.fixture(scope="class")
+    def generated(self, tmp_path_factory):
+        """The run, its generation lines for two masks at P1, and their evaluate outcome."""
+        run = tmp_path_factory.mktemp("generated")
+        cfg = json.loads(fixture_path("run_config.json").read_text(encoding="utf-8"))
+        (run / "config.json").write_text(json.dumps({**cfg, "retry_base_delay": 0}))
+        flags = ["--config", str(run / "config.json"), "--out", str(run)]
+        grid = ["--modalities", "Image+TextDesc+AOPair+OG,AOPair", "--variants", "1"]
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["build-dataset", *flags]) == 0
+            assert cli.main(["generate", *flags, *grid]) == 0
+        lines = (run / "generations_main.jsonl").read_text(encoding="utf-8").splitlines()
+        return run, lines, evaluate_lines(run, lines, tmp_path_factory.mktemp("canonical"))
+
+    # Any JSON value in any one place of one line: evaluate keeps its exit codes.
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_one_replaced_value_never_escapes_the_exit_codes(
+        self, generated, tmp_path_factory, data
+    ):
+        run, lines, _ = generated
+        number = data.draw(st.integers(0, len(lines) - 1))
+        line = json.loads(lines[number])
+        place = data.draw(st.sampled_from(list(places(line))))
+        value = data.draw(JSON_VALUES)
+        if place:
+            functools.reduce(operator.getitem, place[:-1], line)[place[-1]] = value
+        else:
+            line = value
+        lines = [*lines[:number], json.dumps(line), *lines[number + 1:]]
+        code, err, _ = evaluate_lines(run, lines, tmp_path_factory.mktemp("fuzz"))
+        assert code in (0, 2, 3)
+        assert err == "" if code == 0 else one_error_line(err)
+
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_mask_spelled_in_any_order_gives_the_same_reports(
+        self, generated, tmp_path_factory, data
+    ):
+        run, lines, canonical = generated
+        number = data.draw(st.integers(0, len(lines) - 1))
+        line = json.loads(lines[number])
+        line["condition"] = "+".join(data.draw(st.permutations(line["condition"].split("+"))))
+        lines = [*lines[:number], json.dumps(line), *lines[number + 1:]]
+        assert canonical[0] == 0 and len(canonical[2]) == 2
+        assert evaluate_lines(run, lines, tmp_path_factory.mktemp("permuted")) == canonical
+
+
 class TestParseTreeValidation:
     def tokens(self, n):
         return [{"text": f"t{i}", "lemma": f"t{i}", "pos": "NOUN"} for i in range(n)]
@@ -433,7 +497,8 @@ class TestConfigErrors:
             ("masks", None), ("file", None), ("variants", None), (None, []),
             ("masks", "AOPair"), ("masks", []), ("masks", ["Nope"]), ("masks", [3]),
             ("file", 3), ("variants", 1), ("variants", [5]), ("variants", ["1"]),
-            ("variants", [True]),
+            ("variants", [True]), ("masks", ["AOPair", "AOPair"]),
+            ("masks", ["TextDesc+AOPair", "AOPair+TextDesc"]), ("variants", [1, 1]),
         ],
     )
     def test_malformed_generate_record_exits_2_naming_the_field(
