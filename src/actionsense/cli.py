@@ -17,7 +17,6 @@ import hashlib
 import itertools
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -332,8 +331,8 @@ class Providers:
             self.cache.close()
 
 
-def make_providers(cfg: RunConfig, cache_dir: Path) -> Providers:
-    """The configured providers; the command that made them closes them."""
+def make_providers(cfg: RunConfig, cache_dir: Path, roles=None) -> Providers:
+    """The configured providers of ``roles`` (default: every role); their command closes them."""
     cache = ResponseCache(cache_dir)
     session = HttpSession()
     built = Providers(session=session, cache=cache)
@@ -349,6 +348,8 @@ def make_providers(cfg: RunConfig, cache_dir: Path) -> Providers:
         ("lm", "http"): lambda spec: HttpLMProvider(spec["url"], cache, session=session),
     }
     for name, spec in cfg.providers.items():
+        if roles is not None and name not in roles:
+            continue
         kind = spec.get("kind")
         factory = factories.get((name, kind))
         if factory is None:
@@ -500,7 +501,10 @@ class _Run:
 
 
 def _open_run(cfg: RunConfig, command: str, after: str | None, dataset_path=None) -> _Run:
-    """Open the run for ``command``, which needs stage ``after`` done (if given) and an LM."""
+    """Open the run for ``command``, which needs stage ``after`` done (if given) and an LM.
+
+    Only the providers of the roles that shape the command's stages are built.
+    """
     run_dir = Path(cfg.out_dir)
     manifest = Manifest.load(run_dir)
     if after and not manifest.has_stage(after):
@@ -510,7 +514,9 @@ def _open_run(cfg: RunConfig, command: str, after: str | None, dataset_path=None
     if dataset_path is None:
         manifest.check_settings(cfg, "assemble", "build", "build-dataset")
     instances = _read_dataset(Path(dataset_path or run_dir / "dataset.jsonl"))
-    providers = make_providers(cfg, run_dir / "cache")
+    stages = ("generate", "evaluate") if command == "ablate" else (command,)
+    roles = [r for r, shaped in _SCHEMA["providers"]["stages"].items() if set(shaped) & set(stages)]
+    providers = make_providers(cfg, run_dir / "cache", roles)
     if providers.lm is None:
         raise ConfigError(f"{command} needs an lm provider")
     return _Run(run_dir, manifest, providers, instances)
@@ -574,6 +580,8 @@ def _generate(cfg: RunConfig, run: _Run, labels, variants, resume: bool, phase: 
             work = lambda i: _generate_for_instance(cfg, run.providers, i, label, variant)
             try:
                 if cfg.workers > 1:
+                    from concurrent.futures import ThreadPoolExecutor
+
                     # ordered collection keeps parallel runs byte-identical
                     with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
                         groups = list(pool.map(work, run.instances))

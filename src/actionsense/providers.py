@@ -26,14 +26,16 @@ one A@50 pool, in one request.
 Live responses are cached so that reruns are deterministic and work offline,
 in one append-only log per run directory, ``cache/responses.log``: one
 ``<64-hex key>\\t<json>\\n`` line per response, keyed by the SHA-256 of the
-request payload and appended with a single write. The first record of a key
-that reads back wins, across threads and across caches opened on one
-directory. A torn line (a write cut short), a record whose key does not match
-at its offset and a whole line that is not JSON do not read back; a key none
-of whose records reads back is a miss, and its next response is appended.
-Memory holds each key's byte offset, and those of any later records of it.
-Caches written in the earlier one-file-per-response layout are not read; they
-miss once.
+endpoint URL and the request payload and appended with a single write, so a
+run pointed at another endpoint asks it rather than reading the first one's
+answers. The first record of a key that reads back wins, across threads and
+across caches opened on one directory. A torn line (a write cut short), a
+record whose key does not match at its offset and a whole line that is not
+JSON do not read back; a key none of whose records reads back is a miss, and
+its next response is appended. Memory holds each key's byte offset, and
+those of any later records of it.
+Caches written in the earlier one-file-per-response layout, and records keyed
+by the payload alone, are not read; they miss once.
 
 Every provider sends through one request path, ``_HttpProvider._call``: log
 lookup, POST, check, log append. It checks a response (output count, parse
@@ -53,16 +55,19 @@ client acknowledges the headers, and a delayed acknowledgement costs about
 40 ms per request on a reused connection. On platforms without
 ``TCP_QUICKACK`` that wait may remain. Without a session, each request
 opens and closes its own connection.
+
+The HTTP stack (``http.client``, which brings ``socket``, ``ssl`` and
+``email``) is imported when an HTTP provider is built, so that a run with
+stub providers only never loads it and a run with an HTTP provider pays for
+it in set-up rather than in its first request.
 """
 
 from __future__ import annotations
 
 import hashlib
-import http.client
 import json
 import os
 import re
-import socket
 import threading
 import time
 from pathlib import Path
@@ -71,7 +76,6 @@ from urllib.parse import urlsplit
 CREDENTIALS_ENV_VAR = "ACTIONSENSE_PROVIDER_TOKEN"
 
 _KEY = re.compile(rb"[0-9a-f]{64}")
-_QUICKACK = getattr(socket, "TCP_QUICKACK", None)
 
 
 class ProviderError(Exception):
@@ -211,12 +215,15 @@ def with_retries(fn, attempts: int = 3, base_delay: float = 0.1, sleep=time.slee
 
 def _exchange(conn: http.client.HTTPConnection, target: str, body: bytes, headers, timeout):
     """Send one POST on ``conn``, opening it if closed, and read the whole response."""
+    import socket
+
     conn.timeout = timeout
     if conn.sock is not None:
         conn.sock.settimeout(timeout)
     conn.request("POST", target, body, headers)
-    if _QUICKACK is not None:
-        conn.sock.setsockopt(socket.IPPROTO_TCP, _QUICKACK, 1)
+    quickack = getattr(socket, "TCP_QUICKACK", None)
+    if quickack is not None:
+        conn.sock.setsockopt(socket.IPPROTO_TCP, quickack, 1)
     response = conn.getresponse()
     return response.status, response.read()
 
@@ -230,6 +237,8 @@ class HttpSession:
 
     def post(self, url: str, body: bytes, headers, timeout: float) -> tuple[int, bytes]:
         """Status and body of one POST to ``url`` on an idle or new connection."""
+        import http.client
+
         parts = urlsplit(url)
         if parts.scheme not in ("http", "https"):
             raise ProviderError(f"unsupported URL scheme in {url!r}")
@@ -268,6 +277,8 @@ class HttpSession:
 
 def _post_json(url: str, payload, timeout: float = 30.0, session: HttpSession | None = None):
     """The decoded JSON answer to one POST, through ``session`` or a connection of its own."""
+    import http.client
+
     body = json.dumps(payload, ensure_ascii=False).encode("utf-8")
     headers = {"Content-Type": "application/json"}
     token = os.environ.get(CREDENTIALS_ENV_VAR)
@@ -300,15 +311,22 @@ class _HttpProvider:
         timeout: float = 30.0,
         session: HttpSession | None = None,
     ):
+        import http.client  # noqa: F401  (set-up loads the HTTP stack, not the first request)
+
         self.url = url
         self.cache = cache
         self.timeout = timeout
         self.session = session
 
+    def log_key(self, payload) -> dict:
+        """What the response log keys ``payload``'s answer by: this endpoint and the payload."""
+        return {"url": self.url, "payload": payload}
+
     def _call(self, payload, result_key, check):
         """The checked ``result_key`` value, logged or sent; only values that pass are logged."""
+        key = self.log_key(payload)
         if self.cache is not None:
-            hit = self.cache.get(payload)
+            hit = self.cache.get(key)
             if isinstance(hit, dict) and result_key in hit:
                 return check(hit[result_key])
         response = _post_json(self.url, payload, self.timeout, self.session)
@@ -316,7 +334,7 @@ class _HttpProvider:
             raise ProviderError(f"{self.url} response missing {result_key!r}")
         result = check(response[result_key])
         if self.cache is not None:
-            self.cache.put(payload, {result_key: response[result_key]})
+            self.cache.put(key, {result_key: response[result_key]})
         return result
 
     def _task(self, inputs: list, check):

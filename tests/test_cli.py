@@ -1,6 +1,9 @@
 import contextlib
 import importlib.util
 import json
+import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -472,6 +475,73 @@ class TestWorkerPool:
             ) == 0
             outputs.append((out / "generations_main.jsonl").read_bytes())
         assert outputs[0] == outputs[1]
+
+
+# Prints the modules that importing the CLI with load_config, then make_providers, loaded.
+STARTUP = """
+import json, sys
+before = set(sys.modules)
+from actionsense import cli
+cfg = cli.load_config(sys.argv[1])
+loaded = set(sys.modules)
+cli.make_providers(cfg, sys.argv[2])
+print(json.dumps([sorted(loaded - before), sorted(set(sys.modules) - loaded)]))
+"""
+STUB_RUNS_NEVER_LOAD = ("http.client", "ssl", "email.parser", "concurrent.futures")
+
+
+class TestEachCommandOpensWhatItRuns:
+    @staticmethod
+    def new_modules(config, tmp_path):
+        """Modules new after the import and load_config, and after make_providers."""
+        result = subprocess.run(
+            [sys.executable, "-c", STARTUP, str(config), str(tmp_path / "cache")],
+            capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONPATH": str(SRC_ROOT)},
+        )
+        return json.loads(result.stdout)
+
+    def test_stub_set_up_loads_no_http_stack_or_thread_pool(self, fixture_config, tmp_path):
+        assert cli.load_config(fixture_config).workers == 1
+        new = [m for modules in self.new_modules(fixture_config, tmp_path) for m in modules]
+        assert "actionsense.stubs" in new
+        assert [m for m in STUB_RUNS_NEVER_LOAD if m in new] == []
+
+    def test_an_http_lm_loads_the_http_stack_when_it_is_built(self, fixture_config, tmp_path):
+        cfg = json.loads(fixture_config.read_text())
+        cfg["providers"]["lm"] = {"kind": "http", "url": "http://127.0.0.1:1/lm"}
+        config = tmp_path / "http.json"
+        config.write_text(json.dumps(cfg))
+        imported, built = self.new_modules(config, tmp_path)
+        assert "http.client" not in imported and "http.client" in built
+
+    def test_generate_and_evaluate_never_read_the_text_tool_tables(
+        self, fixture_config, tmp_path
+    ):
+        cfg = json.loads(fixture_config.read_text())
+        for role in ("coref", "parse", "rc"):
+            table = tmp_path / f"{role}.json"
+            table.write_bytes(stubs.fixture_path(f"{role}.json").read_bytes())
+            cfg["providers"][role]["path"] = str(table)
+        config = tmp_path / "tables.json"
+        config.write_text(json.dumps(cfg))
+        out = build(config, tmp_path / "run")
+        flags = ["--config", str(config), "--out", str(out)]
+        outputs = ("generations_main.jsonl", "modality_report.json", "modality_report.txt")
+
+        def generate_and_evaluate():
+            grid = ["--modalities", "AOPair,TextDesc", "--variants", "1"]
+            assert cli.main(["generate", *flags, *grid]) == 0
+            assert cli.main(["evaluate", *flags]) == 0
+            written = [(out / name).read_bytes() for name in outputs]
+            for name in outputs:
+                (out / name).unlink()
+            return written
+
+        intact = generate_and_evaluate()
+        for role in ("coref", "parse", "rc"):
+            (tmp_path / f"{role}.json").write_bytes(b"{nope")
+        assert generate_and_evaluate() == intact
 
 
 class TestStageOrdering:

@@ -114,6 +114,16 @@ class TestConnectionsPerCommand:
             assert len(server.requests) > generate_requests
             assert server.connections == 2
 
+    def test_a_run_pointed_at_another_endpoint_asks_it(self, fixture_config, tmp_path):
+        with lm_server() as first, lm_server() as second:
+            out = tmp_path / "run"
+            build_and_generate(http_config(fixture_config, tmp_path, first.url, "a"), out)
+            made_by_first = (out / "generations_main.jsonl").read_bytes()
+            build_and_generate(http_config(fixture_config, tmp_path, second.url, "b"), out)
+            # the response log holds the first endpoint's answers, keyed by its URL
+            assert len(second.requests) == len(first.requests) > 0
+            assert (out / "generations_main.jsonl").read_bytes() == made_by_first
+
     def test_single_threaded_server_stops_right_after_the_command(
         self, fixture_config, tmp_path, monkeypatch
     ):

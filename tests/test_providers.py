@@ -315,7 +315,7 @@ class TestWireContract:
         with pytest.raises(ProviderError, match="'golden' is not a span of its context"):
             provider.answer_many(items)
         payload = {"task": "rc", "inputs": [{"context": c, "question": q} for c, q in items]}
-        assert cache.get(payload) is None
+        assert cache.get(provider.log_key(payload)) is None
         state["rc_answer"] = None
         # nothing was logged: the retry asks the server again
         assert provider.answer_many(items) == ["golden", None]
@@ -323,16 +323,19 @@ class TestWireContract:
 
     def test_logged_record_is_checked_like_a_network_answer(self, tmp_path):
         cache = ResponseCache(tmp_path / "cache")
-        cache.put({"task": "coref", "inputs": ["grill them"]}, {"outputs": ["one", "two"]})
         provider = HttpCorefProvider("http://127.0.0.1:1/none", cache)
+        payload = {"task": "coref", "inputs": ["grill them"]}
+        cache.put(provider.log_key(payload), {"outputs": ["one", "two"]})
         with pytest.raises(ProviderError, match="2 outputs for 1 inputs"):
             provider.resolve(["grill them"])
 
     def test_logged_record_without_the_result_key_is_a_miss(self, tmp_path, wire_server):
         url, requests, _ = wire_server
         cache = ResponseCache(tmp_path / "cache")
-        cache.put({"task": "coref", "inputs": ["grill them"]}, {"texts": ["grill"]})
-        assert HttpCorefProvider(url, cache).resolve(["grill them"]) == ["grill the tomatoes"]
+        provider = HttpCorefProvider(url, cache)
+        payload = {"task": "coref", "inputs": ["grill them"]}
+        cache.put(provider.log_key(payload), {"texts": ["grill"]})
+        assert provider.resolve(["grill them"]) == ["grill the tomatoes"]
         assert len(requests) == 1
 
     def test_responses_cached_by_content(self, tmp_path, wire_server):
