@@ -522,38 +522,41 @@ def _open_run(cfg: RunConfig, command: str, after: str | None, dataset_path=None
     return _Run(run_dir, manifest, providers, instances)
 
 
-def _generate_for_instance(cfg: RunConfig, providers: Providers, instance, label, variant):
-    """All five inference types for one (instance, mask label, variant) request group."""
-    mask = parse_combo_label(label)
-    lines = []
-    for itype in InferenceType:
+def _mask_inputs(instances, mask, vision) -> list:
+    """Each instance's mask step under ``mask``, or None where it lacks one of its modalities."""
+    table = []
+    for instance in instances:
         try:
-            sequence = generation.compose_input_sequence(
-                instance, PromptSpec(itype, variant, mask), providers.vision
-            )
+            table.append(generation.mask_input(instance, mask, vision))
         except generation.MissingModality:
-            continue
+            table.append(None)
+    return table
+
+
+def _generate_for_instance(cfg: RunConfig, lm, instance, masked, label, specs) -> list[dict]:
+    """The lines of one (instance, mask label, variant) request group, one per spec's type."""
+    if masked is None:
+        return []
+    lines = []
+    for spec in specs:
+        sequence = generation.compose_input_sequence(instance, spec, masked=masked)
         texts = _retry(
             cfg,
             lambda: generation.generate_inferences(
-                sequence,
-                providers.lm,
-                cfg.n_samples,
-                nucleus_p=cfg.nucleus_p,
-                max_new=cfg.max_new_tokens,
+                sequence, lm, cfg.n_samples, nucleus_p=cfg.nucleus_p, max_new=cfg.max_new_tokens
             ),
         )
         # each distinct non-empty sample is scored once; an empty one has no score
         distinct = list(dict.fromkeys(t for t in texts if t))
-        scored = _retry(cfg, lambda: generation.score_candidates(sequence, distinct, providers.lm))
-        by_text = dict(zip(distinct, scored))
+        scored = _retry(cfg, lambda: generation.score_candidates(sequence, distinct, lm))
+        by_text = {c.text: c for c in scored}
         lines.append(
             {
                 "instance_id": instance.instance_id,
-                "inference_type": itype.value,
+                "inference_type": spec.inference_type.value,
                 "condition": label,
-                "variant": variant,
-                "prompt_id": prompt_id(itype, variant),
+                "variant": spec.variant,
+                "prompt_id": spec.prompt_id,
                 "texts": texts,
                 "nll": [by_text[t].nll if t else None for t in texts],
                 "perplexity": [by_text[t].perplexity if t else None for t in texts],
@@ -562,14 +565,24 @@ def _generate_for_instance(cfg: RunConfig, providers: Providers, instance, label
     return lines
 
 
+# one encoder for every generation line, which json.dumps would build anew per call
+_LINE_ENCODER = json.JSONEncoder(ensure_ascii=False)
+
+
 def _generate(cfg: RunConfig, run: _Run, labels, variants, resume: bool, phase: str) -> Path:
-    """Generate and score each (mask label, variant) cell, combine them and mark ``generate``."""
+    """Generate and score each (mask label, variant) cell, combine them and mark ``generate``.
+
+    Each instance's mask step is made once per mask label, in this thread, and
+    shared by the label's variants and inference types.
+    """
     failures = 0
     cell_paths: list[Path] = []
     # a resumed run reuses only cells made under the same generation settings
     settings = stage_settings(cfg, "generate")
     digest = hashlib.sha256(json.dumps(settings, sort_keys=True).encode("utf-8")).hexdigest()
     for label in labels:
+        mask = parse_combo_label(label)
+        masked = None  # the label's mask steps, made for its first cell that is not resumed
         for variant in variants:
             cell = f"{label}__P{variant}"
             key = f"{phase}:{cell}:{digest[:16]}"
@@ -577,24 +590,26 @@ def _generate(cfg: RunConfig, run: _Run, labels, variants, resume: bool, phase: 
             cell_paths.append(cell_path)
             if resume and run.manifest.cell_done(key):
                 continue
-            work = lambda i: _generate_for_instance(cfg, run.providers, i, label, variant)
+            specs = [PromptSpec(t, variant, mask) for t in InferenceType]
+            work = lambda pair: _generate_for_instance(cfg, run.providers.lm, *pair, label, specs)
             try:
+                if masked is None:
+                    masked = _mask_inputs(run.instances, mask, run.providers.vision)
+                pairs = zip(run.instances, masked)
                 if cfg.workers > 1:
                     from concurrent.futures import ThreadPoolExecutor
 
                     # ordered collection keeps parallel runs byte-identical
                     with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-                        groups = list(pool.map(work, run.instances))
+                        groups = list(pool.map(work, pairs))
                 else:
-                    groups = [work(i) for i in run.instances]
+                    groups = [work(pair) for pair in pairs]
             except ProviderError as exc:
                 failures += 1
                 run.manifest.record_failure(f"{key}: {exc}")
                 continue
-            _write_atomic(
-                cell_path,
-                (json.dumps(line, ensure_ascii=False) + "\n" for group in groups for line in group),
-            )
+            encode = _LINE_ENCODER.encode
+            _write_atomic(cell_path, (encode(line) + "\n" for group in groups for line in group))
             run.manifest.mark_cell(key, str(cell_path))
 
     if failures:
@@ -652,17 +667,17 @@ def _read_generations(path: Path, instance_ids) -> dict[tuple[str, str, int], li
     return cells
 
 
-def _cell_metrics(cfg: RunConfig, entries, index, by_id, label, variant, providers) -> dict:
-    """Six-metric scores for one (type, mask, variant) cell; pools rank against generate's input."""
-    spec = PromptSpec(InferenceType(index.inference_type), variant, parse_combo_label(label))
+def _cell_metrics(cfg: RunConfig, entries, index, sequences, lm) -> dict:
+    """Six-metric scores for one (type, mask, variant) cell.
+
+    ``sequences`` maps each instance with references to its composed input,
+    against which its A@50 pool is ranked.
+    """
     pools = []
-    for instance_id, _ in entries:
-        if not index.references(instance_id):
-            continue
-        sequence = generation.compose_input_sequence(by_id[instance_id], spec, providers.vision)
+    for instance_id, sequence in sequences.items():
         score = lambda texts: [
             c.perplexity
-            for c in _retry(cfg, lambda: generation.score_candidates(sequence, texts, providers.lm))
+            for c in _retry(cfg, lambda: generation.score_candidates(sequence, texts, lm))
         ]
         pools.append(metrics.score_pool(index.pool(instance_id, cfg.seed, cfg.pool_size), score))
 
@@ -676,19 +691,43 @@ def _cell_metrics(cfg: RunConfig, entries, index, by_id, label, variant, provide
 
 
 def _evaluate_grid(cfg: RunConfig, cells, instances, providers, labels, variants) -> dict:
-    """Score every (type, mask label, variant) cell by type; a cell not generated is an error."""
+    """Score every (type, mask label, variant) cell by type; a cell not generated is an error.
+
+    Pools rank against the input generate composed, through the same mask
+    step, made once per (mask label, instance) for all types and variants.
+    """
     for label, variant, itype in itertools.product(labels, variants, INFERENCE_TYPE_NAMES):
         if (itype, label, variant) not in cells:
             raise ConfigError(f"incomplete grid, missing cell ({itype}, {label}, P{variant})")
 
     by_id = {i.instance_id: i for i in instances}
+    masked: dict[tuple[str, str], generation.MaskedInput] = {}
+
+    def mask_step(instance, spec, label):
+        """``instance``'s mask step under ``label``, made on first use for every type and variant."""
+        key = (label, instance.instance_id)
+        if key not in masked:
+            try:
+                masked[key] = generation.mask_input(instance, spec.modality_mask, providers.vision)
+            except generation.MissingModality as exc:
+                raise ConfigError(f"{exc}, yet the generations hold its {label} lines") from None
+        return masked[key]
+
     scores = {}
     for itype in INFERENCE_TYPE_NAMES:
         # one type at a time, so only that type's tokens and pools are held
         index = metrics.ReferenceIndex(by_id.values(), itype)
         for label, variant in itertools.product(labels, variants):
             key = (itype, label, variant)
-            scores[key] = _cell_metrics(cfg, cells[key], index, by_id, label, variant, providers)
+            spec = PromptSpec(InferenceType(itype), variant, parse_combo_label(label))
+            sequences = {}
+            for instance_id, _ in cells[key]:
+                if index.references(instance_id):
+                    instance = by_id[instance_id]
+                    sequences[instance_id] = generation.compose_input_sequence(
+                        instance, spec, masked=mask_step(instance, spec, label)
+                    )
+            scores[key] = _cell_metrics(cfg, cells[key], index, sequences, providers.lm)
     return scores
 
 
@@ -888,7 +927,9 @@ def main(argv=None) -> int:
             run_ablate(_load(args), resume=args.resume, modalities_only=args.modalities_only)
         elif args.command == "report":
             run_report(args.report, as_csv=args.csv)
-    except (ConfigError, MalformedAnnotation, metrics.InsufficientNegatives) as exc:
+    except (
+        ConfigError, MalformedAnnotation, metrics.InsufficientNegatives, generation.SequenceOverflow
+    ) as exc:
         return _fail(str(exc), EXIT_CONFIG)
     except ProviderError as exc:
         return _fail(str(exc), EXIT_PROVIDER)

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Protocol, Sequence
+from typing import NamedTuple, Protocol, Sequence
 
 from .assembly import CommonsenseInstance, OBJECT_TAG_RE
 from .corpus import ObjectAnnotation
@@ -237,30 +237,35 @@ def _visual_tag_order(instance: CommonsenseInstance) -> list[tuple[str, str]]:
     return ordered[: MAX_VISUAL_FEATURES - 1]
 
 
-def compose_input_sequence(
-    instance: CommonsenseInstance,
-    spec: PromptSpec,
-    vision: VisionProvider | None = None,
-) -> TokenSequence:
-    """Serialize the masked modalities of an instance into a model input.
+@dataclass(frozen=True)
+class MaskedInput:
+    """The mask step of composition: an instance's masked modality blocks and visual features.
 
-    Only masked modalities appear. With a vision provider the image block
-    holds feature slots; without one it falls back to object-label text.
-    Overlong sequences are truncated from the left of the event description,
-    never the prompt or the action-object pair.
+    They depend only on (instance, mask), so one is shared by every prompt
+    variant and inference type composed for that pair.
     """
-    prompt_tokens = tuple(build_prompt(spec).split())
-    if len(prompt_tokens) > MAX_SEQUENCE_LENGTH:
-        raise SequenceOverflow(f"prompt alone has {len(prompt_tokens)} tokens")
 
-    mask = spec.modality_mask
-    tag_labels = _visual_tag_order(instance)
+    mask: frozenset[Modality]
+    blocks: tuple[FieldBlock, ...]
+    features: VisualFeatures | None = None
 
+
+def mask_input(
+    instance: CommonsenseInstance,
+    mask: frozenset[Modality],
+    vision: VisionProvider | None = None,
+) -> MaskedInput:
+    """The blocks of ``instance``'s modalities in ``mask``; raise MissingModality if one is absent.
+
+    With a vision provider the image block holds feature slots; without one it
+    falls back to object-label text.
+    """
     features = None
     blocks: list[FieldBlock] = []
     if Modality.IMAGE in mask:
         if instance.image is None:
             raise MissingModality(f"instance {instance.instance_id} has no image")
+        tag_labels = _visual_tag_order(instance)
         if vision is not None:
             boxes = [ObjectAnnotation(label=label) for _, label in tag_labels]
             features = vision.features(instance.image, boxes)
@@ -289,10 +294,36 @@ def compose_input_sequence(
     if Modality.AO_PAIR in mask:
         verb, noun = instance.action_object
         blocks.append(FieldBlock("ao", (AO_START, verb, *noun.split(), AO_END)))
+    return MaskedInput(mask=mask, blocks=tuple(blocks), features=features)
 
-    blocks.append(FieldBlock("prompt", prompt_tokens))
-    blocks.append(FieldBlock("start", (START_TOKENS[spec.inference_type],)))
 
+def compose_input_sequence(
+    instance: CommonsenseInstance,
+    spec: PromptSpec,
+    vision: VisionProvider | None = None,
+    masked: MaskedInput | None = None,
+) -> TokenSequence:
+    """Serialize the masked modalities of an instance into a model input.
+
+    Only masked modalities appear. ``masked`` is the mask step,
+    ``mask_input(instance, spec.modality_mask, vision)``, made beforehand to
+    share it among the prompts of one (instance, mask); without it the step
+    runs here. Overlong sequences are truncated from the left of the event
+    description, never the prompt or the action-object pair.
+    """
+    prompt_tokens = tuple(build_prompt(spec).split())
+    if len(prompt_tokens) > MAX_SEQUENCE_LENGTH:
+        raise SequenceOverflow(f"prompt {spec.prompt_id} alone has {len(prompt_tokens)} tokens")
+    if masked is None:
+        masked = mask_input(instance, spec.modality_mask, vision)
+    elif masked.mask != spec.modality_mask:
+        raise ValueError("the mask step was made under another mask than the prompt's")
+
+    blocks = [
+        *masked.blocks,
+        FieldBlock("prompt", prompt_tokens),
+        FieldBlock("start", (START_TOKENS[spec.inference_type],)),
+    ]
     total = sum(len(b.tokens) for b in blocks)
     if total > MAX_SEQUENCE_LENGTH:
         overflow = total - MAX_SEQUENCE_LENGTH
@@ -306,14 +337,27 @@ def compose_input_sequence(
             total -= droppable
             break
         if total > MAX_SEQUENCE_LENGTH:
-            raise SequenceOverflow(f"sequence still {total} tokens after truncation")
+            raise SequenceOverflow(
+                f"instance {instance.instance_id} in cell ({spec.inference_type.value},"
+                f" {combo_label(spec.modality_mask)}, P{spec.variant}) has {total} tokens"
+                f" after truncation, over the limit of {MAX_SEQUENCE_LENGTH}"
+            )
 
+    features = masked.features
+    return TokenSequence(
+        blocks=tuple(blocks),
+        visual_refs={} if features is None else _visual_refs(blocks, features, spec.modality_mask),
+        inference_type=spec.inference_type,
+        features=features,
+    )
+
+
+def _visual_refs(blocks, features: VisualFeatures, mask: frozenset[Modality]) -> dict[int, int]:
+    """Flat token position -> visual feature index, for each token grounded in a feature."""
     visual_refs: dict[int, int] = {}
     position = 0
     for block in blocks:
         for offset, token in enumerate(block.tokens):
-            if features is None:
-                continue
             if block.name == "image":
                 if token == "<img>":
                     visual_refs[position + offset] = 0
@@ -330,25 +374,15 @@ def compose_input_sequence(
                     if idx is not None:
                         visual_refs[position + offset] = idx
         position += len(block.tokens)
-
-    return TokenSequence(
-        blocks=tuple(blocks),
-        visual_refs=visual_refs,
-        inference_type=spec.inference_type,
-        features=features,
-    )
+    return visual_refs
 
 
-@dataclass(frozen=True)
-class ScoredCandidate:
+class ScoredCandidate(NamedTuple):
+    """A candidate and its mean negative log-likelihood (nats per token) and perplexity, exp(nll)."""
+
     text: str
-    nll: float | None = None  # mean negative log-likelihood, nats per token
-    perplexity: float | None = None
-
-    def __post_init__(self):
-        if self.nll is not None and self.perplexity is not None:
-            if abs(self.perplexity - math.exp(self.nll)) > 1e-9 * max(1.0, self.perplexity):
-                raise ValueError("perplexity must equal exp(nll)")
+    nll: float
+    perplexity: float
 
 
 def generate_inferences(
@@ -374,7 +408,7 @@ def _scored(candidate: str, logprobs: list[float]) -> ScoredCandidate:
     if not logprobs:
         raise ProviderError("provider returned no token log-probabilities")
     nll = -sum(logprobs) / len(logprobs)
-    return ScoredCandidate(text=candidate, nll=nll, perplexity=math.exp(nll))
+    return ScoredCandidate(candidate, nll, math.exp(nll))
 
 
 def score_candidates(

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import importlib.util
 import json
 import os
@@ -22,6 +23,14 @@ from actionsense.providers import ProviderError
 from actionsense.triplets import read_triplets
 
 GOLDEN_DIR = Path(__file__).parent / "data"
+# sha256 of the fixture run's generations_main.jsonl over all 10 masks x P1-P4, recorded
+# before composition was split into a mask step and a prompt step
+FULL_GRID_DIGESTS = {
+    "text-only": "10ec74f403a7d563e71e1ff4c468bff6d8217f0aec82631cc0d913606f6bec50",
+    "vision-stub": "b6aa739daf25fae4f482e98f781b84bae12448dd10bf3b415f5926e1770d35bf",
+    "text-only, event truncated": "ce17a710c312640ebd75731219b05f2ef9dea5ca903336237be8543e03ce31ab",
+    "vision-stub, event truncated": "bf4fe12a0366e871b7ea21ddc9bbac60b11a39838d39ee5140f4f34374f29ceb",
+}
 ROOT = Path(__file__).resolve().parent.parent
 SRC_ROOT = ROOT / "src"
 
@@ -38,6 +47,15 @@ def load_perfbench(name):
 def build(config, out):
     assert cli.main(["build-dataset", "--config", str(config), "--out", str(out)]) == 0
     return out
+
+
+def doctor_first_image_instance(dataset: Path, change) -> str:
+    """Apply ``change`` to the record of the dataset's first instance with an image; return its id."""
+    records = [json.loads(line) for line in dataset.read_text().splitlines()]
+    record = next(r for r in records if r["image"] is not None)
+    change(record)
+    dataset.write_text("".join(json.dumps(r) + "\n" for r in records))
+    return record["instance_id"]
 
 
 class TestBuildDataset:
@@ -404,6 +422,55 @@ class TestGenerate:
         assert cli.main(["evaluate", "--config", str(config), "--out", str(out)]) == 0
 
 
+class TestInputErrors:
+    @pytest.mark.parametrize(
+        "command, cell",
+        [
+            ("generate", "(precondition, Image+OG, P1) has 99 tokens"),
+            ("evaluate", "(precondition, Image+OG, P1) has 99 tokens"),
+            ("ablate", "(precondition, Image, P1) has 85 tokens"),  # its first mask
+        ],
+    )
+    def test_overlong_input_exits_2_naming_instance_cell_and_length(
+        self, fixture_config, tmp_path, capsys, command, cell
+    ):
+        out = build(fixture_config, tmp_path / "run")
+        grid = ["--modalities", "Image+OG", "--variants", "1"]
+        if command == "evaluate":
+            assert cli.main(["generate", "--config", str(fixture_config), "--out", str(out), *grid]) == 0
+        # 14 long object labels: the Image+OG block alone holds 86 tokens, and no cut of
+        # the event text brings the input under the 64-token limit
+        labels = [[f"[Object{k}]", "very long object label here"] for k in range(1, 15)]
+        instance_id = doctor_first_image_instance(
+            out / "dataset.jsonl", lambda record: record.update(bindings=labels)
+        )
+        capsys.readouterr()
+        argv = [command, "--config", str(fixture_config), "--out", str(out)]
+        code = cli.main(argv + (grid if command == "generate" else []))
+        err = capsys.readouterr().err
+        assert code == 2 and err.startswith("error: ") and err.count("\n") == 1
+        assert f"instance {instance_id} in cell {cell}" in err
+
+    def test_generations_for_a_missing_modality_exit_2(self, fixture_config, tmp_path, capsys):
+        out = build(fixture_config, tmp_path / "run")
+        assert cli.main(
+            ["generate", "--config", str(fixture_config), "--out", str(out),
+             "--modalities", "AOPair", "--variants", "1"]
+        ) == 0
+        text = (out / "generations_main.jsonl").read_text()
+        doctored = out / "image.jsonl"
+        doctored.write_text(text.replace('"condition": "AOPair"', '"condition": "Image"'))
+        no_image = next(i for i in read_dataset(out / "dataset.jsonl") if i.image is None)
+        capsys.readouterr()
+        code = cli.main(
+            ["evaluate", "--config", str(fixture_config), "--out", str(out),
+             "--generations", str(doctored)]
+        )
+        err = capsys.readouterr().err
+        assert code == 2 and err.startswith("error: ") and err.count("\n") == 1
+        assert f"instance {no_image.instance_id} has no image" in err and "Image lines" in err
+
+
 class TestProviderFailures:
     def test_unreachable_parse_provider_exits_3(self, fixture_config, tmp_path, capsys):
         cfg = json.loads(fixture_config.read_text())
@@ -475,6 +542,30 @@ class TestWorkerPool:
             ) == 0
             outputs.append((out / "generations_main.jsonl").read_bytes())
         assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("case", list(FULL_GRID_DIGESTS))
+    def test_full_grid_bytes_are_pinned_for_one_and_two_workers(
+        self, fixture_config, tmp_path, case
+    ):
+        cfg = json.loads(fixture_config.read_text())
+        if case.startswith("vision"):
+            cfg["providers"]["vision"] = {"kind": "stub"}
+        out = build(fixture_config, tmp_path / "run")
+        if case.endswith("event truncated"):
+            # six times its event text is cut to fit every mask that holds it
+            doctor_first_image_instance(
+                out / "dataset.jsonl",
+                lambda r: r.update(text_description=" ".join([r["text_description"]] * 6)),
+            )
+        digests = []
+        for workers in (1, 2):
+            config = tmp_path / f"workers{workers}.json"
+            config.write_text(json.dumps({**cfg, "workers": workers}))
+            assert cli.main(["generate", "--config", str(config), "--out", str(out)]) == 0
+            data = (out / "generations_main.jsonl").read_bytes()
+            assert data.count(b"\n") == 1520  # 9 instances x 10 masks x 4 variants x 5 types - 280
+            digests.append(hashlib.sha256(data).hexdigest())
+        assert digests == [FULL_GRID_DIGESTS[case]] * 2
 
 
 # Prints the modules that importing the CLI with load_config, then make_providers, loaded.
@@ -830,62 +921,84 @@ class TestEvaluate:
         assert outputs[0] == outputs[1]
 
 
+def vision_config(fixture_config, tmp_path):
+    """The fixture config with the stub vision provider."""
+    cfg = json.loads(fixture_config.read_text())
+    cfg["providers"]["vision"] = {"kind": "stub"}
+    config = tmp_path / "vision.json"
+    config.write_text(json.dumps(cfg))
+    return config
+
+
 class TestConditioning:
     def test_evaluate_scores_against_sequences_generate_sent(
         self, fixture_config, tmp_path, monkeypatch
     ):
-        cfg = json.loads(fixture_config.read_text())
-        cfg["providers"]["vision"] = {"kind": "stub"}
-        config = tmp_path / "vision.json"
-        config.write_text(json.dumps(cfg))
+        config = vision_config(fixture_config, tmp_path)
         out = build(config, tmp_path / "run")
-        sent = []
-        logprobs_many = stubs.StubLMProvider.logprobs_many
+        cells, sent = {}, []  # composed input -> its (instance, type, mask, variant); requests
+        compose, logprobs_many = generation.compose_input_sequence, stubs.StubLMProvider.logprobs_many
+
+        def composing(instance, spec, *args, **kwargs):
+            sequence = compose(instance, spec, *args, **kwargs)
+            cells[id(sequence)] = (sequence, (instance.instance_id, spec.inference_type.value,
+                                              generation.combo_label(spec.modality_mask), spec.variant))
+            return sequence
 
         def recording(lm, sequence, continuations):
-            sent.append(json.dumps(sequence.to_wire(), sort_keys=True))
+            sent.append((cells[id(sequence)][1], json.dumps(sequence.to_wire(), sort_keys=True)))
             return logprobs_many(lm, sequence, continuations)
 
+        monkeypatch.setattr(generation, "compose_input_sequence", composing)
         monkeypatch.setattr(stubs.StubLMProvider, "logprobs_many", recording)
         assert cli.main(
             ["generate", "--config", str(config), "--out", str(out),
-             "--modalities", "Image+TextDesc+AOPair+OG,AOPair", "--variants", "1"]
+             "--modalities", "Image+TextDesc+AOPair+OG,Image,AOPair", "--variants", "1,3"]
         ) == 0
-        generated = set(sent)
+        generated = dict(sent)
+        assert len(generated) == len(sent)  # one score request per composed input
         sent.clear()
         assert cli.main(["evaluate", "--config", str(config), "--out", str(out)]) == 0
-        assert sent and set(sent) <= generated
+        by_id = {i.instance_id: i for i in read_dataset(out / "dataset.jsonl")}
+        scored = {key for key in generated if by_id[key[0]].inference_set(key[1])}
+        assert {key for key, _ in sent} == scored
+        assert any(key[2] == "Image+TextDesc+AOPair+OG" for key in scored)
+        assert all(wire == generated[key] for key, wire in sent)
 
-    def test_one_composition_per_group_and_per_scored_entry(
+    def test_one_composition_per_line_and_one_mask_step_per_instance_and_mask(
         self, fixture_config, tmp_path, monkeypatch
     ):
-        out = build(fixture_config, tmp_path / "run")
-        calls = []
-        compose = generation.compose_input_sequence
+        config = vision_config(fixture_config, tmp_path)
+        out = build(config, tmp_path / "run")
+        calls = Counter()
+        for owner, attr in (
+            (generation, "compose_input_sequence"),
+            (generation, "mask_input"),
+            (stubs.StubVisionProvider, "features"),
+        ):
+            def counted(*args, _attr=attr, _original=getattr(owner, attr), **kwargs):
+                calls[_attr] += 1
+                return _original(*args, **kwargs)
 
-        def counting(*args, **kwargs):
-            calls.append(args[:2])
-            return compose(*args, **kwargs)
-
-        monkeypatch.setattr(generation, "compose_input_sequence", counting)
-        assert cli.main(
-            ["generate", "--config", str(fixture_config), "--out", str(out), "--variants", "1"]
-        ) == 0
+            monkeypatch.setattr(owner, attr, counted)
+        assert cli.main(["generate", "--config", str(config), "--out", str(out)]) == 0
         instances = read_dataset(out / "dataset.jsonl")
-        groups = len(instances) * len(generation.MODALITY_COMBOS) * len(generation.InferenceType)
-        assert len(calls) == groups
-        generated = (out / "generations_main.jsonl").read_text().splitlines()
-        lines = [json.loads(line) for line in generated]
-        assert len(lines) < groups  # some groups were skipped for a missing image
+        lines = [json.loads(line) for line in (out / "generations_main.jsonl").open()]
+        # 9 instances, 7 with an image; 10 masks, 7 with the image; P1-P4; 5 types
+        assert (len(lines), sum(i.image is not None for i in instances)) == (1520, 7)
+        assert calls == {"compose_input_sequence": 1520, "mask_input": 9 * 10, "features": 7 * 7}
 
         calls.clear()
-        assert cli.main(["evaluate", "--config", str(fixture_config), "--out", str(out)]) == 0
+        assert cli.main(["evaluate", "--config", str(config), "--out", str(out)]) == 0
         by_id = {i.instance_id: i for i in instances}
         scored = [
             line for line in lines
             if by_id[line["instance_id"]].inference_set(line["inference_type"])
         ]
-        assert len(calls) == len(scored)
+        pairs = {(line["instance_id"], line["condition"]) for line in scored}
+        image_pairs = {(i, mask) for i, mask in pairs if mask.startswith("Image")}
+        assert (len(scored), len(pairs), len(image_pairs)) == (1456, 76, 49)
+        assert calls == {"compose_input_sequence": 1456, "mask_input": 76, "features": 49}
 
 
 def counting(monkeypatch, owner, attr, calls):

@@ -1,3 +1,6 @@
+import hashlib
+import itertools
+import json
 import math
 
 import pytest
@@ -21,7 +24,6 @@ from actionsense.generation import (
     Modality,
     PROMPTS,
     PromptSpec,
-    ScoredCandidate,
     SequenceOverflow,
     UnknownVariant,
     build_prompt,
@@ -29,7 +31,9 @@ from actionsense.generation import (
     compose_input_sequence,
     enumerate_modality_combos,
     generate_inferences,
+    mask_input,
     score_candidate,
+    score_candidates,
     seq2seq_loss,
 )
 from actionsense.stubs import StubVisionProvider
@@ -234,6 +238,45 @@ class TestCompose:
         with pytest.raises(SequenceOverflow):
             compose_input_sequence(make_instance(), spec())
 
+    def test_wire_form_of_every_cell_is_pinned(self):
+        # sha256 recorded before composition was split into a mask step and a prompt step;
+        # the long description is cut in every mask that holds it, grounded tags and all
+        digest = hashlib.sha256()
+        for description in (
+            "cracking [Object1] using [Object2]",
+            " ".join(["cracking [Object1] using [Object2]."] * 16),
+        ):
+            instance = make_instance(description=description)
+            for vision in (None, StubVisionProvider()):
+                for mask, itype, variant in itertools.product(
+                    MODALITY_COMBOS, InferenceType, (1, 2, 3, 4)
+                ):
+                    sequence = compose_input_sequence(instance, spec(itype, variant, mask), vision)
+                    digest.update(json.dumps(sequence.to_wire(), sort_keys=True).encode())
+        assert digest.hexdigest() == (
+            "61c9c2b695cabe1ac557d8fdf8ab3c9cae03a0f81a98506e9c3876d0fa527cad"
+        )
+
+    @pytest.mark.parametrize("vision", [None, StubVisionProvider()], ids=["text-only", "vision"])
+    def test_shared_mask_step_composes_what_a_fresh_one_does(self, vision):
+        instance = make_instance(description=" ".join(["cracking [Object1] using [Object2]"] * 16))
+        for mask in MODALITY_COMBOS:
+            masked = mask_input(instance, mask, vision)
+            for itype, variant in itertools.product(InferenceType, (1, 2, 3, 4)):
+                shared = compose_input_sequence(instance, spec(itype, variant, mask), masked=masked)
+                assert shared == compose_input_sequence(instance, spec(itype, variant, mask), vision)
+
+    def test_mask_step_of_another_mask_rejected(self):
+        masked = mask_input(make_instance(), frozenset({Modality.TEXT_DESC}))
+        with pytest.raises(ValueError):
+            compose_input_sequence(make_instance(), spec(), masked=masked)
+
+    def test_mask_step_raises_for_a_missing_modality(self):
+        with pytest.raises(MissingModality):
+            mask_input(make_instance(image=False), frozenset({Modality.IMAGE}))
+        with pytest.raises(MissingModality):
+            mask_input(make_instance(description=""), frozenset({Modality.TEXT_DESC}))
+
     def test_token_counts_across_all_masks(self):
         # hand-composed layout budget: image block holds the slot row
         # (2 delimiters + global + 2 objects with vision), the event block the
@@ -321,9 +364,13 @@ class TestScoring:
         )
         assert scored.perplexity == pytest.approx(math.exp(scored.nll), abs=1e-12)
 
-    def test_mismatched_perplexity_rejected(self):
-        with pytest.raises(ValueError):
-            ScoredCandidate(text="x", nll=1.0, perplexity=5.0)
+    def test_batch_scores_are_single_scores_with_perplexity_exp_of_nll(self, lm_provider):
+        sequence = compose_input_sequence(make_instance(), spec())
+        candidates = ["golden", "soft and fluffy", "a runny yolk"]
+        batch = score_candidates(sequence, candidates, lm_provider)
+        assert batch == [score_candidate(sequence, c, lm_provider) for c in candidates]
+        assert [c.text for c in batch] == candidates
+        assert all(c.perplexity == math.exp(c.nll) for c in batch)
 
     def test_score_independent_of_other_candidates(self):
         lm = UniformLM(11)
