@@ -151,9 +151,15 @@ class CommonsenseInstance:
 
 
 def _strip_token(token: str) -> tuple[str, str]:
-    """Split a token into its core word and trailing punctuation."""
+    """Split a token into its core word and trailing punctuation, which a tag for the word keeps."""
     core = token.rstrip(string.punctuation)
     return core, token[len(core):]
+
+
+def object_tag(token: str) -> str | None:
+    """The object tag a token of a description is, before its trailing punctuation; else None."""
+    match = OBJECT_TAG_RE.match(token)
+    return match.group(0) if match and not _strip_token(token[match.end():])[0] else None
 
 
 def form_textual_description(
@@ -568,7 +574,67 @@ def instance_to_dict(instance: CommonsenseInstance) -> dict:
     }
 
 
+def _strings(value) -> bool:
+    return isinstance(value, list) and all(isinstance(v, str) for v in value)
+
+
+def _texts(value) -> bool:
+    """Whether ``value`` is a list of strings, each with a non-space character."""
+    return _strings(value) and all(v.strip() for v in value)
+
+
+def _frame(value) -> bool:
+    """Whether ``value`` is null or a frame object as ``_frame_to_dict`` writes one."""
+    return value is None or (
+        isinstance(value, dict)
+        and isinstance(value.get("video_id"), str)
+        and all(type(value.get(k)) is int for k in ("segment_index", "frame_index"))
+        and type(value.get("timestamp")) in (int, float)
+        and all(isinstance(value.get(k), (str, type(None))) for k in ("clip_path", "frame_path"))
+    )
+
+
+def _provenance(value) -> bool:
+    return isinstance(value, list) and all(
+        isinstance(e, dict) and isinstance(e.get("video_id"), str) and _frame(e.get("image"))
+        for e in value
+    )
+
+
+def _bindings(value) -> bool:
+    return isinstance(value, list) and all(
+        _strings(b) and len(b) == 2 and OBJECT_TAG_RE.fullmatch(b[0]) for b in value
+    )
+
+
+# each record field: whether a value is well formed, and what it must be; an absent
+# optional field reads as its value in _OPTIONAL
+_RECORD = {
+    "instance_id": (lambda v: isinstance(v, str), "a string"),
+    "text_description": (lambda v: isinstance(v, str), "a string"),
+    "action_object": (lambda v: _strings(v) and len(v) == 2, "two strings"),
+    **{
+        name: (_texts, "a list of strings with a non-space character each")
+        for name in ("goals", "preconditions", "effects", "before_events", "after_events")
+    },
+    "image": (_frame, "null or a frame object"),
+    "provenance": (_provenance, "a list of objects with a string video_id and frame or null image"),
+    "bindings": (_bindings, "a list of [object tag, label] string pairs"),
+    "flags": (_strings, "a list of strings"),
+}
+_OPTIONAL = {"image": None, "provenance": [], "bindings": [], "flags": []}
+
+
 def instance_from_dict(raw: dict) -> CommonsenseInstance:
+    """The instance a dataset record holds; ValueError names the first field that is wrong."""
+    if not isinstance(raw, dict):
+        raise ValueError(f"a record must be an object, not {json.dumps(raw)}")
+    for name, (valid, must) in _RECORD.items():
+        if name not in raw and name not in _OPTIONAL:
+            raise ValueError(f"the record lacks field {name!r}")
+        value = raw.get(name, _OPTIONAL.get(name))
+        if not valid(value):
+            raise ValueError(f"field {name!r} must be {must}, not {json.dumps(value)}")
     return CommonsenseInstance(
         instance_id=raw["instance_id"],
         image=_frame_from_dict(raw.get("image")),
@@ -598,11 +664,28 @@ def write_dataset(instances, path) -> None:
     )
 
 
+def check_unique_ids(instances, describe) -> None:
+    """Raise ValueError at the first id two instances share; ``describe(position)`` names each."""
+    first: dict[str, int] = {}
+    for position, instance in enumerate(instances):
+        earlier = first.setdefault(instance.instance_id, position)
+        if earlier != position:
+            raise ValueError(f"instance id {instance.instance_id!r} repeats:"
+                             f" {describe(earlier)} and {describe(position)}")
+
+
 def read_dataset(path) -> list[CommonsenseInstance]:
-    out = []
+    """A dataset file's instances, one per id; ValueError names the line of any bad record."""
+    instances, lines = [], []
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                out.append(instance_from_dict(json.loads(line)))
-    return out
+        for number, line in enumerate(fh, 1):
+            if not line.strip():
+                continue
+            try:
+                instances.append(instance_from_dict(json.loads(line)))
+            # JSONDecodeError is a ValueError; a triplet's int(Infinity) an OverflowError
+            except (ValueError, KeyError, TypeError, OverflowError) as exc:
+                raise ValueError(f"line {number}: {exc}") from None
+            lines.append(number)
+    check_unique_ids(instances, lambda position: f"the record on line {lines[position]}")
+    return instances

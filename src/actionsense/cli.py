@@ -457,6 +457,10 @@ def _build_dataset(cfg: RunConfig, run_dir: Path, manifest: Manifest, corpus, pr
             )
 
     merged = sorted(assembly.merge_by_action_object(instances), key=lambda i: i.instance_id)
+    try:  # ids slug their action-object pair, so two pairs can share one
+        assembly.check_unique_ids(merged, lambda p: f"action-object pair {merged[p].action_object}")
+    except ValueError as exc:
+        raise ConfigError(f"dataset not written: {exc}") from None
     dataset_path = run_dir / "dataset.jsonl"
     assembly.write_dataset(merged, dataset_path)
     stats = assembly.compute_statistics(merged)
@@ -475,7 +479,7 @@ def _build_dataset(cfg: RunConfig, run_dir: Path, manifest: Manifest, corpus, pr
 def _read_dataset(path: Path) -> list:
     try:
         return assembly.read_dataset(path)
-    except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError names the line of a bad record
         raise ConfigError(f"dataset not readable: {path}: {exc}") from exc
 
 
@@ -522,20 +526,20 @@ def _open_run(cfg: RunConfig, command: str, after: str | None, dataset_path=None
     return _Run(run_dir, manifest, providers, instances)
 
 
-def _mask_inputs(instances, mask, vision) -> list:
-    """Each instance's mask step under ``mask``, or None where it lacks one of its modalities."""
-    table = []
+def _mask_inputs(instances, mask, vision) -> dict:
+    """Mask table: instance id -> its mask step under ``mask``, or the MissingModality it raised."""
+    table = {}
     for instance in instances:
         try:
-            table.append(generation.mask_input(instance, mask, vision))
-        except generation.MissingModality:
-            table.append(None)
+            table[instance.instance_id] = generation.mask_input(instance, mask, vision)
+        except generation.MissingModality as exc:  # its traceback would hold the table in a cycle
+            table[instance.instance_id] = exc.with_traceback(None)
     return table
 
 
 def _generate_for_instance(cfg: RunConfig, lm, instance, masked, label, specs) -> list[dict]:
     """The lines of one (instance, mask label, variant) request group, one per spec's type."""
-    if masked is None:
+    if isinstance(masked, generation.MissingModality):
         return []
     lines = []
     for spec in specs:
@@ -582,7 +586,7 @@ def _generate(cfg: RunConfig, run: _Run, labels, variants, resume: bool, phase: 
     digest = hashlib.sha256(json.dumps(settings, sort_keys=True).encode("utf-8")).hexdigest()
     for label in labels:
         mask = parse_combo_label(label)
-        masked = None  # the label's mask steps, made for its first cell that is not resumed
+        masked = None  # the label's mask table, made for its first cell that is not resumed
         for variant in variants:
             cell = f"{label}__P{variant}"
             key = f"{phase}:{cell}:{digest[:16]}"
@@ -595,7 +599,7 @@ def _generate(cfg: RunConfig, run: _Run, labels, variants, resume: bool, phase: 
             try:
                 if masked is None:
                     masked = _mask_inputs(run.instances, mask, run.providers.vision)
-                pairs = zip(run.instances, masked)
+                pairs = ((i, masked[i.instance_id]) for i in run.instances)
                 if cfg.workers > 1:
                     from concurrent.futures import ThreadPoolExecutor
 
@@ -694,24 +698,22 @@ def _evaluate_grid(cfg: RunConfig, cells, instances, providers, labels, variants
     """Score every (type, mask label, variant) cell by type; a cell not generated is an error.
 
     Pools rank against the input generate composed, through the same mask
-    step, made once per (mask label, instance) for all types and variants.
+    table: one per mask label over the instances its cells name, all made
+    before any pool is scored.
     """
     for label, variant, itype in itertools.product(labels, variants, INFERENCE_TYPE_NAMES):
         if (itype, label, variant) not in cells:
             raise ConfigError(f"incomplete grid, missing cell ({itype}, {label}, P{variant})")
 
     by_id = {i.instance_id: i for i in instances}
-    masked: dict[tuple[str, str], generation.MaskedInput] = {}
-
-    def mask_step(instance, spec, label):
-        """``instance``'s mask step under ``label``, made on first use for every type and variant."""
-        key = (label, instance.instance_id)
-        if key not in masked:
-            try:
-                masked[key] = generation.mask_input(instance, spec.modality_mask, providers.vision)
-            except generation.MissingModality as exc:
-                raise ConfigError(f"{exc}, yet the generations hold its {label} lines") from None
-        return masked[key]
+    masked = {}  # mask label -> its mask table
+    for label in labels:
+        named = {i: by_id[i] for t, v in itertools.product(INFERENCE_TYPE_NAMES, variants)
+                 for i, _ in cells[(t, label, v)]}
+        masked[label] = _mask_inputs(named.values(), parse_combo_label(label), providers.vision)
+        for step in masked[label].values():
+            if isinstance(step, generation.MissingModality):
+                raise ConfigError(f"{step}, yet the generations hold its {label} lines")
 
     scores = {}
     for itype in INFERENCE_TYPE_NAMES:
@@ -723,9 +725,8 @@ def _evaluate_grid(cfg: RunConfig, cells, instances, providers, labels, variants
             sequences = {}
             for instance_id, _ in cells[key]:
                 if index.references(instance_id):
-                    instance = by_id[instance_id]
                     sequences[instance_id] = generation.compose_input_sequence(
-                        instance, spec, masked=mask_step(instance, spec, label)
+                        by_id[instance_id], spec, masked=masked[label][instance_id]
                     )
             scores[key] = _cell_metrics(cfg, cells[key], index, sequences, providers.lm)
     return scores

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import NamedTuple, Protocol, Sequence
 
-from .assembly import CommonsenseInstance, OBJECT_TAG_RE
+from .assembly import CommonsenseInstance, OBJECT_TAG_RE, object_tag
 from .corpus import ObjectAnnotation
 from .providers import ProviderError
 
@@ -368,9 +368,9 @@ def _visual_refs(blocks, features: VisualFeatures, mask: frozenset[Modality]) ->
                     if idx is not None:
                         visual_refs[position + offset] = idx
             elif block.name == "event" and Modality.OG in mask:
-                core = token.rstrip(".,;:!?")
-                if OBJECT_TAG_RE.fullmatch(core):
-                    idx = features.index_of(core)
+                tag = object_tag(token)
+                if tag is not None:
+                    idx = features.index_of(tag)
                     if idx is not None:
                         visual_refs[position + offset] = idx
         position += len(block.tokens)

@@ -378,7 +378,8 @@ class ReferenceIndex:
         self.inference_type = inference_type
         self._refs: list[tuple[str, ...]] = []  # per dataset position
         self._images: list[str | None] = []
-        self._members: dict[tuple[str, str], list[int]] = {}  # ("id"|"image", key) -> positions
+        self._positions: dict[str, int] = {}  # instance id, unique as in a dataset -> position
+        self._by_image: dict[str, list[int]] = {}  # image key -> positions
         self._owners: dict[str, list[int]] = {}  # reference text -> positions
         self._texts: dict[str, _Text] = {}  # reference text -> its tokens, stems and n-grams
         self._ref_sets: dict[tuple[str, ...], _References] = {}  # references -> their tables
@@ -388,18 +389,15 @@ class ReferenceIndex:
             image = instance.image.key if instance.image is not None else None
             self._refs.append(refs)
             self._images.append(image)
-            self._members.setdefault(("id", instance.instance_id), []).append(position)
+            self._positions[instance.instance_id] = position
             if image is not None:
-                self._members.setdefault(("image", image), []).append(position)
+                self._by_image.setdefault(image, []).append(position)
             for text in refs:
                 self._owners.setdefault(text, []).append(position)
         self.texts = sorted(self._owners)  # every reference text of the type
 
-    def _position(self, instance_id: str) -> int:
-        return self._members[("id", instance_id)][-1]  # a later duplicate id wins
-
     def references(self, instance_id: str) -> tuple[str, ...]:
-        return self._refs[self._position(instance_id)]
+        return self._refs[self._positions[instance_id]]
 
     def _references(self, position: int) -> _References:
         """The tables of a position's references, shared by every position with the same ones."""
@@ -417,44 +415,33 @@ class ReferenceIndex:
 
         Instances without a usable reference (one with a word character) and
         texts without tokens are skipped. Each kept text is one CIDEr
-        document, keyed ``instance_id#k``; C is 0 below two documents.
+        document; C is 0 below two documents.
         """
-        kept: list[tuple[str, int, list[str]]] = []  # (CIDEr key, position, tokens)
+        kept: list[tuple[int, list[str]]] = []  # (position, tokens) of each document
         for instance_id, texts in entries:
-            position = self._position(instance_id)
-            if not self._references(position).usable:
-                continue
-            for k, text in enumerate(texts):
-                tokens = _prep(text)
-                if tokens:
-                    kept.append((f"{instance_id}#{k}", position, tokens))
-        documents = {key: position for key, position, _ in kept}  # a repeated key is one document
+            position = self._positions[instance_id]
+            if self._references(position).usable:
+                kept.extend((position, tokens) for tokens in map(_prep, texts) if tokens)
         corpus = None
-        if len(documents) >= 2:
-            counts = Counter(documents.values())
+        if len(kept) >= 2:
+            counts = Counter(position for position, _ in kept)
             corpus = _Cider(((self._references(p), c) for p, c in counts.items()), 4)
 
-        bleu_scores = []
-        meteor_scores = []
-        cider_scores: dict[str, float] = {}  # a repeated key keeps its first place, its last score
-        for key, position, tokens in kept:
+        bleu_scores, meteor_scores, cider_scores = [], [], []
+        for position, tokens in kept:
             cand, refs = _Text(tokens), self._references(position)
             bleu_scores.append(_bleu2(cand, refs))
             meteor_scores.append(_meteor(cand, refs.texts))
             if corpus is not None:
-                cider_scores[key] = corpus.score(cand, refs)
+                cider_scores.append(corpus.score(cand, refs))
         mean = lambda xs: sum(xs) / len(xs) if xs else 0.0
-        return {
-            "B": mean(bleu_scores),
-            "M": mean(meteor_scores),
-            "C": mean(list(cider_scores.values())),
-        }
+        return {"B": mean(bleu_scores), "M": mean(meteor_scores), "C": mean(cider_scores)}
 
     def pool(self, instance_id: str, seed, pool_size: int = DEFAULT_POOL_SIZE) -> CandidatePool:
         """The candidate pool of an indexed instance: drawn on first use, then cached."""
         key = (instance_id, seed, pool_size)
         if key not in self._pools:
-            position = self._position(instance_id)
+            position = self._positions[instance_id]
             self._pools[key] = self.draw_pool(
                 instance_id, self._images[position], self._refs[position], seed, pool_size
             )
@@ -476,9 +463,9 @@ class ReferenceIndex:
                 f"{len(gts)} ground truths leave no room in a pool of {pool_size};"
                 f" raise pool_size above {len(gts)}"
             )
-        excluded = set(self._members.get(("id", instance_id), ()))
-        if image is not None:
-            excluded.update(self._members.get(("image", image), ()))
+        excluded = set(self._by_image.get(image, ()))  # no image key is None
+        if instance_id in self._positions:
+            excluded.add(self._positions[instance_id])
         gt_set = set(gts)
         skip = sorted(
             bisect.bisect_left(self.texts, text)

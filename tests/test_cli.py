@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from actionsense import cli, generation, metrics, stubs
+from actionsense import assembly, cli, generation, metrics, stubs
 from actionsense.assembly import (
     CommonsenseInstance,
     compute_statistics,
@@ -150,6 +150,27 @@ class TestBuildDataset:
         assert repr(raw["videos"][0]["video_id"]) in err
         assert "Traceback" not in err
 
+    def test_two_pairs_with_one_id_stop_the_build_before_the_dataset_is_written(
+        self, fixture_config, tmp_path, capsys, monkeypatch
+    ):
+        # the merged pairs of boxty01's and mash01's potato triplets slug to one id
+        form = assembly.form_action_object_pair
+
+        def colliding(triplet):
+            verb, ingredient = form(triplet)
+            if ingredient != "potato":
+                return verb, ingredient
+            return "cook", "bacon bits" if triplet.video_id.startswith("mash") else "bacon-bits"
+
+        monkeypatch.setattr(assembly, "form_action_object_pair", colliding)
+        out = tmp_path / "run"
+        assert cli.main(["build-dataset", "--config", str(fixture_config), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: dataset not written: ") and err.count("\n") == 1
+        assert "'cook_bacon-bits' repeats" in err
+        assert "('cook', 'bacon bits')" in err and "('cook', 'bacon-bits')" in err
+        assert not (out / "dataset.jsonl").exists()
+
     def test_relative_out_resolves_against_working_directory(
         self, fixture_config, tmp_path, monkeypatch
     ):
@@ -248,9 +269,10 @@ class TestStats:
             None,
             lambda line: "[]",
             lambda line: json.dumps({**json.loads(line), "goals": 5}),
+            lambda line: line.replace('"current": {"segment_index": 2', '"current": {"segment_index": 9e999'),
             "directory",
         ],
-        ids=["missing", "list", "goals-5", "directory"],
+        ids=["missing", "list", "goals-5", "segment-infinity", "directory"],
     )
     def test_unreadable_dataset_exits_2(self, fixture_config, tmp_path, capsys, doctor):
         dataset = tmp_path / "dataset.jsonl"
@@ -450,6 +472,27 @@ class TestInputErrors:
         err = capsys.readouterr().err
         assert code == 2 and err.startswith("error: ") and err.count("\n") == 1
         assert f"instance {instance_id} in cell {cell}" in err
+
+    @pytest.mark.parametrize("command", ["stats", "generate", "evaluate", "ablate"])
+    def test_repeated_instance_id_exits_2_naming_it_and_both_records(
+        self, fixture_config, tmp_path, capsys, command
+    ):
+        out = build(fixture_config, tmp_path / "run")
+        flags = ["--config", str(fixture_config), "--out", str(out)]
+        grid = ["--modalities", "AOPair", "--variants", "1"]
+        assert cli.main(["generate", *flags, *grid]) == 0
+        dataset = out / "dataset.jsonl"
+        records = dataset.read_text().splitlines()
+        dataset.write_text("\n".join([*records, records[0]]) + "\n")
+        capsys.readouterr()
+        argv = {"stats": ["stats", str(dataset)], "generate": ["generate", *flags, *grid]}
+        code = cli.main(argv.get(command, [command, *flags]))
+        err = capsys.readouterr().err
+        assert code == 2 and err.count("\n") == 1
+        assert err.startswith("error: dataset not readable: ")
+        instance_id = json.loads(records[0])["instance_id"]
+        assert f"instance id {instance_id!r} repeats: the record on line 1 and the record on" \
+               f" line {len(records) + 1}" in err
 
     def test_generations_for_a_missing_modality_exit_2(self, fixture_config, tmp_path, capsys):
         out = build(fixture_config, tmp_path / "run")

@@ -260,6 +260,99 @@ class TestGenerationsFileErrors:
         assert evaluate_lines(run, lines, tmp_path_factory.mktemp("permuted")) == canonical
 
 
+def run_command(argv):
+    """Exit code and stderr of one CLI command, run in this process."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, err.getvalue()
+
+
+class TestDatasetFileErrors:
+    """Generate at AOPair P1 and evaluate on the fixture dataset with its records changed."""
+
+    GRID = ["--modalities", "AOPair", "--variants", "1"]
+
+    @pytest.fixture(scope="class")
+    def built(self, tmp_path_factory):
+        """The built run, its manifest before generate, and its dataset records."""
+        run = tmp_path_factory.mktemp("built")
+        cfg = json.loads(fixture_path("run_config.json").read_text(encoding="utf-8"))
+        (run / "config.json").write_text(json.dumps({**cfg, "retry_base_delay": 0}))
+        flags = ["--config", str(run / "config.json"), "--out", str(run)]
+        assert run_command(["build-dataset", *flags]) == (0, "")
+        manifest = (run / "manifest.json").read_bytes()
+        assert run_command(["generate", *flags, *self.GRID]) == (0, "")
+        records = [json.loads(line) for line in (run / "dataset.jsonl").open(encoding="utf-8")]
+        return run, manifest, records
+
+    def generate_and_evaluate(self, built, records, work):
+        """(exit code, stderr) of generate on ``records`` in ``work``, then of evaluate.
+
+        Evaluate reads what generate wrote, or, when generate failed, the built
+        run's generations.
+        """
+        run, manifest, _ = built
+        (work / "manifest.json").write_bytes(manifest)
+        (work / "dataset.jsonl").write_text("".join(json.dumps(r) + "\n" for r in records))
+        flags = ["--config", str(run / "config.json"), "--out", str(work)]
+        generate = run_command(["generate", *flags, *self.GRID])
+        if generate[0] != 0:
+            flags += ["--generations", str(run / "generations_main.jsonl")]
+        return generate, run_command(["evaluate", *flags])
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("action_object", ["crack"]),
+            ("goals", "Make eggs"),
+            ("instance_id", 7),
+            ("text_description", None),
+            ("effects", ["  "]),
+            ("flags", [None]),
+            ("image", {"video_id": ["blt01"]}),
+            ("bindings", [["egg", "[Object1]"]]),
+            ("provenance", [{"video_id": 3}]),
+        ],
+    )
+    def test_bad_value_exits_2_naming_its_line_and_field(self, built, tmp_path, field, value):
+        records = copy.deepcopy(built[2])
+        records[2][field] = value
+        for code, err in self.generate_and_evaluate(built, records, tmp_path):
+            assert code == 2 and one_error_line(err)
+            assert f"dataset.jsonl: line 3: field {field!r} must be " in err
+
+    # Permuted, repeated or changed records: both commands keep the exit codes, and what
+    # generate writes, evaluate reads. The one exception is the pool_size error, which
+    # depends on evaluate's own setting and on every instance's references, not on the
+    # input generate read: taking one instance's after events away leaves too few
+    # negatives in the fixture's pools of 10.
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_generate_and_evaluate_keep_the_exit_codes_and_agree(
+        self, built, tmp_path_factory, data
+    ):
+        records = copy.deepcopy(built[2])
+        case = data.draw(st.sampled_from(["permute", "repeat", "replace"]))
+        if case == "permute":
+            records = data.draw(st.permutations(records))
+        elif case == "repeat":
+            record = records[data.draw(st.integers(0, len(records) - 1))]
+            records.insert(data.draw(st.integers(0, len(records))), record)
+        else:
+            record = records[data.draw(st.integers(0, len(records) - 1))]
+            record[data.draw(st.sampled_from(sorted(record)))] = data.draw(JSON_VALUES)
+        generate, evaluate = self.generate_and_evaluate(
+            built, records, tmp_path_factory.mktemp("fuzz")
+        )
+        for code, err in (generate, evaluate):
+            assert code in (0, 2) and (err == "" if code == 0 else one_error_line(err))
+        if generate[0] == 0:
+            assert evaluate[0] == 0 or "pool_size" in evaluate[1]
+        if case == "repeat":
+            assert generate[0] == 2 and "repeats: the record on line" in generate[1]
+
+
 class TestParseTreeValidation:
     def tokens(self, n):
         return [{"text": f"t{i}", "lemma": f"t{i}", "pos": "NOUN"} for i in range(n)]

@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import json
 import math
+import string
 
 import pytest
 from hypothesis import given, strategies as st
@@ -183,6 +184,22 @@ class TestCompose:
         # image slots and grounded event tags both link to object features
         assert sequence.visual_refs == {1: 0, 2: 1, 3: 2, 7: 1, 9: 2}
         assert sequence.fusion == "additive"
+
+    def test_event_tag_followed_by_any_punctuation_links_to_its_feature(self):
+        # a tag keeps the punctuation that trailed the word it replaced (assembly._strip_token)
+        mask = frozenset({Modality.IMAGE, Modality.TEXT_DESC, Modality.OG})
+        for trail in ["", *string.punctuation, ").", "\"]"]:
+            description = f"cracking [Object1]{trail} using [Object2]{trail}"
+            sequence = compose_input_sequence(
+                make_instance(description=description), spec(mask=mask), vision=StubVisionProvider()
+            )
+            assert sequence.visual_refs == {1: 0, 2: 1, 3: 2, 7: 1, 9: 2}, trail
+
+    def test_event_tag_followed_by_a_word_is_not_linked(self):
+        mask = frozenset({Modality.IMAGE, Modality.TEXT_DESC, Modality.OG})
+        instance = make_instance(description="cracking [Object1]'s shell using [Object2]s")
+        sequence = compose_input_sequence(instance, spec(mask=mask), vision=StubVisionProvider())
+        assert sequence.visual_refs == {1: 0, 2: 1, 3: 2}
 
     def test_text_fallback_serializes_object_labels(self):
         mask = frozenset({Modality.IMAGE, Modality.OG})

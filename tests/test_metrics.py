@@ -257,7 +257,7 @@ def oracle_pool(instance, dataset, seed, inference_type, pool_size):
 
 
 def string_level_overlap(dataset, entries):
-    """A cell's B, M and C from the string-level metrics; a later duplicate id's references win."""
+    """A cell's B, M and C from the string-level metrics, one CIDEr document per kept text."""
     refs_of = {i.instance_id: sorted(i.goals) for i in dataset}
     mean = lambda xs: sum(xs) / len(xs) if xs else 0.0
     bleu, met, cands, refs = [], [], {}, {}
@@ -323,8 +323,6 @@ class TestReferenceIndex:
                 )
                 for k, line in enumerate(l for l in lines if l["inference_type"] == itype)
             ]
-            # a second entry for one instance overwrites some of its CIDEr documents
-            entries.append((entries[0][0], entries[1][1][:2]))
             bleu, met, cands, refs = [], [], {}, {}
             for instance_id, texts in entries:
                 gts = sorted(by_id[instance_id].inference_set(itype))
@@ -353,25 +351,25 @@ class TestReferenceIndex:
     def shared_cells(self):
         """Three cells over one dataset, their generated texts repeating across cells.
 
-        "a" has a reference without tokens, "dup" is indexed twice (the later
-        instance wins), and "b" and "c" each have a sample without tokens.
+        "a" has a reference without tokens, and "b" and "c" each have a sample
+        without tokens.
         """
         dataset = [
             pool_instance("a", ["fry the bacon until crisp", "!!!", "serve the toast warm"]),
-            pool_instance("dup", ["boil the potatoes"]),
+            pool_instance("d", ["boil the potatoes"]),
             pool_instance("b", ["slice the tomatoes thin", "toast the bread"]),
-            pool_instance("dup", ["mash the boiled potatoes", "salt the water"]),
+            pool_instance("e", ["mash the boiled potatoes", "salt the water"]),
             pool_instance("c", ["crack the eggs into a bowl"]),
         ]
         cells = [
             [
                 ("a", ["fry bacon crisp", "toast warm bread"]),
                 ("b", ["slice tomatoes", "", "toast the bread"]),
-                ("dup", ["boil the potatoes"]),
+                ("d", ["boil the potatoes"]),
             ],
             [
                 ("a", ["fry bacon crisp", "serve the toast warm"]),
-                ("dup", ["mashing potatoes", "boil the potatoes"]),
+                ("e", ["mashing potatoes", "boil the potatoes"]),
                 ("c", ["crack eggs", "fry bacon crisp"]),
             ],
             [
@@ -409,8 +407,7 @@ class TestReferenceIndex:
         index = ReferenceIndex(dataset, "goal")
         for entries in cells + cells:
             index.overlap_scores(entries)
-        scored = [i for k, i in enumerate(dataset) if k != 1]  # the first "dup" is shadowed
-        refs = Counter({tuple(tokenize(r)) for i in scored for r in i.goals})
+        refs = Counter({tuple(tokenize(r)) for i in dataset for r in i.goals})
         generated = Counter(
             tuple(tokenize(text))
             for entries in cells + cells
