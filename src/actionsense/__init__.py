@@ -23,7 +23,6 @@ from .generation import (
     PromptSpec,
     build_prompt,
     compose_input_sequence,
-    enumerate_modality_combos,
     generate_inferences,
     score_candidate,
     score_candidates,

@@ -12,13 +12,15 @@ from __future__ import annotations
 import json
 import re
 import string
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Mapping, Protocol, Sequence
 
+from . import shapes
 from .atomic import write_atomic
 from .corpus import FLAG_NO_TRANSCRIPT, Corpus, FrameRef, ObjectAnnotation
 from .corpus import middle_frame, slice_transcript
-from .triplets import SegmentTriplet
+from .shapes import INT, NUMBER, STRING, TEXT
+from .triplets import TRIPLET, SegmentTriplet
 
 GOAL_TEMPLATES = ("Make {}", "Cook {}", "Prepare {}")
 
@@ -141,13 +143,14 @@ class CommonsenseInstance:
     flags: tuple[str, ...] = ()
 
     def inference_set(self, inference_type: str) -> frozenset[str]:
-        return {
-            "goal": self.goals,
-            "precondition": self.preconditions,
-            "effect": self.effects,
-            "before": self.before_events,
-            "after": self.after_events,
-        }[inference_type]
+        return getattr(self, SET_FIELDS[inference_type])
+
+
+# the field holding each inference type's set
+SET_FIELDS = {
+    "goal": "goals", "precondition": "preconditions", "effect": "effects",
+    "before": "before_events", "after": "after_events",
+}
 
 
 def _strip_token(token: str) -> tuple[str, str]:
@@ -298,21 +301,6 @@ def effects_from_answers(answers: Sequence[str | None]) -> frozenset[str]:
         for piece in _filter_effect_answer(answer, keyword):
             effects.setdefault(normalize_phrase(piece), piece)
     return frozenset(effects.values())
-
-
-def extract_effects(
-    triplet: SegmentTriplet, corpus: Corpus, rc: RCProvider
-) -> frozenset[str]:
-    """Mine post-action object states from narration after the current event.
-
-    The triplet's ``effect_questions`` go to the reading-comprehension
-    provider in one ``answer_many`` call, and ``effects_from_answers`` reads
-    the effects from its answers. A build asks the questions of all of a
-    video's triplets in one request instead and answers each triplet from an
-    ``AnswerTable``.
-    """
-    questions = effect_questions(triplet, corpus)
-    return effects_from_answers(rc.answer_many(questions)) if questions else frozenset()
 
 
 def form_before_after(
@@ -524,30 +512,16 @@ def compute_statistics(instances) -> StatsReport:
     )
 
 
+_FRAME_FIELDS = [f.name for f in fields(FrameRef)]
+
+
 def _frame_to_dict(frame: FrameRef | None):
-    if frame is None:
-        return None
-    return {
-        "video_id": frame.video_id,
-        "segment_index": frame.segment_index,
-        "frame_index": frame.frame_index,
-        "timestamp": frame.timestamp,
-        "clip_path": frame.clip_path,
-        "frame_path": frame.frame_path,
-    }
+    return None if frame is None else {name: getattr(frame, name) for name in _FRAME_FIELDS}
 
 
 def _frame_from_dict(raw) -> FrameRef | None:
-    if raw is None:
-        return None
-    return FrameRef(
-        video_id=raw["video_id"],
-        segment_index=raw["segment_index"],
-        frame_index=raw["frame_index"],
-        timestamp=raw["timestamp"],
-        clip_path=raw.get("clip_path"),
-        frame_path=raw.get("frame_path"),
-    )
+    """The frame a record holds, of shape FRAME."""
+    return None if raw is None else FrameRef(**{k: raw[k] for k in _FRAME_FIELDS if k in raw})
 
 
 def instance_to_dict(instance: CommonsenseInstance) -> dict:
@@ -556,11 +530,7 @@ def instance_to_dict(instance: CommonsenseInstance) -> dict:
         "image": _frame_to_dict(instance.image),
         "text_description": instance.text_description,
         "action_object": list(instance.action_object),
-        "goals": sorted(instance.goals),
-        "preconditions": sorted(instance.preconditions),
-        "effects": sorted(instance.effects),
-        "before_events": sorted(instance.before_events),
-        "after_events": sorted(instance.after_events),
+        **{name: sorted(getattr(instance, name)) for name in SET_FIELDS.values()},
         "provenance": [
             {
                 "video_id": entry.video_id,
@@ -574,77 +544,34 @@ def instance_to_dict(instance: CommonsenseInstance) -> dict:
     }
 
 
-def _strings(value) -> bool:
-    return isinstance(value, list) and all(isinstance(v, str) for v in value)
+# a frame and a dataset record as _frame_to_dict and instance_to_dict write them
+FRAME = shapes.nullable({
+    "video_id": STRING, "segment_index": INT, "frame_index": INT, "timestamp": NUMBER,
+    "clip_path?": shapes.nullable(STRING), "frame_path?": shapes.nullable(STRING),
+})
+OBJECT_TAG = shapes.kind(
+    "an object tag such as [Object1]", lambda v: type(v) is str and OBJECT_TAG_RE.fullmatch(v)
+)
+RECORD = shapes.obj({
+    "instance_id": STRING, "text_description": STRING,
+    "action_object": shapes.tuple_of("two strings", STRING, STRING),
+    **dict.fromkeys(SET_FIELDS.values(), [TEXT]),
+    "image?": FRAME,
+    "provenance?": [{"video_id": STRING, "triplet": TRIPLET, "image?": FRAME}],
+    "bindings?": [shapes.tuple_of("an [object tag, label] pair", OBJECT_TAG, STRING)],
+    "flags?": [STRING],
+})
 
 
-def _texts(value) -> bool:
-    """Whether ``value`` is a list of strings, each with a non-space character."""
-    return _strings(value) and all(v.strip() for v in value)
-
-
-def _frame(value) -> bool:
-    """Whether ``value`` is null or a frame object as ``_frame_to_dict`` writes one."""
-    return value is None or (
-        isinstance(value, dict)
-        and isinstance(value.get("video_id"), str)
-        and all(type(value.get(k)) is int for k in ("segment_index", "frame_index"))
-        and type(value.get("timestamp")) in (int, float)
-        and all(isinstance(value.get(k), (str, type(None))) for k in ("clip_path", "frame_path"))
-    )
-
-
-def _provenance(value) -> bool:
-    return isinstance(value, list) and all(
-        isinstance(e, dict) and isinstance(e.get("video_id"), str) and _frame(e.get("image"))
-        for e in value
-    )
-
-
-def _bindings(value) -> bool:
-    return isinstance(value, list) and all(
-        _strings(b) and len(b) == 2 and OBJECT_TAG_RE.fullmatch(b[0]) for b in value
-    )
-
-
-# each record field: whether a value is well formed, and what it must be; an absent
-# optional field reads as its value in _OPTIONAL
-_RECORD = {
-    "instance_id": (lambda v: isinstance(v, str), "a string"),
-    "text_description": (lambda v: isinstance(v, str), "a string"),
-    "action_object": (lambda v: _strings(v) and len(v) == 2, "two strings"),
-    **{
-        name: (_texts, "a list of strings with a non-space character each")
-        for name in ("goals", "preconditions", "effects", "before_events", "after_events")
-    },
-    "image": (_frame, "null or a frame object"),
-    "provenance": (_provenance, "a list of objects with a string video_id and frame or null image"),
-    "bindings": (_bindings, "a list of [object tag, label] string pairs"),
-    "flags": (_strings, "a list of strings"),
-}
-_OPTIONAL = {"image": None, "provenance": [], "bindings": [], "flags": []}
-
-
-def instance_from_dict(raw: dict) -> CommonsenseInstance:
-    """The instance a dataset record holds; ValueError names the first field that is wrong."""
-    if not isinstance(raw, dict):
-        raise ValueError(f"a record must be an object, not {json.dumps(raw)}")
-    for name, (valid, must) in _RECORD.items():
-        if name not in raw and name not in _OPTIONAL:
-            raise ValueError(f"the record lacks field {name!r}")
-        value = raw.get(name, _OPTIONAL.get(name))
-        if not valid(value):
-            raise ValueError(f"field {name!r} must be {must}, not {json.dumps(value)}")
+def instance_from_dict(raw) -> CommonsenseInstance:
+    """The instance a dataset record holds; ValueError names the first place that is wrong."""
+    shapes.check(raw, RECORD)
     return CommonsenseInstance(
         instance_id=raw["instance_id"],
         image=_frame_from_dict(raw.get("image")),
         text_description=raw["text_description"],
         action_object=tuple(raw["action_object"]),
-        goals=frozenset(raw["goals"]),
-        preconditions=frozenset(raw["preconditions"]),
-        effects=frozenset(raw["effects"]),
-        before_events=frozenset(raw["before_events"]),
-        after_events=frozenset(raw["after_events"]),
+        **{name: frozenset(raw[name]) for name in SET_FIELDS.values()},
         provenance=tuple(
             ProvenanceEntry(
                 video_id=entry["video_id"],
@@ -683,8 +610,7 @@ def read_dataset(path) -> list[CommonsenseInstance]:
                 continue
             try:
                 instances.append(instance_from_dict(json.loads(line)))
-            # JSONDecodeError is a ValueError; a triplet's int(Infinity) an OverflowError
-            except (ValueError, KeyError, TypeError, OverflowError) as exc:
+            except ValueError as exc:  # JSONDecodeError is a ValueError
                 raise ValueError(f"line {number}: {exc}") from None
             lines.append(number)
     check_unique_ids(instances, lambda position: f"the record on line {lines[position]}")

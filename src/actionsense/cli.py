@@ -20,7 +20,7 @@ import sys
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
-from . import assembly, extraction, generation, metrics, stubs, triplets
+from . import assembly, extraction, generation, metrics, shapes, stubs, triplets
 from .atomic import write_atomic as _write_atomic
 from .corpus import Corpus, MalformedAnnotation
 from .generation import (
@@ -93,9 +93,7 @@ class RunConfig:
     retry_base_delay: float = _setting(0.05, lambda v: 0 <= v <= 60, "from 0 to 60")
     providers: dict = _setting(
         {},
-        lambda v: all(_provider_spec(spec) for spec in v.values()),
-        'an object mapping each role to an object with a string "kind" and string "path"/"url"',
-        {
+        stages={
             "coref": ("build",),
             "parse": ("build",),
             "rc": ("build",),
@@ -106,6 +104,12 @@ class RunConfig:
 
 
 _SCHEMA = {f.name: f.metadata for f in fields(RunConfig)}
+# each field has its default's JSON type; the one object field maps roles to provider specs
+_TYPE_SHAPES = {
+    str: shapes.STRING, int: shapes.INT, float: shapes.NUMBER, list: shapes.LIST,
+    dict: shapes.dict_of({"kind": shapes.STRING, "path?": shapes.STRING, "url?": shapes.STRING}),
+}
+_CONFIG = shapes.obj({f"{k}?": _TYPE_SHAPES[type(v)] for k, v in vars(RunConfig()).items()})
 
 
 def stage_settings(cfg: RunConfig, stage: str) -> dict:
@@ -133,16 +137,16 @@ def load_config(path, overrides: dict | None = None) -> RunConfig:
         raise ConfigError(f"config file not found: {path}")
     try:
         with open(path, encoding="utf-8") as fh:
-            raw = json.load(fh)
-    except (OSError, ValueError) as exc:  # a directory, not JSON, not UTF-8
-        raise ConfigError(f"config {path} is not a readable JSON file: {exc}") from exc
-
-    if not isinstance(raw, dict):
-        raise ConfigError(f"config {path} must hold a JSON object, not {type(raw).__name__}")
+            raw = shapes.check(json.load(fh), _CONFIG)
+    except (OSError, ValueError) as exc:  # a directory, not JSON, not UTF-8, or its shape
+        raise ConfigError(f"config {path} is not a run config: {exc}") from exc
     unknown = set(raw) - set(_SCHEMA)
     if unknown:
         raise ConfigError(f"unknown config fields in {path}: {sorted(unknown)}")
-    _check_fields(raw, path)
+    for name, value in raw.items():
+        if not _SCHEMA[name]["valid"](value):
+            must, shown = _SCHEMA[name]["must"], json.dumps(value)
+            raise ConfigError(f"config {path}: field {name!r} must be {must}, not {shown}")
     cfg = RunConfig(**raw)
 
     base = path.parent
@@ -160,41 +164,6 @@ def load_config(path, overrides: dict | None = None) -> RunConfig:
             setattr(cfg, key, value)
     _check_grid(cfg)
     return cfg
-
-
-_JSON_TYPES = {
-    str: "a string",
-    int: "an integer",
-    float: "a number",
-    list: "a list",
-    dict: "an object",
-}
-
-
-def _check_fields(raw: dict, path: Path) -> None:
-    """Raise ConfigError naming the first field not of its default's JSON type or out of range."""
-    defaults = vars(RunConfig())
-    for name, value in raw.items():
-        expected = type(defaults[name])
-        accepted = (int, float) if expected is float else expected
-        if isinstance(value, bool) or not isinstance(value, accepted):
-            must = _JSON_TYPES[expected]
-        elif not _SCHEMA[name]["valid"](value):
-            must = _SCHEMA[name]["must"]
-        else:
-            continue
-        raise ConfigError(
-            f"config field {name!r} in {path} must be {must}, not {json.dumps(value)}"
-        )
-
-
-def _provider_spec(spec) -> bool:
-    """An object with a string ``kind``, and a string ``path`` or ``url`` where it has one."""
-    return (
-        isinstance(spec, dict)
-        and isinstance(spec.get("kind"), str)
-        and all(isinstance(spec[f], str) for f in ("path", "url") if f in spec)
-    )
 
 
 # A grid cell is a mask label in its combo_label spelling and a variant int; config fields,
@@ -222,7 +191,7 @@ def _variant(value) -> int:
 
 def _cells(values, read) -> list:
     """``read`` of each of ``values``, a non-empty list in which no cell is named twice."""
-    if not isinstance(values, list) or not values:
+    if not values:
         raise ValueError(f"must be a non-empty list, not {values!r}")
     cells = [read(value) for value in values]
     for i, cell in enumerate(cells):
@@ -244,6 +213,14 @@ def _check_grid(cfg: RunConfig) -> None:
         raise ConfigError(f"bad grid in config: {exc}") from None
 
 
+# each stage's record is an object, with the settings it ran under if it records them
+_MANIFEST = shapes.obj({
+    "stages": shapes.dict_of({"settings?": shapes.OBJECT}),
+    "cells": shapes.dict_of(shapes.STRING),
+    "failures": shapes.LIST,
+})
+
+
 class Manifest:
     def __init__(self, run_dir: Path):
         self.path = Path(run_dir) / "manifest.json"
@@ -255,23 +232,9 @@ class Manifest:
         if manifest.path.exists():
             try:
                 with open(manifest.path, encoding="utf-8") as fh:
-                    data = json.load(fh)
-            except (OSError, ValueError) as exc:  # a directory, not JSON, not UTF-8
-                raise ConfigError(f"manifest {manifest.path} is not readable JSON: {exc}") from exc
-            shape = {"stages": dict, "cells": dict, "failures": list}
-            if not isinstance(data, dict) or any(
-                not isinstance(data.get(k), t) for k, t in shape.items()
-            ):
-                raise ConfigError(
-                    f"manifest {manifest.path} is not an object holding stages, cells and failures"
-                )
-            wrong = [f"stage {k!r} must be an object"
-                     for k, v in data["stages"].items() if not isinstance(v, dict)]
-            wrong += [f"cell {k!r} must be a file path string"
-                      for k, v in data["cells"].items() if not isinstance(v, str)]
-            if wrong:
-                raise ConfigError(f"manifest {manifest.path}: {wrong[0]}")
-            manifest.data = data
+                    manifest.data = shapes.check(json.load(fh), _MANIFEST)
+            except (OSError, ValueError) as exc:  # a directory, not JSON, not UTF-8, or its shape
+                raise ConfigError(f"manifest {manifest.path} is not a run manifest: {exc}") from exc
         return manifest
 
     def save(self) -> None:
@@ -289,8 +252,7 @@ class Manifest:
         record = self.data["stages"].get(mark)
         if record is None:
             return
-        recorded = record.get("settings")
-        recorded = recorded if isinstance(recorded, dict) else {}
+        recorded = record.get("settings", {})
         changed = [k for k, v in stage_settings(cfg, stage).items() if recorded.get(k) != v]
         if changed:
             raise ConfigError(
@@ -360,10 +322,8 @@ def make_providers(cfg: RunConfig, cache_dir: Path, roles=None) -> Providers:
             setattr(built, name, factory(spec))
         except KeyError as exc:  # a spec without the field its kind reads, or a table without it
             raise ConfigError(f"provider {name!r} of kind {kind!r} lacks {exc}") from exc
-        except (OSError, ValueError) as exc:  # missing, a directory, not JSON, not UTF-8
-            raise ConfigError(
-                f"provider {name!r} table {spec.get('path')} is not a JSON object: {exc}"
-            ) from exc
+        except (OSError, ValueError) as exc:  # missing, a directory, not JSON, not UTF-8, a list
+            raise ConfigError(f"provider {name!r} table {spec.get('path')}: {exc}") from exc
     return built
 
 
@@ -633,7 +593,12 @@ def _generate(cfg: RunConfig, run: _Run, labels, variants, resume: bool, phase: 
     return combined
 
 
-_GENERATION_FIELDS = ("instance_id", "inference_type", "condition", "variant", "texts")
+# a generation line as evaluate reads it; _mask and _variant read its cell, and its type is a name
+_GENERATION_LINE = shapes.obj({
+    "instance_id": shapes.STRING,
+    **dict.fromkeys(("inference_type", "condition", "variant"), shapes.ANY),
+    "texts": [shapes.STRING],
+})
 INFERENCE_TYPE_NAMES = tuple(t.value for t in InferenceType)
 
 
@@ -649,25 +614,19 @@ def _read_generations(path: Path, instance_ids) -> dict[tuple[str, str, int], li
             if not raw.strip():
                 continue
             try:
-                line = json.loads(raw)
-                missing = [f for f in _GENERATION_FIELDS if f not in line]
-                if missing:
-                    raise ValueError(f"lacks fields {missing}")
+                line = shapes.check(json.loads(raw), _GENERATION_LINE)
                 if line["instance_id"] not in instance_ids:
                     raise ValueError(f"instance {line['instance_id']!r} is not in the dataset")
                 if line["inference_type"] not in INFERENCE_TYPE_NAMES:
                     raise ValueError(f"unknown inference type {line['inference_type']!r}")
                 key = (line["inference_type"], _mask(line["condition"]), _variant(line["variant"]))
-                texts = line["texts"]
-                if not isinstance(texts, list) or not all(isinstance(t, str) for t in texts):
-                    raise ValueError(f"texts must be a list of strings, got {texts!r}")
-            except (ValueError, TypeError) as exc:  # JSONDecodeError is a ValueError
+            except ValueError as exc:  # JSONDecodeError is a ValueError
                 raise ConfigError(f"{path}:{number}: not a generation record: {exc}") from None
             generation_key = (line["instance_id"], *key)
             first = first_line.setdefault(generation_key, number)
             if first != number:
                 raise ConfigError(f"{path}:{number}: repeats line {first}'s {generation_key}")
-            cells.setdefault(key, []).append((line["instance_id"], texts))
+            cells.setdefault(key, []).append((line["instance_id"], line["texts"]))
     return cells
 
 
@@ -787,22 +746,22 @@ def run_generate(cfg: RunConfig, resume: bool = False) -> None:
         _generate(cfg, run, cfg.modalities, cfg.variants, resume, "main")
 
 
+_GENERATE_RECORD = shapes.obj({"file": shapes.STRING, "masks": shapes.LIST, "variants": shapes.LIST})
+
+
 def _generated_grid(manifest: Manifest) -> tuple[str, list[str], list[int]]:
     """The file, canonical mask labels and variants of the manifest's ``generate`` record."""
     record = manifest.data["stages"]["generate"]
-
-    def bad(name, problem):
-        where = f"manifest {manifest.path}: field {name!r} of stage 'generate'"
-        return ConfigError(f"{where}: {problem}")
-
-    if not isinstance(record.get("file"), str):
-        raise bad("file", "must be a string")
-    grid = [record["file"]]
+    where = f"manifest {manifest.path}: stage 'generate'"
+    try:
+        grid = [shapes.check(record, _GENERATE_RECORD)["file"]]
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}") from None
     for name, read in (("masks", _mask), ("variants", _variant)):
         try:
-            grid.append(_cells(record.get(name), read))
+            grid.append(_cells(record[name], read))
         except ValueError as exc:
-            raise bad(name, exc) from None
+            raise ConfigError(f"{where}: field {name!r}: {exc}") from None
     return tuple(grid)
 
 
@@ -839,19 +798,26 @@ def run_ablate(cfg: RunConfig, resume: bool = False, modalities_only: bool = Fal
 # report
 
 
+_REPORT = shapes.obj({
+    "rows": [{
+        "type": shapes.STRING, "condition": shapes.STRING,
+        **dict.fromkeys(metrics.METRIC_COLUMNS, shapes.NUMBER),
+    }],
+})
+
+
 def run_report(report_path: str, as_csv: bool = False) -> None:
     path = Path(report_path)
     if not path.exists():
         raise ConfigError(f"report not found: {path}")
     try:
         with open(path, encoding="utf-8") as fh:
-            rows = json.load(fh).get("rows")
-        if not rows:
-            raise ConfigError(f"report {path} has no rows")
-        text = metrics.format_csv(rows) if as_csv else metrics.format_table(rows) + "\n"
-    except (OSError, ValueError, AttributeError, KeyError, TypeError) as exc:
+            rows = shapes.check(json.load(fh), _REPORT)["rows"]
+    except (OSError, ValueError) as exc:  # a directory, not JSON, not UTF-8, or its shape
         raise ConfigError(f"report {path} is not a report JSON: {exc}") from exc
-    sys.stdout.write(text)
+    if not rows:
+        raise ConfigError(f"report {path} has no rows")
+    sys.stdout.write(metrics.format_csv(rows) if as_csv else metrics.format_table(rows) + "\n")
 
 
 # ---------------------------------------------------------------------------

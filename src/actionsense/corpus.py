@@ -8,7 +8,7 @@ The annotation input is one JSON document per corpus:
 plus a recipe index file mapping recipe id to recipe name. Missing media or
 transcripts are tolerated: the video is still loaded and flagged so that
 downstream stages can skip the affected components instead of aborting.
-All timestamps are normalized to float seconds at ingestion.
+All times are finite JSON numbers of seconds.
 """
 
 from __future__ import annotations
@@ -17,6 +17,9 @@ import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
+
+from . import shapes
+from .shapes import NUMBER, STRING, TEXT
 
 DEFAULT_FPS = 30.0
 
@@ -110,14 +113,10 @@ class VideoRecord:
 class RecipeIndex:
     entries: dict[str, str]
 
-    def name(self, recipe_id) -> str:
-        key = str(recipe_id)
-        if key not in self.entries:
-            raise UnknownRecipeId(key)
-        return self.entries[key]
-
-    def __contains__(self, recipe_id) -> bool:
-        return str(recipe_id) in self.entries
+    def name(self, recipe_id: str) -> str:
+        if recipe_id not in self.entries:
+            raise UnknownRecipeId(recipe_id)
+        return self.entries[recipe_id]
 
 
 @dataclass(frozen=True)
@@ -165,72 +164,66 @@ class Corpus:
         return cls(videos=tuple(load_corpus(annotation_file, index)), index=index)
 
 
-def _read_json(path):
-    """The JSON document in ``path``; a file that is not UTF-8 JSON is MalformedAnnotation."""
+def _read_json(path, shape):
+    """The JSON document in ``path``, if it has ``shape``; else MalformedAnnotation says why."""
     try:
         with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
-    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
+            raw = json.load(fh)
+    except (OSError, ValueError) as exc:  # a directory, not JSON, not UTF-8
         raise MalformedAnnotation(path, None, f"not a UTF-8 JSON file: {exc}") from None
-    except OSError as exc:  # a directory, say
-        raise MalformedAnnotation(path, None, f"not a readable file: {exc}") from None
+    try:
+        return shapes.check(raw, shape)
+    except ValueError as exc:
+        raise MalformedAnnotation(path, None, str(exc)) from None
 
 
 def load_recipe_index(path) -> RecipeIndex:
-    raw = _read_json(path)
-    if not isinstance(raw, dict):
-        raise MalformedAnnotation(path, None, "recipe index must be a JSON object")
-    entries = {}
-    for key, name in raw.items():
-        if not isinstance(name, str) or not name:
-            raise MalformedAnnotation(path, key, "recipe names must be non-empty strings")
-        entries[str(key)] = name
-    return RecipeIndex(entries=entries)
+    return RecipeIndex(entries=_read_json(path, _RECIPES))
 
 
-def _text(value, what: str, *, empty: bool = False) -> str:
-    if not isinstance(value, str) or not (value or empty):
-        raise ValueError(f"{what} must be a {'' if empty else 'non-empty '}string, got {value!r}")
-    return value
+# an annotation file and one video record in it; keys of clips and frames are segment indices
+_BOX = shapes.tuple_of("[t,x1,y1,x2,y2]", *[NUMBER] * 5)
+_PATHS = shapes.nullable(shapes.dict_of(STRING, "an object keyed by segment index", str.isdecimal))
+_VIDEO = shapes.obj({
+    "video_id": TEXT,
+    "recipe_id": shapes.kind("a string or an integer", lambda v: type(v) in (str, int)),
+    "segments": [{
+        "index": shapes.INT, "start": NUMBER, "end": NUMBER, "sentence": TEXT,
+        "objects?": [{"label": TEXT, "boxes?": [_BOX]}],
+    }],
+    "transcript?": shapes.nullable([{"start": NUMBER, "end": NUMBER, "text": STRING}]),
+    "media?": shapes.nullable({"clips?": _PATHS, "frames?": _PATHS, "resolved?": shapes.BOOL}),
+})
+_ANNOTATIONS = shapes.obj({"videos": shapes.LIST})
+_RECIPES = shapes.dict_of(TEXT)
 
 
-def _parse_objects(raw_objects):
-    objects = []
-    for obj in raw_objects:
-        label = _text(obj.get("label"), "object label")
-        boxes = []
-        for box in obj.get("boxes", []):
-            if len(box) != 5:
-                raise ValueError(f"box for {label!r} must be [t,x1,y1,x2,y2]")
-            t, x1, y1, x2, y2 = (float(v) for v in box)
-            if not (x1 < x2 and y1 < y2):
-                raise ValueError(f"degenerate box for {label!r}: {box}")
-            boxes.append((t, x1, y1, x2, y2))
-        objects.append(ObjectAnnotation(label=label, boxes=tuple(boxes)))
-    return tuple(objects)
+def _parse_objects(raw_segment) -> tuple[ObjectAnnotation, ...]:
+    objects = tuple(
+        ObjectAnnotation(o["label"], tuple(map(tuple, o.get("boxes", []))))
+        for o in raw_segment.get("objects", [])
+    )
+    for obj in objects:
+        for box in obj.boxes:
+            if not (box[1] < box[3] and box[2] < box[4]):  # x1 < x2 and y1 < y2
+                raise ValueError(f"degenerate box for {obj.label!r}: {list(box)}")
+    return objects
 
 
 def _parse_video(raw, index: RecipeIndex, base: Path) -> VideoRecord:
     """One video record; load_corpus names the file and record in what this raises."""
-    video_id = _text(raw["video_id"], "video_id")
+    shapes.check(raw, _VIDEO)
     recipe_id = str(raw["recipe_id"])
-    if recipe_id not in index:
+    if recipe_id not in index.entries:
         raise ValueError(f"recipe_id {recipe_id!r} not in recipe index")
 
-    segments = []
-    for raw_seg in raw["segments"]:
-        seg = Segment(
-            index=int(raw_seg["index"]),
-            t_start=float(raw_seg["start"]),
-            t_end=float(raw_seg["end"]),
-            sentence=_text(raw_seg["sentence"], "sentence"),
-            objects=_parse_objects(raw_seg.get("objects", [])),
-        )
-        # finite times: a frame index is computed from them
-        if not (-math.inf < seg.t_start < seg.t_end < math.inf):
-            raise ValueError(f"segment {seg.index}: start must precede end, both finite")
-        segments.append(seg)
-
+    segments = tuple(
+        Segment(s["index"], s["start"], s["end"], s["sentence"], _parse_objects(s))
+        for s in raw["segments"]
+    )
+    for seg in segments:
+        if not seg.t_start < seg.t_end:
+            raise ValueError(f"segment {seg.index}: start must precede end")
     indices = [s.index for s in segments]
     if indices != list(range(1, len(segments) + 1)):
         raise ValueError(f"segment indices must be 1..N contiguous, got {indices}")
@@ -238,16 +231,12 @@ def _parse_video(raw, index: RecipeIndex, base: Path) -> VideoRecord:
     if any(a >= b for a, b in zip(starts, starts[1:])):
         raise ValueError("segments not strictly ordered by start time")
 
-    transcript = []
-    for raw_line in raw.get("transcript", []) or []:
-        line = TranscriptLine(
-            t_start=float(raw_line["start"]),
-            t_end=float(raw_line["end"]),
-            text=_text(raw_line["text"], "transcript text", empty=True),
-        )
+    transcript = tuple(
+        TranscriptLine(t["start"], t["end"], t["text"]) for t in raw.get("transcript") or []
+    )
+    for line in transcript:
         if line.t_start > line.t_end:
             raise ValueError(f"transcript line at {line.t_start} ends before it starts")
-        transcript.append(line)
 
     media = None
     raw_media = raw.get("media")
@@ -255,7 +244,7 @@ def _parse_video(raw, index: RecipeIndex, base: Path) -> VideoRecord:
         media = MediaRef(
             clip_paths={int(k): v for k, v in (raw_media.get("clips") or {}).items()},
             frame_paths={int(k): v for k, v in (raw_media.get("frames") or {}).items()},
-            resolved=bool(raw_media.get("resolved", False)),
+            resolved=raw_media.get("resolved", False),
         )
         for kind, paths in (("clip", media.clip_paths), ("frame", media.frame_paths)):
             for path in paths.values():
@@ -270,10 +259,10 @@ def _parse_video(raw, index: RecipeIndex, base: Path) -> VideoRecord:
         flags.append(FLAG_NO_MEDIA)
 
     return VideoRecord(
-        video_id=video_id,
+        video_id=raw["video_id"],
         recipe_id=recipe_id,
-        segments=tuple(segments),
-        transcript=tuple(transcript),
+        segments=segments,
+        transcript=transcript,
         media=media,
         flags=tuple(flags),
     )
@@ -289,19 +278,15 @@ def load_corpus(annotation_file, recipe_index) -> list[VideoRecord]:
     """
     if not isinstance(recipe_index, RecipeIndex):
         recipe_index = load_recipe_index(recipe_index)
-    raw = _read_json(annotation_file)
-    if not isinstance(raw, dict) or not isinstance(raw.get("videos"), list):
-        raise MalformedAnnotation(annotation_file, None, "expected top-level {'videos': [...]}")
+    raw = _read_json(annotation_file, _ANNOTATIONS)
 
     videos = []
     seen = set()
     for i, raw_video in enumerate(raw["videos"]):
         try:
             record = _parse_video(raw_video, recipe_index, Path(annotation_file).parent)
-        except KeyError as exc:
-            raise MalformedAnnotation(annotation_file, i, f"missing field {exc}") from None
-        except (TypeError, ValueError, AttributeError, OverflowError) as exc:
-            raise MalformedAnnotation(annotation_file, i, f"malformed value: {exc}") from None
+        except ValueError as exc:
+            raise MalformedAnnotation(annotation_file, i, str(exc)) from None
         if record.video_id in seen:
             raise DuplicateVideoId(annotation_file, i, f"duplicate video_id {record.video_id!r}")
         seen.add(record.video_id)

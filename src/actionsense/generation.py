@@ -151,11 +151,6 @@ def build_prompt(spec: PromptSpec) -> str:
         ) from None
 
 
-def enumerate_modality_combos() -> list[frozenset[Modality]]:
-    """The ten ablation masks, in grid order."""
-    return list(MODALITY_COMBOS)
-
-
 @dataclass(frozen=True)
 class VisualFeatures:
     """One whole-image vector plus one per detected object, capped at 15 total."""

@@ -626,9 +626,6 @@ class EvalReport:
     def to_text(self) -> str:
         return format_table([self._scaled(r) for r in self.rows])
 
-    def to_csv(self) -> str:
-        return format_csv([self._scaled(r) for r in self.rows])
-
 
 REPORT_HEADER = ("type", "condition", *METRIC_COLUMNS)
 

@@ -11,6 +11,7 @@ import json
 import math
 from pathlib import Path
 
+from . import shapes
 from .extraction import ParseTree
 from .generation import VisualFeatures
 from .providers import ProviderError
@@ -18,10 +19,7 @@ from .providers import ProviderError
 
 def _load(path) -> dict:
     with open(path, encoding="utf-8") as fh:
-        table = json.load(fh)
-    if not isinstance(table, dict):
-        raise ValueError(f"{path} holds a {type(table).__name__}, not a JSON object")
-    return table
+        return shapes.check(json.load(fh), shapes.OBJECT)
 
 
 def _digest(*parts: str) -> int:

@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
+from . import shapes
 from .atomic import write_atomic
 
 
@@ -43,7 +44,7 @@ class EventRef:
     def from_dict(cls, raw: dict, video_id: str, ingredient: str) -> "EventRef":
         return cls(
             video_id=video_id,
-            segment_index=int(raw["segment_index"]),
+            segment_index=raw["segment_index"],
             verb=raw["verb"],
             ingredient=ingredient,
             extra_verbs=tuple(raw.get("extra_verbs", [])),
@@ -89,6 +90,12 @@ class SegmentTriplet:
             current=EventRef.from_dict(raw["current"], video_id, ingredient),
             future=EventRef.from_dict(raw["future"], video_id, ingredient),
         )
+
+
+# an event and a triplet as to_dict writes them; from_dict trusts a value of these shapes
+EVENT = {"segment_index": shapes.INT, "verb": shapes.STRING, "extra_verbs?": [shapes.STRING]}
+TRIPLET = shapes.obj({"ingredient": shapes.STRING, "video_id": shapes.STRING,
+                     **dict.fromkeys(("past", "current", "future"), EVENT)})
 
 
 def events_from_pairs(pairs) -> list[EventRef]:
@@ -166,5 +173,5 @@ def read_triplets(path) -> list[SegmentTriplet]:
         for line in fh:
             line = line.strip()
             if line:
-                out.append(SegmentTriplet.from_dict(json.loads(line)))
+                out.append(SegmentTriplet.from_dict(shapes.check(json.loads(line), TRIPLET)))
     return out

@@ -783,7 +783,7 @@ class TestEvaluate:
             ),
             (
                 lambda line: json.dumps({**json.loads(line), "texts": "abc"}),
-                "texts must be a list of strings",
+                "field 'texts' must be a list, not \"abc\"",
             ),
             (
                 lambda line: json.dumps({**json.loads(line), "inference_type": "bogus"}),

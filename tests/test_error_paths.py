@@ -1,9 +1,11 @@
 """Failure-branch coverage: schema violations, contract breaches, bad config."""
 
+import ast
 import contextlib
 import copy
 import dataclasses
 import functools
+import inspect
 import io
 import json
 import operator
@@ -11,7 +13,7 @@ import operator
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from actionsense import cli
+from actionsense import assembly, cli, corpus
 from actionsense.corpus import MalformedAnnotation, load_corpus, load_recipe_index
 from actionsense.extraction import ParseTree
 from actionsense.generation import FieldBlock, InferenceType, TokenSequence, VisualFeatures
@@ -77,7 +79,7 @@ class TestCorpusSchemaErrors:
             ),
             (
                 lambda raw: raw["videos"][0]["segments"][0]["objects"].append({"label": ""}),
-                "non-empty",
+                "field 'segments[0].objects[2].label' must be a non-blank string, not \"\"",
             ),
             (lambda raw: raw["videos"][0].update(recipe_id="r404"), "not in recipe index"),
             (
@@ -97,7 +99,7 @@ class TestCorpusSchemaErrors:
             ),
             pytest.param(
                 lambda raw: segment(raw, "end", float("inf"), index=7),
-                "segment 8: start must precede end, both finite",
+                "field 'segments[7].end' must be a finite number, not Infinity",
                 id="infinite-end",
             ),
             pytest.param(
@@ -107,45 +109,75 @@ class TestCorpusSchemaErrors:
             ),
             pytest.param(
                 lambda raw: video(raw, "segments", 5),
-                "malformed value: 'int' object is not iterable",
+                "field 'segments' must be a list, not 5",
                 id="segments-5",
             ),
             pytest.param(
                 lambda raw: segment(raw, "start", "abc"),
-                "malformed value: could not convert string to float: 'abc'",
+                "field 'segments[0].start' must be a finite number, not \"abc\"",
                 id="start-abc",
             ),
             pytest.param(
                 lambda raw: segment(raw, "objects", [5]),
-                "malformed value: 'int' object has no attribute 'get'",
+                "field 'segments[0].objects[0]' must be a JSON object, not 5",
                 id="object-5",
             ),
             pytest.param(
                 lambda raw: raw["videos"].insert(0, 5),
-                "malformed value: 'int' object is not subscriptable",
+                "(record 0): must be a JSON object, not 5",
                 id="video-5",
             ),
             pytest.param(
                 lambda raw: raw["videos"][0]["transcript"][0].pop("text"),
-                "missing field 'text'",
+                "missing field 'transcript[0].text'",
                 id="transcript-line-without-text",
             ),
             pytest.param(
                 lambda raw: raw["videos"][0]["transcript"][0].update(text=5),
-                "transcript text must be a string",
+                "field 'transcript[0].text' must be a string, not 5",
                 id="transcript-text-5",
             ),
             pytest.param(
                 lambda raw: segment(raw, "sentence", 5),
-                "sentence must be a non-empty string",
+                "field 'segments[0].sentence' must be a non-blank string, not 5",
                 id="sentence-5",
             ),
             pytest.param(
                 lambda raw: raw["videos"][0]["media"]["clips"].update(x="clip.mp4"),
-                "malformed value: invalid literal for int()",
+                "field 'media.clips' must be an object keyed by segment index, not {",
                 id="clip-key-x",
             ),
-            pytest.param(lambda raw: raw.update(videos=5), "expected top-level", id="videos-5"),
+            pytest.param(
+                lambda raw: raw.update(videos=5),
+                "(record None): field 'videos' must be a list, not 5",
+                id="videos-5",
+            ),
+            # values that int(), float() and bool() once read as another type
+            pytest.param(
+                lambda raw: segment(raw, "index", "1"),
+                "(record 0): field 'segments[0].index' must be an integer, not \"1\"",
+                id="index-text",
+            ),
+            pytest.param(
+                lambda raw: segment(raw, "index", 1.0),
+                "(record 0): field 'segments[0].index' must be an integer, not 1.0",
+                id="index-float",
+            ),
+            pytest.param(
+                lambda raw: segment(raw, "index", True),
+                "(record 0): field 'segments[0].index' must be an integer, not true",
+                id="index-bool",
+            ),
+            pytest.param(
+                lambda raw: segment(raw, "start", True),
+                "(record 0): field 'segments[0].start' must be a finite number, not true",
+                id="start-bool",
+            ),
+            pytest.param(
+                lambda raw: raw["videos"][0]["media"].update(resolved="no"),
+                "(record 0): field 'media.resolved' must be true or false, not \"no\"",
+                id="resolved-text",
+            ),
             pytest.param(lambda raw: b"{not json", "not a UTF-8 JSON file", id="not-json"),
             pytest.param(lambda raw: b"\xff\xfe{}", "not a UTF-8 JSON file", id="not-utf-8"),
         ],
@@ -301,6 +333,10 @@ class TestDatasetFileErrors:
             flags += ["--generations", str(run / "generations_main.jsonl")]
         return generate, run_command(["evaluate", *flags])
 
+    # where the error is, for a value wrong only inside
+    INSIDE = {"effects": "effects[0]", "flags": "flags[0]", "image": "image.video_id",
+              "bindings": "bindings[0][0]", "provenance": "provenance[0].video_id"}
+
     @pytest.mark.parametrize(
         "field, value",
         [
@@ -318,9 +354,10 @@ class TestDatasetFileErrors:
     def test_bad_value_exits_2_naming_its_line_and_field(self, built, tmp_path, field, value):
         records = copy.deepcopy(built[2])
         records[2][field] = value
+        place = self.INSIDE.get(field, field)
         for code, err in self.generate_and_evaluate(built, records, tmp_path):
             assert code == 2 and one_error_line(err)
-            assert f"dataset.jsonl: line 3: field {field!r} must be " in err
+            assert f"dataset.jsonl: line 3: field {place!r} must be " in err
 
     # Permuted, repeated or changed records: both commands keep the exit codes, and what
     # generate writes, evaluate reads. The one exception is the pool_size error, which
@@ -339,9 +376,14 @@ class TestDatasetFileErrors:
         elif case == "repeat":
             record = records[data.draw(st.integers(0, len(records) - 1))]
             records.insert(data.draw(st.integers(0, len(records))), record)
-        else:
-            record = records[data.draw(st.integers(0, len(records) - 1))]
-            record[data.draw(st.sampled_from(sorted(record)))] = data.draw(JSON_VALUES)
+        else:  # any place of one record, its provenance triplets included
+            number = data.draw(st.integers(0, len(records) - 1))
+            place = data.draw(st.sampled_from(list(places(records[number]))))
+            value = data.draw(JSON_VALUES)
+            if place:
+                functools.reduce(operator.getitem, place[:-1], records[number])[place[-1]] = value
+            else:
+                records[number] = value
         generate, evaluate = self.generate_and_evaluate(
             built, records, tmp_path_factory.mktemp("fuzz")
         )
@@ -351,6 +393,79 @@ class TestDatasetFileErrors:
             assert evaluate[0] == 0 or "pool_size" in evaluate[1]
         if case == "repeat":
             assert generate[0] == 2 and "repeats: the record on line" in generate[1]
+
+
+    @pytest.mark.parametrize(
+        "place, value",
+        [
+            ("current.segment_index", 2.5),
+            ("current.segment_index", "2"),
+            ("past.verb", 5),
+            ("future.extra_verbs", "abc"),
+            ("video_id", 7),
+            ("past", [1]),
+        ],
+    )
+    def test_bad_provenance_triplet_exits_2_naming_its_line_and_field(
+        self, built, tmp_path, place, value
+    ):
+        records = copy.deepcopy(built[2])
+        *within, name = place.split(".")
+        triplet = records[2]["provenance"][0]["triplet"]
+        functools.reduce(operator.getitem, within, triplet)[name] = value
+        outcomes = self.generate_and_evaluate(built, records, tmp_path)
+        outcomes += (run_command(["stats", str(tmp_path / "dataset.jsonl")]),)
+        for code, err in outcomes:
+            assert code == 2 and one_error_line(err)
+            assert f"dataset.jsonl: line 3: field 'provenance[0].triplet.{place}' must be " in err
+
+    # Any JSON value in any one place of the manifest: evaluate keeps its exit codes.
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_one_replaced_manifest_value_never_escapes_the_exit_codes(
+        self, built, tmp_path_factory, data
+    ):
+        run, _, records = built
+        manifest = json.loads((run / "manifest.json").read_text(encoding="utf-8"))
+        place = data.draw(st.sampled_from(list(places(manifest))))
+        value = data.draw(JSON_VALUES)
+        if place:
+            functools.reduce(operator.getitem, place[:-1], manifest)[place[-1]] = value
+        else:
+            manifest = value
+        work = tmp_path_factory.mktemp("fuzz")
+        (work / "manifest.json").write_text(json.dumps(manifest))
+        (work / "dataset.jsonl").write_bytes((run / "dataset.jsonl").read_bytes())
+        code, err = run_command(
+            ["evaluate", "--config", str(run / "config.json"), "--out", str(work)]
+        )
+        assert code in (0, 2) and (err == "" if code == 0 else one_error_line(err))
+
+
+class TestReaders:
+    READERS = {
+        cli: ("load_config", "Manifest.load", "_read_generations", "run_report"),
+        assembly: ("read_dataset",),
+        corpus: ("load_corpus", "load_recipe_index", "_read_json"),
+    }
+
+    def test_readers_catch_only_value_and_os_errors(self):
+        """A reader's shapes name what is wrong; a catch-all would hide bugs as exit 2."""
+        for module, names in self.READERS.items():
+            tree = ast.parse(inspect.getsource(module))
+            functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+            functions.update(
+                (f"{node.name}.{item.name}", item)
+                for node in tree.body if isinstance(node, ast.ClassDef)
+                for item in node.body if isinstance(item, ast.FunctionDef)
+            )
+            for name in names:
+                for handler in ast.walk(functions[name]):
+                    if isinstance(handler, ast.ExceptHandler):
+                        caught = handler.type
+                        assert caught is not None, f"{name} has a bare except"
+                        types = caught.elts if isinstance(caught, ast.Tuple) else [caught]
+                        assert {ast.unparse(t) for t in types} <= {"ValueError", "OSError"}, name
 
 
 class TestParseTreeValidation:
@@ -613,7 +728,7 @@ class TestConfigErrors:
         code = cli.main(["evaluate", *flags])
         err = capsys.readouterr().err
         assert code == 2 and one_error_line(err) and str(manifest) in err
-        assert f"'{field or 'generate'}'" in err
+        assert f"'{field or 'stages.generate'}'" in err
 
     def test_out_dir_required(self, fixture_config, capsys):
         code = cli.main(["build-dataset", "--config", str(fixture_config)])

@@ -30,7 +30,6 @@ from actionsense.generation import (
     build_prompt,
     combo_label,
     compose_input_sequence,
-    enumerate_modality_combos,
     generate_inferences,
     mask_input,
     score_candidate,
@@ -128,15 +127,15 @@ class TestPrompts:
 
 class TestModalityCombos:
     def test_first_combo_is_image_only(self):
-        assert enumerate_modality_combos()[0] == frozenset({Modality.IMAGE})
+        assert MODALITY_COMBOS[0] == frozenset({Modality.IMAGE})
 
     def test_grounding_always_rides_with_image(self):
-        for combo in enumerate_modality_combos():
+        for combo in MODALITY_COMBOS:
             if Modality.OG in combo:
                 assert Modality.IMAGE in combo
 
     def test_ten_distinct_combos(self):
-        combos = enumerate_modality_combos()
+        combos = MODALITY_COMBOS
         assert len(combos) == 10
         assert len(set(combos)) == 10
 

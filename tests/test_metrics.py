@@ -602,6 +602,7 @@ class TestAggregateReport:
             aggregate_report(bad)
 
     def test_csv_export(self):
-        csv_text = aggregate_report(self.grid()).to_csv()
+        rows = json.loads(aggregate_report(self.grid()).to_json())["rows"]
+        csv_text = metrics.format_csv(rows)
         assert csv_text.splitlines()[0] == "type,condition,B,M,C,A50,unique,novel"
         assert len(csv_text.strip().splitlines()) == 5
