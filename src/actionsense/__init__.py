@@ -12,8 +12,8 @@ from .corpus import Corpus, Segment, VideoRecord, load_corpus, slice_transcript
 from .extraction import (
     VerbIngredientPair,
     count_lemma_frequencies,
+    extract_pairs,
     extract_verb_ingredient_pairs,
-    extract_video_pairs,
     filter_pairs_by_frequency,
     resolve_coreferences,
 )

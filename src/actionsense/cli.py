@@ -22,7 +22,7 @@ from pathlib import Path
 
 from . import assembly, extraction, generation, metrics, shapes, stubs, triplets
 from .atomic import write_atomic as _write_atomic
-from .corpus import Corpus, MalformedAnnotation
+from .corpus import Corpus, InvalidWindow, MalformedAnnotation
 from .generation import (
     InferenceType,
     MODALITY_COMBOS,
@@ -39,6 +39,7 @@ from .providers import (
     HttpSession,
     ProviderError,
     ResponseCache,
+    packed,
     with_retries,
 )
 
@@ -362,7 +363,7 @@ def _build_dataset(cfg: RunConfig, run_dir: Path, manifest: Manifest, corpus, pr
 
     manifest.mark_stage("ingest", videos=len(corpus.videos))
 
-    def resolve_or_record(resolve):
+    def resolve_or_record(video, resolve):
         # resolve_coreferences keeps the video's unresolved sentences, flagged, when this raises
         try:
             return _retry(cfg, resolve)
@@ -371,14 +372,20 @@ def _build_dataset(cfg: RunConfig, run_dir: Path, manifest: Manifest, corpus, pr
             raise
 
     resolved: dict[tuple[str, int], str] = {}
-    pairs = []
-    try:
+
+    def resolved_videos():
+        # one coref request per video: a video is its document
         for video in corpus.videos:
-            sentences = extraction.resolve_coreferences(video, providers.coref, resolve_or_record)
+            retry = lambda resolve: resolve_or_record(video, resolve)
+            sentences = extraction.resolve_coreferences(video, providers.coref, retry)
             indexed = [(seg.index, s.resolved) for seg, s in zip(video.segments, sentences)]
             resolved.update(((video.video_id, index), text) for index, text in indexed)
-            parse = lambda: extraction.extract_video_pairs(video.video_id, indexed, providers.parse)
-            pairs.extend(_retry(cfg, parse))
+            yield video.video_id, indexed
+
+    pairs = []
+    try:
+        for batch in packed(resolved_videos(), lambda video: len(video[1])):
+            pairs.extend(_retry(cfg, lambda: extraction.extract_pairs(batch, providers.parse)))
     except ProviderError as exc:
         manifest.record_failure(f"extract: {exc}")
         raise ProviderError(f"parse provider failed after retries: {exc}") from exc
@@ -393,14 +400,20 @@ def _build_dataset(cfg: RunConfig, run_dir: Path, manifest: Manifest, corpus, pr
     triplets.write_triplets(triplet_list, triplets_path)
     manifest.mark_stage("triplets", count=len(triplet_list), file=str(triplets_path))
 
-    # one RC request per video asks the effect questions of all its triplets
     by_video: dict[str, list[int]] = {}  # video id -> the positions of its triplets
     for position, triplet in enumerate(triplet_list):
         by_video.setdefault(triplet.video_id, []).append(position)
+
+    def asked_by_video():
+        # each video's triplet positions with their effect questions, in triplet order
+        for positions in by_video.values():
+            yield [(p, assembly.effect_questions(triplet_list[p], corpus)) for p in positions]
+
+    # one RC request per batch of whole videos asks the effect questions of all their triplets
     instances = [None] * len(triplet_list)
-    for positions in by_video.values():
-        questions = [assembly.effect_questions(triplet_list[p], corpus) for p in positions]
-        items = [item for asked in questions for item in asked]
+    for batch in packed(asked_by_video(), lambda video: sum(len(asked) for _, asked in video)):
+        asked = [entry for video in batch for entry in video]
+        items = [item for _, questions in asked for item in questions]
         answers = None
         if items and providers.rc is not None:
             try:
@@ -410,10 +423,10 @@ def _build_dataset(cfg: RunConfig, run_dir: Path, manifest: Manifest, corpus, pr
             except ProviderError as exc:
                 manifest.record_failure(f"assemble: {exc}")
                 raise ProviderError(f"rc provider failed after retries: {exc}") from exc
-        for position, asked in zip(positions, questions):
+        for position, questions in asked:
             instances[position] = assembly.build_instance(
                 triplet_list[position], corpus, rc=answers, resolved=resolved, fps=cfg.fps,
-                questions=asked,
+                questions=questions,
             )
 
     merged = sorted(assembly.merge_by_action_object(instances), key=lambda i: i.instance_id)
@@ -895,7 +908,8 @@ def main(argv=None) -> int:
         elif args.command == "report":
             run_report(args.report, as_csv=args.csv)
     except (
-        ConfigError, MalformedAnnotation, metrics.InsufficientNegatives, generation.SequenceOverflow
+        ConfigError, MalformedAnnotation, InvalidWindow, metrics.InsufficientNegatives,
+        generation.SequenceOverflow,
     ) as exc:
         return _fail(str(exc), EXIT_CONFIG)
     except ProviderError as exc:

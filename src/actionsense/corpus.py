@@ -322,11 +322,18 @@ def middle_frame(
     """Pick the frame nearest the segment midpoint, flooring to a frame index.
 
     The index is clip-relative: floor(fps * (midpoint - t_start)). Flooring
-    keeps the choice deterministic and independent of codec details.
+    keeps the choice deterministic and independent of codec details. A
+    segment so long that this overflows a float raises InvalidWindow.
     """
     if media is None or segment.index not in media.clip_paths:
         raise MissingClip(f"no clip for segment {segment.index} of video {video_id!r}")
-    frame_index = math.floor(fps * (segment.t_end - segment.t_start) / 2.0)
+    frames = fps * (segment.t_end - segment.t_start) / 2.0
+    if not math.isfinite(frames):
+        raise InvalidWindow(
+            f"video {video_id!r} segment {segment.index}: {segment.t_start}..{segment.t_end} s"
+            f" is too long to index a frame at {fps} fps"
+        )
+    frame_index = math.floor(frames)
     return FrameRef(
         video_id=video_id,
         segment_index=segment.index,

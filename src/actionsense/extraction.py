@@ -189,28 +189,30 @@ def _pairs_from_tree(
     return pairs
 
 
-def extract_video_pairs(
-    video_id: str,
-    sentences: Sequence[tuple[int, str]],
+def extract_pairs(
+    videos: Sequence[tuple[str, Sequence[tuple[int, str]]]],
     provider: ParseProvider,
     relations: frozenset[str] = OBJECT_RELATIONS,
 ) -> list[VerbIngredientPair]:
-    """Mine (verb lemma, noun lemma) pairs from one video's resolved sentences.
+    """Mine (verb lemma, noun lemma) pairs from several videos' resolved sentences.
 
-    ``sentences`` holds (segment index, resolved sentence) pairs; they are
-    parsed in one provider request. A noun qualifies when its head is a verb
-    through a relation in the allow-list; nouns conjoined to a qualifying noun
-    inherit the same verb. Pairs are emitted in segment then sentence order
-    and deduplicated within each sentence.
+    ``videos`` holds (video id, [(segment index, resolved sentence), ...])
+    pairs; all their sentences are parsed in one provider request. A noun
+    qualifies when its head is a verb through a relation in the allow-list;
+    nouns conjoined to a qualifying noun inherit the same verb. Pairs are
+    emitted in video, segment then sentence order and deduplicated within
+    each sentence.
     """
-    if not all(sentence for _, sentence in sentences):
+    sentences = [sentence for _, indexed in videos for _, sentence in indexed]
+    if not all(sentences):
         raise ValueError("sentence must be non-empty")
     if not sentences:
         return []
-    trees = provider.parse_many([sentence for _, sentence in sentences])
+    trees = provider.parse_many(sentences)
+    keys = [(video_id, index) for video_id, indexed in videos for index, _ in indexed]
     return [
         pair
-        for (index, _), tree in zip(sentences, trees, strict=True)
+        for (video_id, index), tree in zip(keys, trees, strict=True)
         for pair in _pairs_from_tree(tree, video_id, index, relations)
     ]
 
@@ -222,7 +224,7 @@ def extract_verb_ingredient_pairs(
     segment_index: int,
     relations: frozenset[str] = OBJECT_RELATIONS,
 ) -> list[VerbIngredientPair]:
-    """``extract_video_pairs`` for one sentence, over the provider's single-item ``parse``."""
+    """``extract_pairs`` for one sentence, over the provider's single-item ``parse``."""
     if not resolved_sentence:
         raise ValueError("sentence must be non-empty")
     return _pairs_from_tree(provider.parse(resolved_sentence), video_id, segment_index, relations)

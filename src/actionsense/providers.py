@@ -5,11 +5,12 @@ Text-tool providers speak a single JSON-over-HTTP envelope:
     POST {"task": "coref" | "parse" | "rc", "inputs": [...]}
     ->   {"outputs": [...]}
 
-with one output per input, in order. A request carries a natural unit of
-work: coref and parse get every sentence of one video, rc gets the effect
-questions of every triplet of one video, five per triplet with narration in
-its window, as ``{"context": ..., "question": ...}`` objects; each answer is
-checked against its own object's context.
+with one output per input, in order. A coref request carries every sentence
+of one video, its document. Parse and rc requests carry whole consecutive
+videos, ``packed`` up to ``REQUEST_CAP`` inputs: parse gets their sentences,
+rc the effect questions of their triplets, five per triplet with narration
+in its window, as ``{"context": ..., "question": ...}`` objects; each answer
+is checked against its own object's context.
 
 The language-model provider speaks:
 
@@ -80,6 +81,30 @@ _KEY = re.compile(rb"[0-9a-f]{64}")
 
 class ProviderError(Exception):
     """A provider call failed or returned a malformed response."""
+
+
+# the most inputs one packed parse or rc request holds, unless one video alone has more
+REQUEST_CAP = 256
+
+
+def packed(groups, size):
+    """Consecutive ``groups`` in lists of at most ``REQUEST_CAP`` inputs, no group split.
+
+    ``size(group)`` is a group's number of inputs. A list is closed when the
+    next group would push its inputs past the cap, so a group with more
+    inputs than the cap shares its list with no other group that has inputs;
+    a group with no inputs joins the open list.
+    """
+    batch, inputs = [], 0
+    for group in groups:
+        n = size(group)
+        if inputs and inputs + n > REQUEST_CAP:
+            yield batch
+            batch, inputs = [], 0
+        batch.append(group)
+        inputs += n
+    if batch:
+        yield batch
 
 
 def canonical_payload(payload) -> str:

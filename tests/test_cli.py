@@ -5,12 +5,13 @@ import json
 import os
 import subprocess
 import sys
+import threading
 from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from actionsense import assembly, cli, generation, metrics, stubs
+from actionsense import assembly, cli, generation, metrics, providers, stubs
 from actionsense.assembly import (
     CommonsenseInstance,
     compute_statistics,
@@ -18,7 +19,11 @@ from actionsense.assembly import (
     read_dataset,
 )
 from actionsense.corpus import Corpus
-from actionsense.extraction import count_lemma_frequencies, filter_pairs_by_frequency
+from actionsense.extraction import (
+    count_lemma_frequencies,
+    filter_pairs_by_frequency,
+    resolve_coreferences,
+)
 from actionsense.providers import ProviderError
 from actionsense.triplets import read_triplets
 
@@ -149,6 +154,26 @@ class TestBuildDataset:
         err = capsys.readouterr().err
         assert repr(raw["videos"][0]["video_id"]) in err
         assert "Traceback" not in err
+
+    def test_segment_too_long_for_a_frame_index_exits_2_naming_it(
+        self, fixture_config, tmp_path, capsys
+    ):
+        from actionsense.stubs import fixture_path
+
+        raw = json.loads(fixture_path("annotations.json").read_text())
+        video = raw["videos"][0]
+        video["segments"][1]["end"] = 1.7e308  # finite, but fps times half of it is not
+        annotations = tmp_path / "long.json"
+        annotations.write_text(json.dumps(raw))
+        cfg = {**json.loads(fixture_config.read_text()), "annotation_file": str(annotations)}
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(cfg))
+        out = tmp_path / "r"
+        code = cli.main(["build-dataset", "--config", str(bad), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2 and err.startswith("error: ") and err.count("\n") == 1
+        assert f"video {video['video_id']!r} segment 2" in err
+        assert not (out / "dataset.jsonl").exists()
 
     def test_two_pairs_with_one_id_stop_the_build_before_the_dataset_is_written(
         self, fixture_config, tmp_path, capsys, monkeypatch
@@ -1101,10 +1126,10 @@ class TestProviderBatches:
         assert {(attr, len(args[1])) for attr, args in calls} == {("logprobs_many", pool_size)}
 
     @pytest.mark.parametrize(
-        "copies, groups, requests", [(None, None, (5, 5, 4)), (10, 2, (50, 50, 40))],
+        "copies, groups, requests", [(None, None, (5, 1, 1)), (10, 2, (50, 2, 2))],
         ids=["fixture", "scale-up"],
     )
-    def test_build_sends_one_coref_parse_and_rc_request_per_video(
+    def test_build_packs_whole_videos_into_each_parse_and_rc_request(
         self, fixture_config, tmp_path, monkeypatch, copies, groups, requests
     ):
         config = fixture_config
@@ -1112,31 +1137,171 @@ class TestProviderBatches:
             corpus_gen = load_perfbench("corpus_gen")
             corpus_gen.generate_corpus(tmp_path / "corpus", SRC_ROOT, copies, groups, seed=1)
             config = corpus_gen.write_config(tmp_path / "scaled.json", tmp_path / "corpus", 1)
-        calls = []
-        for owner, attr in (
-            (stubs.StubCorefProvider, "resolve"),
-            (stubs.StubParseProvider, "parse_many"),
-            (stubs.StubParseProvider, "parse"),
-            (stubs.StubRCProvider, "answer_many"),
-            (stubs.StubRCProvider, "answer"),
-        ):
-            counting(monkeypatch, owner, attr, calls)
+        sent = text_tool_requests(monkeypatch)
         out = build(config, tmp_path / "run")
-        sent = {}
-        for attr, args in calls:
-            sent.setdefault(attr, []).append(list(args[0]))
         assert (len(sent["resolve"]), len(sent["parse_many"]), len(sent["answer_many"])) == requests
         assert set(sent) == {"resolve", "parse_many", "answer_many"}
 
         cfg = cli.load_config(config)
         corpus = Corpus.load(cfg.annotation_file, cfg.recipe_file)
+        # coref still gets one video's sentences per request
         assert sent["resolve"] == [[s.sentence for s in v.segments] for v in corpus.videos]
-        assert [len(s) for s in sent["parse_many"]] == [len(v.segments) for v in corpus.videos]
-        # each video's request asks its triplets' effect questions, in triplet order
-        asked = {}
-        for triplet in read_triplets(out / "triplets.jsonl"):
-            asked.setdefault(triplet.video_id, []).extend(effect_questions(triplet, corpus))
-        assert sent["answer_many"] == [items for items in asked.values() if items]
+        sentences = resolved_sentences(corpus, cfg.providers["coref"]["path"])
+        packs_of(sent["parse_many"], sentences)
+        packs_of(sent["answer_many"], video_questions(out, corpus))
+
+    def test_video_over_the_cap_goes_alone_and_one_without_questions_adds_nothing(
+        self, fixture_config, tmp_path, monkeypatch, corpus
+    ):
+        expected = build(fixture_config, tmp_path / "whole")
+        monkeypatch.setattr(providers, "REQUEST_CAP", 9)
+        sent = text_tool_requests(monkeypatch)
+        out = build(fixture_config, tmp_path / "run")
+        for name in ("dataset.jsonl", "stats.json", "triplets.jsonl"):
+            assert (out / name).read_bytes() == (expected / name).read_bytes()
+        # blt01's 8 sentences, then two videos of 5 that would make 10 together, then 5 + 4
+        assert [len(r) for r in sent["parse_many"]] == [8, 5, 5, 9]
+        sentences = resolved_sentences(corpus, stubs.fixture_path("coref.json"))
+        assert packs_of(sent["parse_many"], sentences) == [1, 1, 1, 2]
+        # blt01 asks 10 and mash01 15 questions, each over the cap of 9, so each goes
+        # alone; egg01 asks none and rides with boxty01, adding nothing to its request
+        questions = video_questions(out, corpus)
+        assert [len(q) for q in questions] == [10, 15, 5, 5, 0]
+        assert [len(r) for r in sent["answer_many"]] == [10, 15, 5, 5]
+        assert sent["answer_many"][-1] == questions[3]
+        assert packs_of(sent["answer_many"], questions) == [1, 1, 1, 1]
+
+    def test_pack_of_videos_without_questions_sends_no_rc_request(
+        self, fixture_config, tmp_path, monkeypatch
+    ):
+        raw = json.loads(stubs.fixture_path("annotations.json").read_text())
+        for video in raw["videos"]:
+            video["transcript"] = None
+        annotations = tmp_path / "silent.json"
+        annotations.write_text(json.dumps(raw))
+        cfg = {**json.loads(fixture_config.read_text()), "annotation_file": str(annotations)}
+        config = tmp_path / "silent_config.json"
+        config.write_text(json.dumps(cfg))
+        monkeypatch.setattr(providers, "REQUEST_CAP", 9)
+        sent = text_tool_requests(monkeypatch)
+        out = build(config, tmp_path / "run")
+        assert "answer_many" not in sent
+        dataset = read_dataset(out / "dataset.jsonl")
+        assert dataset and all(assembly.FLAG_NO_TRANSCRIPT in i.flags for i in dataset)
+
+    def test_build_over_http_text_tools_matches_the_stub_build(
+        self, fixture_config, tmp_path
+    ):
+        expected = build(fixture_config, tmp_path / "stub")
+        with text_tool_server() as (url, posts):
+            cfg = json.loads(fixture_config.read_text())
+            for task in ("coref", "parse", "rc"):
+                cfg["providers"][task] = {"kind": "http", "url": f"{url}/{task}"}
+            config = tmp_path / "http.json"
+            config.write_text(json.dumps(cfg))
+            out = build(config, tmp_path / "http")
+            for name in ("dataset.jsonl", "triplets.jsonl"):
+                assert (out / name).read_bytes() == (expected / name).read_bytes()
+            assert posts == Counter({"coref": 5, "parse": 1, "rc": 1})
+            # the response log answers every request of a second build into the run
+            build(config, out)
+            assert posts == Counter({"coref": 5, "parse": 1, "rc": 1})
+            assert (out / "dataset.jsonl").read_bytes() == (expected / "dataset.jsonl").read_bytes()
+
+
+def text_tool_requests(monkeypatch) -> dict:
+    """Method name -> the inputs of each call, filled as the coref, parse and rc stubs are called."""
+    sent = {}
+    for owner, attr in (
+        (stubs.StubCorefProvider, "resolve"),
+        (stubs.StubParseProvider, "parse_many"),
+        (stubs.StubParseProvider, "parse"),
+        (stubs.StubRCProvider, "answer_many"),
+        (stubs.StubRCProvider, "answer"),
+    ):
+        def recorded(self, inputs, *rest, attr=attr, original=getattr(owner, attr)):
+            sent.setdefault(attr, []).append(list(inputs))
+            return original(self, inputs, *rest)
+
+        monkeypatch.setattr(owner, attr, recorded)
+    return sent
+
+
+def resolved_sentences(corpus, coref_path) -> list[list[str]]:
+    coref = stubs.StubCorefProvider(coref_path)
+    return [[s.resolved for s in resolve_coreferences(v, coref)] for v in corpus.videos]
+
+
+def video_questions(out: Path, corpus) -> list[list]:
+    """Each video's effect questions in triplet order, videos in order of their first triplet."""
+    asked = {}
+    for triplet in read_triplets(out / "triplets.jsonl"):
+        asked.setdefault(triplet.video_id, []).extend(effect_questions(triplet, corpus))
+    return list(asked.values())
+
+
+def packs_of(requests: list[list], videos: list[list]) -> list[int]:
+    """How many videos with inputs each request holds; fails unless the requests pack ``videos``.
+
+    The requests, joined, must hold every video's inputs in order; none may
+    split a video; each is closed only when the next video would push it past
+    the cap; and none exceeds the cap unless it holds a single video.
+    """
+    videos = [inputs for inputs in videos if inputs]
+    assert [x for r in requests for x in r] == [x for v in videos for x in v]
+    packs, next_video = [], 0
+    for request in requests:
+        held = 0
+        start = next_video
+        while held < len(request):
+            held += len(videos[next_video])
+            next_video += 1
+        assert held == len(request), "a request splits a video"
+        packs.append(next_video - start)
+        assert len(request) <= providers.REQUEST_CAP or packs[-1] == 1
+        if next_video < len(videos):
+            assert len(request) + len(videos[next_video]) > providers.REQUEST_CAP
+    return packs
+
+
+@contextlib.contextmanager
+def text_tool_server():
+    """A local coref, parse and rc endpoint answering from the fixture stub tables."""
+    from http.server import BaseHTTPRequestHandler, HTTPServer
+
+    coref = stubs.StubCorefProvider(stubs.fixture_path("coref.json"))
+    parse = json.loads(stubs.fixture_path("parse.json").read_text())
+    rc = stubs.StubRCProvider(stubs.fixture_path("rc.json"))
+    answer = {
+        "coref": coref.resolve,
+        "parse": lambda inputs: [parse[sentence] for sentence in inputs],
+        "rc": lambda inputs: rc.answer_many([(i["context"], i["question"]) for i in inputs]),
+    }
+    posts = Counter()
+
+    class Handler(BaseHTTPRequestHandler):
+        def do_POST(self):
+            payload = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+            posts[payload["task"]] += 1
+            body = json.dumps({"outputs": answer[payload["task"]](payload["inputs"])}).encode()
+            self.send_response(200)
+            self.send_header("Content-Type", "application/json")
+            self.send_header("Content-Length", str(len(body)))
+            self.end_headers()
+            self.wfile.write(body)
+
+        def log_message(self, *args):
+            pass
+
+    server = HTTPServer(("127.0.0.1", 0), Handler)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        yield f"http://127.0.0.1:{server.server_port}", posts
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join()
 
 
 class TestAblate:

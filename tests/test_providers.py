@@ -1,7 +1,9 @@
 import json
+import re
 import sys
 import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +12,7 @@ from actionsense.providers import (
     HttpLMProvider,
     HttpParseProvider,
     HttpRCProvider,
+    REQUEST_CAP,
     ProviderError,
     ResponseCache,
     content_key,
@@ -207,6 +210,11 @@ class TestResponseCache:
 
 
 class TestWireContract:
+    def test_readme_states_the_request_cap(self):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        contracts = readme.split("## Provider wire contracts", 1)[1].split("\n## ", 1)[0]
+        assert re.findall(r"at most (\d+) inputs", contracts) == [str(REQUEST_CAP)]
+
     def test_coref_request_shape_and_response(self, wire_server):
         url, requests, _ = wire_server
         provider = HttpCorefProvider(url)
