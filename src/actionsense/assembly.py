@@ -59,7 +59,7 @@ class RCProvider(Protocol):
 
 
 class AnswerTable:
-    """The answers to one RC request, served again to ``answer_many`` by item."""
+    """A build's RC answers, served again to ``answer_many`` by item."""
 
     def __init__(self, items: Sequence[tuple[str, str]], answers: Sequence[str | None]):
         self._answers = dict(zip(items, answers, strict=True))

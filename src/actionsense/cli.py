@@ -39,7 +39,7 @@ from .providers import (
     HttpSession,
     ProviderError,
     ResponseCache,
-    packed,
+    chunks,
     with_retries,
 )
 
@@ -371,21 +371,18 @@ def _build_dataset(cfg: RunConfig, run_dir: Path, manifest: Manifest, corpus, pr
             manifest.record_failure(f"extract: video {video.video_id} kept its sentences: {exc}")
             raise
 
+    # one coref request per video: a video is its document
     resolved: dict[tuple[str, int], str] = {}
-
-    def resolved_videos():
-        # one coref request per video: a video is its document
-        for video in corpus.videos:
-            retry = lambda resolve: resolve_or_record(video, resolve)
-            sentences = extraction.resolve_coreferences(video, providers.coref, retry)
-            indexed = [(seg.index, s.resolved) for seg, s in zip(video.segments, sentences)]
-            resolved.update(((video.video_id, index), text) for index, text in indexed)
-            yield video.video_id, indexed
+    for video in corpus.videos:
+        retry = lambda resolve: resolve_or_record(video, resolve)
+        sentences = extraction.resolve_coreferences(video, providers.coref, retry)
+        for seg, sentence in zip(video.segments, sentences):
+            resolved[video.video_id, seg.index] = sentence.resolved
 
     pairs = []
     try:
-        for batch in packed(resolved_videos(), lambda video: len(video[1])):
-            pairs.extend(_retry(cfg, lambda: extraction.extract_pairs(batch, providers.parse)))
+        for chunk in chunks(list(resolved.items())):
+            pairs.extend(_retry(cfg, lambda: extraction.extract_pairs(chunk, providers.parse)))
     except ProviderError as exc:
         manifest.record_failure(f"extract: {exc}")
         raise ProviderError(f"parse provider failed after retries: {exc}") from exc
@@ -400,34 +397,23 @@ def _build_dataset(cfg: RunConfig, run_dir: Path, manifest: Manifest, corpus, pr
     triplets.write_triplets(triplet_list, triplets_path)
     manifest.mark_stage("triplets", count=len(triplet_list), file=str(triplets_path))
 
-    by_video: dict[str, list[int]] = {}  # video id -> the positions of its triplets
-    for position, triplet in enumerate(triplet_list):
-        by_video.setdefault(triplet.video_id, []).append(position)
-
-    def asked_by_video():
-        # each video's triplet positions with their effect questions, in triplet order
-        for positions in by_video.values():
-            yield [(p, assembly.effect_questions(triplet_list[p], corpus)) for p in positions]
-
-    # one RC request per batch of whole videos asks the effect questions of all their triplets
-    instances = [None] * len(triplet_list)
-    for batch in packed(asked_by_video(), lambda video: sum(len(asked) for _, asked in video)):
-        asked = [entry for video in batch for entry in video]
-        items = [item for _, questions in asked for item in questions]
-        answers = None
-        if items and providers.rc is not None:
-            try:
-                answers = assembly.AnswerTable(
-                    items, _retry(cfg, lambda: providers.rc.answer_many(items))
-                )
-            except ProviderError as exc:
-                manifest.record_failure(f"assemble: {exc}")
-                raise ProviderError(f"rc provider failed after retries: {exc}") from exc
-        for position, questions in asked:
-            instances[position] = assembly.build_instance(
-                triplet_list[position], corpus, rc=answers, resolved=resolved, fps=cfg.fps,
-                questions=questions,
-            )
+    # each distinct effect question once, in the order triplets first ask it
+    asked = [assembly.effect_questions(triplet, corpus) for triplet in triplet_list]
+    items = list(dict.fromkeys(item for questions in asked for item in questions))
+    answers = None
+    if items and providers.rc is not None:
+        try:
+            answers = assembly.AnswerTable(items, [
+                answer for chunk in chunks(items)
+                for answer in _retry(cfg, lambda: providers.rc.answer_many(chunk))
+            ])
+        except ProviderError as exc:
+            manifest.record_failure(f"assemble: {exc}")
+            raise ProviderError(f"rc provider failed after retries: {exc}") from exc
+    instances = [
+        assembly.build_instance(t, corpus, rc=answers, resolved=resolved, fps=cfg.fps, questions=q)
+        for t, q in zip(triplet_list, asked)
+    ]
 
     merged = sorted(assembly.merge_by_action_object(instances), key=lambda i: i.instance_id)
     try:  # ids slug their action-object pair, so two pairs can share one

@@ -12,6 +12,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Protocol, Sequence
 
+from . import shapes
 from .corpus import VideoRecord
 from .providers import ProviderError
 
@@ -39,6 +40,26 @@ class Token:
     pos: str
 
 
+def _is_tree(raw) -> bool:
+    """Whether ``raw`` has shape ``TREE``, in one pass over tables of thousands of trees."""
+    tokens, arcs = (raw.get("tokens"), raw.get("arcs")) if type(raw) is dict else (None, None)
+    return type(tokens) is type(arcs) is list and all(
+        type(t) is dict and type(t.get("text")) is type(t.get("lemma")) is type(t.get("pos")) is str
+        for t in tokens
+    ) and all(
+        type(a) is list and len(a) == 3 and type(a[0]) is type(a[1]) is int and type(a[2]) is str
+        for a in arcs
+    )
+
+
+_TREE_FIELDS = {
+    "tokens": [{"text": shapes.STRING, "lemma": shapes.STRING, "pos": shapes.STRING}],
+    "arcs": [shapes.tuple_of("[head, dependent, relation]", shapes.INT, shapes.INT, shapes.STRING)],
+}
+# a dependency parse as a parse provider answers it, checked before ParseTree.from_dict
+TREE = shapes.fast(_TREE_FIELDS, _is_tree)
+
+
 @dataclass(frozen=True)
 class ParseTree:
     """Dependency tree: arcs are (head_index, dependent_index, relation).
@@ -51,21 +72,11 @@ class ParseTree:
 
     @classmethod
     def from_dict(cls, raw) -> "ParseTree":
-        tokens = tuple(
-            Token(text=t["text"], lemma=t["lemma"], pos=t["pos"]) for t in raw["tokens"]
-        )
-        arcs = tuple((int(h), int(d), str(r)) for h, d, r in raw["arcs"])
-        tree = cls(tokens=tokens, arcs=arcs)
-        tree.validate()
-        return tree
+        """The tree of ``raw``, of shape ``TREE``; a ValueError if it is not one tree."""
+        tokens = tuple(Token(t["text"], t["lemma"], t["pos"]) for t in raw["tokens"])
+        return cls(tokens=tokens, arcs=tuple(map(tuple, raw["arcs"])))
 
-    def to_dict(self) -> dict:
-        return {
-            "tokens": [{"text": t.text, "lemma": t.lemma, "pos": t.pos} for t in self.tokens],
-            "arcs": [list(a) for a in self.arcs],
-        }
-
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         n = len(self.tokens)
         dependents = [d for _, d, _ in self.arcs]
         if len(set(dependents)) != len(dependents):
@@ -114,8 +125,11 @@ def resolve_coreferences(
     contract, as many times as it allows. If the last call raises, the
     originals are kept and flagged rather than aborting the video; a sentence
     resolved to nothing but whitespace keeps its original and is flagged alone.
+    A video with no segments sends no request.
     """
     originals = [seg.sentence for seg in video.segments]
+    if not originals:
+        return []
 
     def resolve() -> list[str]:
         resolved = provider.resolve(originals)
@@ -190,29 +204,26 @@ def _pairs_from_tree(
 
 
 def extract_pairs(
-    videos: Sequence[tuple[str, Sequence[tuple[int, str]]]],
+    sentences: Sequence[tuple[tuple[str, int], str]],
     provider: ParseProvider,
     relations: frozenset[str] = OBJECT_RELATIONS,
 ) -> list[VerbIngredientPair]:
-    """Mine (verb lemma, noun lemma) pairs from several videos' resolved sentences.
+    """Mine (verb lemma, noun lemma) pairs from resolved sentences, parsed in one request.
 
-    ``videos`` holds (video id, [(segment index, resolved sentence), ...])
-    pairs; all their sentences are parsed in one provider request. A noun
-    qualifies when its head is a verb through a relation in the allow-list;
-    nouns conjoined to a qualifying noun inherit the same verb. Pairs are
-    emitted in video, segment then sentence order and deduplicated within
-    each sentence.
+    ``sentences`` holds ((video id, segment index), resolved sentence)
+    entries. A noun qualifies when its head is a verb through a relation in
+    the allow-list; nouns conjoined to a qualifying noun inherit the same
+    verb. Pairs come in entry order and are deduplicated within each
+    sentence.
     """
-    sentences = [sentence for _, indexed in videos for _, sentence in indexed]
-    if not all(sentences):
+    if not all(sentence for _, sentence in sentences):
         raise ValueError("sentence must be non-empty")
     if not sentences:
         return []
-    trees = provider.parse_many(sentences)
-    keys = [(video_id, index) for video_id, indexed in videos for index, _ in indexed]
+    trees = provider.parse_many([sentence for _, sentence in sentences])
     return [
         pair
-        for (video_id, index), tree in zip(keys, trees, strict=True)
+        for ((video_id, index), _), tree in zip(sentences, trees, strict=True)
         for pair in _pairs_from_tree(tree, video_id, index, relations)
     ]
 

@@ -6,11 +6,12 @@ Text-tool providers speak a single JSON-over-HTTP envelope:
     ->   {"outputs": [...]}
 
 with one output per input, in order. A coref request carries every sentence
-of one video, its document. Parse and rc requests carry whole consecutive
-videos, ``packed`` up to ``REQUEST_CAP`` inputs: parse gets their sentences,
-rc the effect questions of their triplets, five per triplet with narration
-in its window, as ``{"context": ..., "question": ...}`` objects; each answer
-is checked against its own object's context.
+of one video, its document. Parse and rc inputs do not depend on each other,
+so a build sends them as one list cut into ``chunks`` of at most
+``REQUEST_CAP``: parse gets every resolved sentence in corpus order, rc each
+distinct effect question once, in the order triplets first ask it, as a
+``{"context": ..., "question": ...}`` object; each answer is checked against
+its own object's context.
 
 The language-model provider speaks:
 
@@ -74,6 +75,8 @@ import time
 from pathlib import Path
 from urllib.parse import urlsplit
 
+from . import shapes
+
 CREDENTIALS_ENV_VAR = "ACTIONSENSE_PROVIDER_TOKEN"
 
 _KEY = re.compile(rb"[0-9a-f]{64}")
@@ -83,28 +86,13 @@ class ProviderError(Exception):
     """A provider call failed or returned a malformed response."""
 
 
-# the most inputs one packed parse or rc request holds, unless one video alone has more
+# the most inputs one parse or rc request holds
 REQUEST_CAP = 256
 
 
-def packed(groups, size):
-    """Consecutive ``groups`` in lists of at most ``REQUEST_CAP`` inputs, no group split.
-
-    ``size(group)`` is a group's number of inputs. A list is closed when the
-    next group would push its inputs past the cap, so a group with more
-    inputs than the cap shares its list with no other group that has inputs;
-    a group with no inputs joins the open list.
-    """
-    batch, inputs = [], 0
-    for group in groups:
-        n = size(group)
-        if inputs and inputs + n > REQUEST_CAP:
-            yield batch
-            batch, inputs = [], 0
-        batch.append(group)
-        inputs += n
-    if batch:
-        yield batch
+def chunks(inputs: list) -> list[list]:
+    """``inputs`` cut into consecutive lists of ``REQUEST_CAP``; only the last may be shorter."""
+    return [inputs[i : i + REQUEST_CAP] for i in range(0, len(inputs), REQUEST_CAP)]
 
 
 def canonical_payload(payload) -> str:
@@ -329,18 +317,20 @@ def _post_json(url: str, payload, timeout: float = 30.0, session: HttpSession | 
 class _HttpProvider:
     """One HTTP endpoint; ``_call`` is the one request path, for network and logged answers."""
 
+    timeout = 30.0  # seconds, unless the constructor is given another
+
     def __init__(
         self,
         url: str,
         cache: ResponseCache | None = None,
-        timeout: float = 30.0,
+        timeout: float | None = None,
         session: HttpSession | None = None,
     ):
         import http.client  # noqa: F401  (set-up loads the HTTP stack, not the first request)
 
         self.url = url
         self.cache = cache
-        self.timeout = timeout
+        self.timeout = self.timeout if timeout is None else timeout
         self.session = session
 
     def log_key(self, payload) -> dict:
@@ -362,6 +352,13 @@ class _HttpProvider:
             self.cache.put(key, {result_key: response[result_key]})
         return result
 
+    def _shaped(self, value, shape):
+        """``value``, if it has ``shape``; else a ProviderError names where it has not."""
+        try:
+            return shapes.check(value, shape)
+        except ValueError as exc:
+            raise ProviderError(f"{self.url} returned a malformed answer: {exc}") from None
+
     def _task(self, inputs: list, check):
         """``check(outputs)`` of a task/inputs -> outputs request, given one output per input."""
 
@@ -375,18 +372,24 @@ class _HttpProvider:
         return self._call({"task": self.task, "inputs": inputs}, "outputs", counted)
 
 
+# the shapes of answers: coref sentences and LM samples, rc answers, LM score lists
+_STRINGS = shapes.list_of(shapes.STRING)
+_ANSWERS = shapes.list_of(shapes.nullable(shapes.STRING))
+_SCORES = shapes.list_of([shapes.NUMBER])
+
+
 class HttpCorefProvider(_HttpProvider):
     task = "coref"
 
     def resolve(self, texts) -> list[str]:
-        return self._task(list(texts), lambda outputs: [str(t) for t in outputs])
+        return self._task(list(texts), lambda outputs: self._shaped(outputs, _STRINGS))
 
 
 class HttpParseProvider(_HttpProvider):
     task = "parse"
 
     def parse_many(self, sentences) -> list:
-        from .extraction import ParseTree
+        from .extraction import TREE, ParseTree
 
         sentences = list(sentences)
 
@@ -394,8 +397,8 @@ class HttpParseProvider(_HttpProvider):
             trees = []
             for sentence, raw in zip(sentences, outputs):
                 try:
-                    trees.append(ParseTree.from_dict(raw))
-                except (KeyError, TypeError, ValueError) as exc:
+                    trees.append(ParseTree.from_dict(shapes.check(raw, TREE)))
+                except ValueError as exc:
                     raise ProviderError(f"malformed parse for {sentence!r}: {exc}") from exc
             return trees
 
@@ -409,7 +412,7 @@ class HttpRCProvider(_HttpProvider):
         items = list(items)
 
         def check(outputs):
-            answers = [None if out is None else str(out) for out in outputs]
+            answers = self._shaped(outputs, _ANSWERS)
             for (context, _), answer in zip(items, answers):
                 if answer is not None and answer not in context:
                     raise ProviderError(f"rc answer {answer!r} is not a span of its context")
@@ -422,24 +425,10 @@ def _count(value) -> str:
     return str(len(value)) if isinstance(value, list) else f"a {type(value).__name__}"
 
 
-def _floats(values) -> list[float]:
-    try:
-        return [float(v) for v in values]
-    except (TypeError, ValueError) as exc:
-        raise ProviderError(f"log-probabilities are not a list of numbers: {exc}") from exc
-
-
 class HttpLMProvider(_HttpProvider):
     """Language-model provider over the op/sequence/params envelope."""
 
-    def __init__(
-        self,
-        url: str,
-        cache: ResponseCache | None = None,
-        timeout: float = 60.0,
-        session: HttpSession | None = None,
-    ):
-        super().__init__(url, cache, timeout, session)
+    timeout = 60.0
 
     def sample(self, sequence, nucleus_p: float, max_new: int, n: int) -> list[str]:
         payload = {
@@ -451,7 +440,7 @@ class HttpLMProvider(_HttpProvider):
         def check(texts):
             if not isinstance(texts, list) or len(texts) != n:
                 raise ProviderError(f"asked for {n} samples, got {_count(texts)}")
-            return [str(t) for t in texts]
+            return self._shaped(texts, _STRINGS)
 
         return self._call(payload, "texts", check)
 
@@ -469,7 +458,7 @@ class HttpLMProvider(_HttpProvider):
                 raise ProviderError(
                     f"asked for {len(continuations)} score lists, got {_count(rows)}"
                 )
-            return [_floats(row) for row in rows]
+            return [list(map(float, row)) for row in self._shaped(rows, _SCORES)]
 
         return self._call(payload, "logprobs", check)
 

@@ -108,6 +108,12 @@ def nullable(inner):
     return _shape(f"null or {inner.must}", lambda value: value is None or inner(value))
 
 
+def fast(shape, test):
+    """``shape``, walked only for values ``test`` rejects, so ``test`` must reject all it does."""
+    shape = _of(shape)
+    return _shape(shape.must, lambda value: test(value) or shape(value))
+
+
 def check(value, shape):
     """``value``, if it has ``shape``; else a ValueError names the first place that has not.
 

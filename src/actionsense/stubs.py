@@ -12,14 +12,20 @@ import math
 from pathlib import Path
 
 from . import shapes
-from .extraction import ParseTree
+from .extraction import TREE, ParseTree
 from .generation import VisualFeatures
 from .providers import ProviderError
 
+# the shape of each stub's table; a stub trusts the table it loaded
+_COREF = shapes.dict_of(shapes.STRING)  # sentence -> resolved sentence
+_PARSE = shapes.dict_of(TREE)  # sentence -> parse
+_RC = shapes.dict_of([shapes.STRING])  # question -> candidate answers
+_LM = shapes.obj({"samples": shapes.dict_of([shapes.STRING])})  # inference type -> samples
 
-def _load(path) -> dict:
+
+def _load(path, shape) -> dict:
     with open(path, encoding="utf-8") as fh:
-        return shapes.check(json.load(fh), shapes.OBJECT)
+        return shapes.check(json.load(fh), shape)
 
 
 def _digest(*parts: str) -> int:
@@ -31,7 +37,7 @@ class StubCorefProvider:
     """Substitution table: sentences not in the table pass through unchanged."""
 
     def __init__(self, path):
-        self.table = _load(path)
+        self.table = _load(path, _COREF)
 
     def resolve(self, texts) -> list[str]:
         return [self.table.get(t, t) for t in texts]
@@ -42,7 +48,7 @@ class StubParseProvider:
 
     def __init__(self, path):
         self.path = str(path)
-        self.table = _load(path)
+        self.table = _load(path, _PARSE)
 
     def parse_many(self, sentences) -> list[ParseTree]:
         trees = []
@@ -65,7 +71,7 @@ class StubRCProvider:
     """
 
     def __init__(self, path):
-        self.table = _load(path)
+        self.table = _load(path, _RC)
 
     def answer_many(self, items) -> list[str | None]:
         return [
@@ -87,7 +93,7 @@ class StubLMProvider:
     """
 
     def __init__(self, samples_path=None, seed: int = 13, vocab_size: int | None = None):
-        self.samples = _load(samples_path)["samples"] if samples_path else {}
+        self.samples = _load(samples_path, _LM)["samples"] if samples_path else {}
         self.seed = seed
         self.vocab_size = vocab_size
 

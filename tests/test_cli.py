@@ -1126,11 +1126,12 @@ class TestProviderBatches:
         assert {(attr, len(args[1])) for attr, args in calls} == {("logprobs_many", pool_size)}
 
     @pytest.mark.parametrize(
-        "copies, groups, requests", [(None, None, (5, 1, 1)), (10, 2, (50, 2, 2))],
+        "copies, groups, requests, repeats",
+        [(None, None, (5, 1, 1), False), (10, 2, (50, 2, 1), True)],
         ids=["fixture", "scale-up"],
     )
-    def test_build_packs_whole_videos_into_each_parse_and_rc_request(
-        self, fixture_config, tmp_path, monkeypatch, copies, groups, requests
+    def test_build_sends_parse_and_rc_inputs_in_chunks_and_each_rc_item_once(
+        self, fixture_config, tmp_path, monkeypatch, copies, groups, requests, repeats
     ):
         config = fixture_config
         if copies:
@@ -1147,10 +1148,13 @@ class TestProviderBatches:
         # coref still gets one video's sentences per request
         assert sent["resolve"] == [[s.sentence for s in v.segments] for v in corpus.videos]
         sentences = resolved_sentences(corpus, cfg.providers["coref"]["path"])
-        packs_of(sent["parse_many"], sentences)
-        packs_of(sent["answer_many"], video_questions(out, corpus))
+        assert chunked(sent["parse_many"]) == [s for video in sentences for s in video]
+        # corpus copies share transcripts, so the scale-up's triplets ask some items again
+        asked = asked_items(out, corpus)
+        assert chunked(sent["answer_many"]) == list(dict.fromkeys(asked))
+        assert (len(set(asked)) < len(asked)) == repeats
 
-    def test_video_over_the_cap_goes_alone_and_one_without_questions_adds_nothing(
+    def test_a_smaller_cap_cuts_the_same_inputs_into_more_chunks(
         self, fixture_config, tmp_path, monkeypatch, corpus
     ):
         expected = build(fixture_config, tmp_path / "whole")
@@ -1159,17 +1163,24 @@ class TestProviderBatches:
         out = build(fixture_config, tmp_path / "run")
         for name in ("dataset.jsonl", "stats.json", "triplets.jsonl"):
             assert (out / name).read_bytes() == (expected / name).read_bytes()
-        # blt01's 8 sentences, then two videos of 5 that would make 10 together, then 5 + 4
-        assert [len(r) for r in sent["parse_many"]] == [8, 5, 5, 9]
-        sentences = resolved_sentences(corpus, stubs.fixture_path("coref.json"))
-        assert packs_of(sent["parse_many"], sentences) == [1, 1, 1, 2]
-        # blt01 asks 10 and mash01 15 questions, each over the cap of 9, so each goes
-        # alone; egg01 asks none and rides with boxty01, adding nothing to its request
-        questions = video_questions(out, corpus)
-        assert [len(q) for q in questions] == [10, 15, 5, 5, 0]
-        assert [len(r) for r in sent["answer_many"]] == [10, 15, 5, 5]
-        assert sent["answer_many"][-1] == questions[3]
-        assert packs_of(sent["answer_many"], questions) == [1, 1, 1, 1]
+        # 27 sentences and 35 distinct questions, cut without regard to videos
+        assert [len(r) for r in sent["parse_many"]] == [9, 9, 9]
+        assert [len(r) for r in sent["answer_many"]] == [9, 9, 9, 8]
+        assert chunked(sent["answer_many"]) == asked_items(out, corpus)
+
+    def test_a_video_without_segments_sends_no_coref_request(
+        self, fixture_config, tmp_path, monkeypatch
+    ):
+        raw = json.loads(stubs.fixture_path("annotations.json").read_text())
+        raw["videos"].append({**raw["videos"][0], "video_id": "empty01", "segments": []})
+        annotations = tmp_path / "with_empty.json"
+        annotations.write_text(json.dumps(raw))
+        cfg = {**json.loads(fixture_config.read_text()), "annotation_file": str(annotations)}
+        config = tmp_path / "with_empty_config.json"
+        config.write_text(json.dumps(cfg))
+        sent = text_tool_requests(monkeypatch)
+        build(config, tmp_path / "run")
+        assert len(sent["resolve"]) == 5 and all(sent["resolve"])
 
     def test_pack_of_videos_without_questions_sends_no_rc_request(
         self, fixture_config, tmp_path, monkeypatch
@@ -1232,36 +1243,18 @@ def resolved_sentences(corpus, coref_path) -> list[list[str]]:
     return [[s.resolved for s in resolve_coreferences(v, coref)] for v in corpus.videos]
 
 
-def video_questions(out: Path, corpus) -> list[list]:
-    """Each video's effect questions in triplet order, videos in order of their first triplet."""
-    asked = {}
-    for triplet in read_triplets(out / "triplets.jsonl"):
-        asked.setdefault(triplet.video_id, []).extend(effect_questions(triplet, corpus))
-    return list(asked.values())
+def asked_items(out: Path, corpus) -> list:
+    """Every triplet's effect questions, in triplet order, repeats included."""
+    triplet_list = read_triplets(out / "triplets.jsonl")
+    return [item for t in triplet_list for item in effect_questions(t, corpus)]
 
 
-def packs_of(requests: list[list], videos: list[list]) -> list[int]:
-    """How many videos with inputs each request holds; fails unless the requests pack ``videos``.
-
-    The requests, joined, must hold every video's inputs in order; none may
-    split a video; each is closed only when the next video would push it past
-    the cap; and none exceeds the cap unless it holds a single video.
-    """
-    videos = [inputs for inputs in videos if inputs]
-    assert [x for r in requests for x in r] == [x for v in videos for x in v]
-    packs, next_video = [], 0
-    for request in requests:
-        held = 0
-        start = next_video
-        while held < len(request):
-            held += len(videos[next_video])
-            next_video += 1
-        assert held == len(request), "a request splits a video"
-        packs.append(next_video - start)
-        assert len(request) <= providers.REQUEST_CAP or packs[-1] == 1
-        if next_video < len(videos):
-            assert len(request) + len(videos[next_video]) > providers.REQUEST_CAP
-    return packs
+def chunked(requests: list[list]) -> list:
+    """The inputs of ``requests`` joined; fails unless every request but the last holds the cap."""
+    sizes = [len(r) for r in requests]
+    assert all(n == providers.REQUEST_CAP for n in sizes[:-1])
+    assert 0 < sizes[-1] <= providers.REQUEST_CAP
+    return [x for r in requests for x in r]
 
 
 @contextlib.contextmanager

@@ -664,6 +664,37 @@ class TestConfigErrors:
         err = capsys.readouterr().err
         assert code == 2 and one_error_line(err) and repr(role) in err and str(table) in err
 
+    # each table is the fixture's, with one entry replaced: (role, edit, the field named)
+    @pytest.mark.parametrize(
+        "role, edit, named",
+        [
+            ("coref", lambda t, k: {**t, k: 5}, "must be a string, not 5"),
+            ("coref", lambda t, k: {**t, k: None}, "must be a string, not null"),
+            ("parse", lambda t, k: {**t, k: 5}, "must be a JSON object, not 5"),
+            ("parse", lambda t, k: {**t, k: {"tokens": t[k]["tokens"]}}, ".arcs'"),
+            ("rc", lambda t, k: {**t, k: 5}, "must be a list, not 5"),
+            ("rc", lambda t, k: {**t, k: "golden"}, 'must be a list, not "golden"'),
+            ("lm", lambda t, k: {"samples": list(t["samples"].values())}, "'samples' must be"),
+            ("lm", lambda t, k: {"samples": {**t["samples"], "goal": [5]}}, "'samples.goal[0]'"),
+        ],
+        ids=["coref-int", "coref-null", "parse-int", "parse-no-arcs", "rc-int", "rc-string",
+             "lm-list", "lm-int"],
+    )
+    def test_malformed_provider_table_entry_exits_2_naming_the_field(
+        self, fixture_config, tmp_path, capsys, role, edit, named
+    ):
+        table = json.loads(fixture_path(f"{role}.json").read_text(encoding="utf-8"))
+        path = tmp_path / f"{role}.json"
+        path.write_text(json.dumps(edit(table, next(iter(table)))))
+        cfg = json.loads(fixture_config.read_text())
+        cfg["providers"][role]["path"] = str(path)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(cfg))
+        code = cli.main(["build-dataset", "--config", str(config), "--out", str(tmp_path / "r")])
+        err = capsys.readouterr().err
+        assert code == 2 and one_error_line(err), err
+        assert f"provider {role!r} table {path}: " in err and named in err
+
     def test_provider_spec_without_its_url_exits_2(self, fixture_config, tmp_path, capsys):
         cfg = json.loads(fixture_config.read_text())
         cfg["providers"]["lm"] = {"kind": "http"}

@@ -3,6 +3,7 @@ from collections import Counter
 
 from hypothesis import given, strategies as st
 
+from actionsense import extraction, shapes
 from actionsense.extraction import (
     LemmaCounts,
     ParseTree,
@@ -40,6 +41,44 @@ class FailingCoref:
 class ShortCoref:
     def resolve(self, texts):
         return list(texts)[:-1]
+
+
+def spoiled_trees():
+    """A well-formed tree JSON, then copies of it with one value replaced, dropped or added."""
+    def fresh():
+        words = (("Stir", "VERB"), ("it", "PRON"))
+        tokens = [{"text": w, "lemma": w.lower(), "pos": pos} for w, pos in words]
+        return {"tokens": tokens, "arcs": [[0, 1, "dobj"]]}
+
+    yield fresh()
+    for at in (lambda t: t, lambda t: t["tokens"], lambda t: t["tokens"][0], lambda t: t["arcs"],
+               lambda t: t["arcs"][0]):
+        container = at(fresh())
+        for key in list(container) if type(container) is dict else range(len(container)):
+            for odd in (0, 2.0, True, None, "dobj", [], {}, "drop"):
+                tree = fresh()
+                if odd == "drop":
+                    del at(tree)[key]
+                else:
+                    at(tree)[key] = odd
+                yield tree
+        tree = fresh()
+        at(tree).append(0) if type(container) is list else at(tree).setdefault("extra", 0)
+        yield tree
+
+
+def test_one_pass_tree_test_agrees_with_the_walked_tree_shape():
+    """``TREE`` walks only what ``_is_tree`` rejects, so the two must accept the same values."""
+    accepted = []
+    for raw in spoiled_trees():
+        try:
+            shapes.check(raw, shapes.obj(extraction._TREE_FIELDS))
+        except ValueError:
+            assert not extraction._is_tree(raw), raw
+        else:
+            assert extraction._is_tree(raw), raw
+            accepted.append(raw)
+    assert 0 < len(accepted) < 20
 
 
 class TestResolveCoreferences:

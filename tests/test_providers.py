@@ -37,7 +37,7 @@ def token_logprobs(continuation):
 def wire_server():
     """Tiny HTTP endpoint speaking the task/inputs and op/sequence envelopes."""
     requests = []
-    state = {"fail_next": 0, "drop_row": False, "bad_parse": False, "rc_answer": None}
+    state = {"fail_next": 0, "drop_row": False, "bad_parse": False, "rc_answer": None, "body": None}
 
     class Handler(BaseHTTPRequestHandler):
         def do_POST(self):
@@ -49,7 +49,9 @@ def wire_server():
                 self.send_response(500)
                 self.end_headers()
                 return
-            if payload.get("task") == "coref":
+            if state["body"] is not None:  # the same answer to any request
+                body = state["body"]
+            elif payload.get("task") == "coref":
                 body = {"outputs": [t.replace("them", "the tomatoes") for t in payload["inputs"]]}
             elif payload.get("task") == "parse":
                 tree = {"tokens": [{"text": "stir", "lemma": "stir", "pos": "VERB"}], "arcs": []}
@@ -328,6 +330,39 @@ class TestWireContract:
         # nothing was logged: the retry asks the server again
         assert provider.answer_many(items) == ["golden", None]
         assert len(requests) == 2
+
+    # answers of the right count whose values are of the wrong type, once coerced
+    @pytest.mark.parametrize(
+        "provider, call, body, named",
+        [
+            (HttpCorefProvider, lambda p: p.resolve(["grill them"]), {"outputs": [None]},
+             "'[0]' must be a string, not null"),
+            (HttpRCProvider, lambda p: p.answer_many([("bake 5 minutes", "How long?")]),
+             {"outputs": [5]}, "'[0]' must be a string, not 5"),
+            (HttpLMProvider, lambda p: p.sample(sequence(), 0.9, 16, 1), {"texts": [None]},
+             "'[0]' must be a string, not null"),
+            (HttpLMProvider, lambda p: p.logprobs_many(sequence(), ["two tokens"]),
+             {"logprobs": [["-1", True]]}, "'[0][0]' must be a finite number, not \"-1\""),
+            (HttpLMProvider, lambda p: p.logprobs_many(sequence(), ["two tokens"]),
+             {"logprobs": [[-1.0, float("nan")]]}, "'[0][1]' must be a finite number, not NaN"),
+            (HttpParseProvider, lambda p: p.parse_many(["stir it"]), {"outputs": [{
+                "tokens": [{"text": w, "lemma": w, "pos": pos} for w, pos in
+                           (("stir", "VERB"), ("it", "PRON"))],
+                "arcs": [[0.9, 1.7, "dobj"]],
+            }]}, "'arcs[0][0]' must be an integer, not 0.9"),
+        ],
+        ids=["coref-null", "rc-int", "sample-null", "logprobs-string-and-bool", "logprobs-nan",
+             "parse-float-arcs"],
+    )
+    def test_answer_of_the_wrong_type_is_a_provider_error_and_not_logged(
+        self, tmp_path, wire_server, provider, call, body, named
+    ):
+        url, requests, state = wire_server
+        state["body"] = body
+        with pytest.raises(ProviderError) as caught:
+            call(provider(url, ResponseCache(tmp_path / "cache")))
+        assert named in str(caught.value) and len(requests) == 1
+        assert (tmp_path / "cache" / "responses.log").read_bytes() == b""
 
     def test_logged_record_is_checked_like_a_network_answer(self, tmp_path):
         cache = ResponseCache(tmp_path / "cache")
