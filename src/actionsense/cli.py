@@ -271,8 +271,9 @@ class Manifest:
         entry = self.data["cells"].get(key)
         return entry is not None and Path(entry).exists()
 
-    def record_failure(self, message: str) -> None:
-        self.data["failures"].append(message)
+    def record_failure(self, *messages: str) -> None:
+        """Record each of ``messages``, in one save."""
+        self.data["failures"].extend(messages)
         self.save()
 
 
@@ -363,21 +364,25 @@ def _build_dataset(cfg: RunConfig, run_dir: Path, manifest: Manifest, corpus, pr
 
     manifest.mark_stage("ingest", videos=len(corpus.videos))
 
-    def resolve_or_record(video, resolve):
-        # resolve_coreferences keeps the video's unresolved sentences, flagged, when this raises
+    def resolve_or_record(videos, resolve):
+        # resolve_videos keeps the videos' unresolved sentences, flagged, when this raises
         try:
             return _retry(cfg, resolve)
         except ProviderError as exc:
-            manifest.record_failure(f"extract: video {video.video_id} kept its sentences: {exc}")
+            manifest.record_failure(
+                *(f"extract: video {v.video_id} kept its sentences: {exc}" for v in videos)
+            )
             raise
 
-    # one coref request per video: a video is its document
+    # each video with segments is one coref document
     resolved: dict[tuple[str, int], str] = {}
-    for video in corpus.videos:
-        retry = lambda resolve: resolve_or_record(video, resolve)
-        sentences = extraction.resolve_coreferences(video, providers.coref, retry)
-        for seg, sentence in zip(video.segments, sentences):
-            resolved[video.video_id, seg.index] = sentence.resolved
+    for videos in chunks([video for video in corpus.videos if video.segments]):
+        retry = lambda resolve: resolve_or_record(videos, resolve)
+        for video, sentences in zip(
+            videos, extraction.resolve_videos(videos, providers.coref, retry)
+        ):
+            for seg, sentence in zip(video.segments, sentences):
+                resolved[video.video_id, seg.index] = sentence.resolved
 
     pairs = []
     try:

@@ -26,7 +26,9 @@ NOUN_POS = frozenset({"NOUN", "PROPN"})
 
 
 class CorefProvider(Protocol):
-    def resolve(self, texts: Sequence[str]) -> list[str]: ...
+    def resolve(self, documents: Sequence[Sequence[str]]) -> list[list[str]]:
+        """One list of resolved sentences per document, in order."""
+        ...
 
 
 class ParseProvider(Protocol):
@@ -115,41 +117,54 @@ class ResolvedSentence:
     flagged: bool = False
 
 
-def resolve_coreferences(
-    video: VideoRecord, provider: CorefProvider, retry=lambda resolve: resolve()
-) -> list[ResolvedSentence]:
-    """Resolve pronouns in all segment sentences of one video, in one request.
+def resolve_videos(
+    videos: Sequence[VideoRecord], provider: CorefProvider, retry=lambda resolve: resolve()
+) -> list[list[ResolvedSentence]]:
+    """Resolve pronouns in the segment sentences of ``videos``, in one request.
 
-    ``retry`` makes the request: it calls the function it is given, which
-    raises ProviderError when the provider fails or breaks its length
-    contract, as many times as it allows. If the last call raises, the
-    originals are kept and flagged rather than aborting the video; a sentence
-    resolved to nothing but whitespace keeps its original and is flagged alone.
-    A video with no segments sends no request.
+    Each video is one document, the list of its sentences. ``retry`` makes
+    the request: it calls the function it is given, which raises
+    ProviderError when the provider fails or breaks its length contract for
+    any document, as many times as it allows. If the last call raises, every
+    video keeps its originals, flagged; a sentence resolved to nothing but
+    whitespace keeps its original and is flagged alone.
     """
-    originals = [seg.sentence for seg in video.segments]
-    if not originals:
-        return []
+    documents = [[seg.sentence for seg in video.segments] for video in videos]
 
-    def resolve() -> list[str]:
-        resolved = provider.resolve(originals)
-        if len(resolved) != len(originals):
+    def resolve() -> list[list[str]]:
+        resolved = provider.resolve(documents)
+        if len(resolved) != len(documents):
             raise ProviderError(
-                f"coref returned {len(resolved)} sentences for {len(originals)} inputs"
-                f" (video {video.video_id})"
+                f"coref returned {len(resolved)} documents for {len(documents)} videos"
             )
+        for video, document, sentences in zip(videos, documents, resolved):
+            if len(sentences) != len(document):
+                raise ProviderError(
+                    f"coref returned {len(sentences)} sentences for {len(document)} inputs"
+                    f" (video {video.video_id})"
+                )
         return resolved
 
     try:
         resolved = retry(resolve)
     except ProviderError:
-        return [ResolvedSentence(original=s, resolved=s, flagged=True) for s in originals]
+        return [[ResolvedSentence(s, s, flagged=True) for s in document] for document in documents]
     return [
-        ResolvedSentence(original=orig, resolved=res)
-        if res.strip()
-        else ResolvedSentence(original=orig, resolved=orig, flagged=True)
-        for orig, res in zip(originals, resolved)
+        [
+            ResolvedSentence(original=orig, resolved=res)
+            if res.strip()
+            else ResolvedSentence(original=orig, resolved=orig, flagged=True)
+            for orig, res in zip(document, sentences)
+        ]
+        for document, sentences in zip(documents, resolved)
     ]
+
+
+def resolve_coreferences(
+    video: VideoRecord, provider: CorefProvider, retry=lambda resolve: resolve()
+) -> list[ResolvedSentence]:
+    """``resolve_videos`` for one video; a video with no segments sends no request."""
+    return resolve_videos([video], provider, retry)[0] if video.segments else []
 
 
 def _compound_lemma(tree: ParseTree, noun_index: int) -> str:

@@ -5,13 +5,15 @@ Text-tool providers speak a single JSON-over-HTTP envelope:
     POST {"task": "coref" | "parse" | "rc", "inputs": [...]}
     ->   {"outputs": [...]}
 
-with one output per input, in order. A coref request carries every sentence
-of one video, its document. Parse and rc inputs do not depend on each other,
-so a build sends them as one list cut into ``chunks`` of at most
-``REQUEST_CAP``: parse gets every resolved sentence in corpus order, rc each
-distinct effect question once, in the order triplets first ask it, as a
-``{"context": ..., "question": ...}`` object; each answer is checked against
-its own object's context.
+with one output per input, in order. A build cuts each task's inputs into
+``chunks`` of at most ``REQUEST_CAP``. A coref input is one video's
+document, the list of its sentences, answered by the list of their
+resolutions, one per sentence; the build sends the documents of the videos
+that have segments, in corpus order. Parse gets every resolved sentence in
+corpus order, rc each distinct effect question once, in the order triplets
+first ask it, as a ``{"context": ..., "question": ...}`` object; each answer
+is checked against its own object's context. One malformed output fails its
+whole request.
 
 The language-model provider speaks:
 
@@ -36,8 +38,9 @@ record whose key does not match at its offset and a whole line that is not
 JSON do not read back; a key none of whose records reads back is a miss, and
 its next response is appended. Memory holds each key's byte offset, and
 those of any later records of it.
-Caches written in the earlier one-file-per-response layout, and records keyed
-by the payload alone, are not read; they miss once.
+Caches written in the earlier one-file-per-response layout, records keyed
+by the payload alone, and coref records of one video's sentences, from before
+a request carried documents, are not read; they miss once.
 
 Every provider sends through one request path, ``_HttpProvider._call``: log
 lookup, POST, check, log append. It checks a response (output count, parse
@@ -86,7 +89,7 @@ class ProviderError(Exception):
     """A provider call failed or returned a malformed response."""
 
 
-# the most inputs one parse or rc request holds
+# the most inputs one coref, parse or rc request holds
 REQUEST_CAP = 256
 
 
@@ -372,8 +375,9 @@ class _HttpProvider:
         return self._call({"task": self.task, "inputs": inputs}, "outputs", counted)
 
 
-# the shapes of answers: coref sentences and LM samples, rc answers, LM score lists
+# the shapes of answers: LM samples, coref documents, rc answers, LM score lists
 _STRINGS = shapes.list_of(shapes.STRING)
+_DOCUMENTS = shapes.list_of(_STRINGS)
 _ANSWERS = shapes.list_of(shapes.nullable(shapes.STRING))
 _SCORES = shapes.list_of([shapes.NUMBER])
 
@@ -381,8 +385,20 @@ _SCORES = shapes.list_of([shapes.NUMBER])
 class HttpCorefProvider(_HttpProvider):
     task = "coref"
 
-    def resolve(self, texts) -> list[str]:
-        return self._task(list(texts), lambda outputs: self._shaped(outputs, _STRINGS))
+    def resolve(self, documents) -> list[list[str]]:
+        documents = [list(document) for document in documents]
+
+        def check(outputs):
+            resolved = self._shaped(outputs, _DOCUMENTS)
+            for i, (document, sentences) in enumerate(zip(documents, resolved)):
+                if len(sentences) != len(document):
+                    raise ProviderError(
+                        f"{self.url} returned {len(sentences)} sentences for document {i},"
+                        f" which has {len(document)}"
+                    )
+            return resolved
+
+        return self._task(documents, check)
 
 
 class HttpParseProvider(_HttpProvider):

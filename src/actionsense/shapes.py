@@ -114,10 +114,20 @@ def fast(shape, test):
     return _shape(shape.must, lambda value: test(value) or shape(value))
 
 
+# the most characters of a wrong value's JSON that a message quotes
+_QUOTED = 40
+
+
+def _quote(value) -> str:
+    text = json.dumps(value)
+    return text if len(text) <= _QUOTED else text[:_QUOTED] + "..."
+
+
 def check(value, shape):
     """``value``, if it has ``shape``; else a ValueError names the first place that has not.
 
-    It reads ``field 'a.b[0]' must be <must>, not <json>`` or ``missing field 'a.b'``.
+    It reads ``field 'a.b[0]' must be <must>, not <json>`` or ``missing field 'a.b'``;
+    a ``<json>`` over ``_QUOTED`` characters is cut there and ends in ``...``.
     """
     try:
         shape(value)
@@ -127,5 +137,5 @@ def check(value, shape):
         if wrong.must is None:
             raise ValueError(f"missing field '{path}'") from None
         at = f"field '{path}' " if path else ""
-        raise ValueError(f"{at}must be {wrong.must}, not {json.dumps(wrong.value)}") from None
+        raise ValueError(f"{at}must be {wrong.must}, not {_quote(wrong.value)}") from None
     return value

@@ -39,12 +39,16 @@ class StubCorefProvider:
     def __init__(self, path):
         self.table = _load(path, _COREF)
 
-    def resolve(self, texts) -> list[str]:
-        return [self.table.get(t, t) for t in texts]
+    def resolve(self, documents) -> list[list[str]]:
+        return [[self.table.get(t, t) for t in document] for document in documents]
 
 
 class StubParseProvider:
-    """Canned dependency parses keyed by exact sentence text."""
+    """Canned dependency parses keyed by exact sentence text.
+
+    A table entry is checked against ``TREE`` at load, but made into a tree,
+    and so checked to be one, only when its sentence is parsed.
+    """
 
     def __init__(self, path):
         self.path = str(path)
@@ -56,7 +60,12 @@ class StubParseProvider:
             raw = self.table.get(sentence)
             if raw is None:
                 raise ProviderError(f"no canned parse for {sentence!r} in {self.path}")
-            trees.append(ParseTree.from_dict(raw))
+            try:
+                trees.append(ParseTree.from_dict(raw))
+            except ValueError as exc:
+                raise ProviderError(
+                    f"malformed canned parse for {sentence!r} in {self.path}: {exc}"
+                ) from None
         return trees
 
     def parse(self, sentence: str) -> ParseTree:

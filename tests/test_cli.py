@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from actionsense import assembly, cli, generation, metrics, providers, stubs
+from actionsense import assembly, cli, extraction, generation, metrics, providers, stubs
 from actionsense.assembly import (
     CommonsenseInstance,
     compute_statistics,
@@ -85,38 +85,31 @@ class TestBuildDataset:
         expected = build(fixture_config, tmp_path / "steady")
         resolve = stubs.StubCorefProvider.resolve
         failures = [ProviderError("coref endpoint busy")]
+        requests = []
 
-        def fail_once(self, texts):
+        def fail_once(self, documents):
+            requests.append(documents)
             if failures:
                 raise failures.pop()
-            return resolve(self, texts)
+            return resolve(self, documents)
 
         monkeypatch.setattr(stubs.StubCorefProvider, "resolve", fail_once)
         out = build(fixture_config, tmp_path / "flaky")
         assert failures == []
+        # the retry sends the same documents again
+        assert len(requests) == 2 and requests[0] == requests[1]
         for name in ("dataset.jsonl", "stats.json", "triplets.jsonl"):
             assert (out / name).read_bytes() == (expected / name).read_bytes()
 
     def test_coref_failure_after_retries_is_recorded_per_video(
         self, fixture_config, tmp_path, monkeypatch, corpus
     ):
-        # the parse table also holds the unresolved sentences the fallback keeps
-        parse = json.loads(stubs.fixture_path("parse.json").read_text())
-        coref = json.loads(stubs.fixture_path("coref.json").read_text())
-        parse.update({original: parse[coref[original]] for original in coref})
-        (tmp_path / "parse.json").write_text(json.dumps(parse))
-        (tmp_path / "coref.json").write_text("{}")
-        cfg = json.loads(fixture_config.read_text())
-        cfg["providers"]["parse"] = {"kind": "stub", "path": str(tmp_path / "parse.json")}
-        cfg["retry_base_delay"] = 0
-        config = tmp_path / "config.json"
-        config.write_text(json.dumps(cfg))
-        cfg["providers"]["coref"] = {"kind": "stub", "path": str(tmp_path / "coref.json")}
-        unresolved = tmp_path / "unresolved.json"
-        unresolved.write_text(json.dumps(cfg))
+        config, unresolved = fallback_configs(fixture_config, tmp_path)
+        saves = count_manifest_saves(monkeypatch)
         expected = build(unresolved, tmp_path / "unresolved")
+        steady_saves = saves.pop("save")
 
-        def down(self, texts):
+        def down(self, documents):
             raise ProviderError("coref endpoint down")
 
         monkeypatch.setattr(stubs.StubCorefProvider, "resolve", down)
@@ -125,9 +118,47 @@ class TestBuildDataset:
         assert len(failures) == len(corpus.videos)
         for failure, video in zip(failures, corpus.videos):
             assert video.video_id in failure and "coref endpoint down" in failure
+        # the failed request's five failures are saved at once
+        assert saves["save"] == steady_saves + 1
         assert json.loads((expected / "manifest.json").read_text())["failures"] == []
         for name in ("dataset.jsonl", "stats.json", "triplets.jsonl"):
             assert (out / name).read_bytes() == (expected / name).read_bytes()
+
+    def test_only_the_failed_coref_chunk_keeps_its_sentences_flagged(
+        self, fixture_config, tmp_path, monkeypatch, corpus
+    ):
+        config, _ = fallback_configs(fixture_config, tmp_path)
+        monkeypatch.setattr(providers, "REQUEST_CAP", 2)
+        saves = count_manifest_saves(monkeypatch)
+        build(config, tmp_path / "steady")
+        steady_saves = saves.pop("save")
+        second = [[seg.sentence for seg in v.segments] for v in corpus.videos[2:4]]
+        resolve = stubs.StubCorefProvider.resolve
+
+        def second_chunk_down(self, documents):
+            if documents == second:
+                raise ProviderError("coref endpoint down")
+            return resolve(self, documents)
+
+        monkeypatch.setattr(stubs.StubCorefProvider, "resolve", second_chunk_down)
+        flagged = []
+        resolve_videos = extraction.resolve_videos
+
+        def recorded(videos, *rest):
+            resolved = resolve_videos(videos, *rest)
+            flagged.extend((v.video_id, [s.flagged for s in r]) for v, r in zip(videos, resolved))
+            return resolved
+
+        monkeypatch.setattr(extraction, "resolve_videos", recorded)
+        out = build(config, tmp_path / "run")
+        failures = json.loads((out / "manifest.json").read_text())["failures"]
+        assert len(failures) == 2 and saves["save"] == steady_saves + 1
+        for failure, video in zip(failures, corpus.videos[2:4]):
+            assert f"video {video.video_id} kept its sentences" in failure
+        failed = {v.video_id for v in corpus.videos[2:4]}
+        assert flagged == [
+            (v.video_id, [v.video_id in failed] * len(v.segments)) for v in corpus.videos
+        ]
 
     def test_missing_annotation_file_exits_2(self, fixture_config, tmp_path, capsys):
         cfg = json.loads(fixture_config.read_text())
@@ -1127,7 +1158,7 @@ class TestProviderBatches:
 
     @pytest.mark.parametrize(
         "copies, groups, requests, repeats",
-        [(None, None, (5, 1, 1), False), (10, 2, (50, 2, 1), True)],
+        [(None, None, (1, 1, 1), False), (10, 2, (1, 2, 1), True)],
         ids=["fixture", "scale-up"],
     )
     def test_build_sends_parse_and_rc_inputs_in_chunks_and_each_rc_item_once(
@@ -1145,8 +1176,8 @@ class TestProviderBatches:
 
         cfg = cli.load_config(config)
         corpus = Corpus.load(cfg.annotation_file, cfg.recipe_file)
-        # coref still gets one video's sentences per request
-        assert sent["resolve"] == [[s.sentence for s in v.segments] for v in corpus.videos]
+        # each video's sentences are one coref document
+        assert chunked(sent["resolve"]) == [[s.sentence for s in v.segments] for v in corpus.videos]
         sentences = resolved_sentences(corpus, cfg.providers["coref"]["path"])
         assert chunked(sent["parse_many"]) == [s for video in sentences for s in video]
         # corpus copies share transcripts, so the scale-up's triplets ask some items again
@@ -1168,6 +1199,18 @@ class TestProviderBatches:
         assert [len(r) for r in sent["answer_many"]] == [9, 9, 9, 8]
         assert chunked(sent["answer_many"]) == asked_items(out, corpus)
 
+    def test_coref_documents_go_in_chunks_of_the_cap(
+        self, fixture_config, tmp_path, monkeypatch, corpus
+    ):
+        expected = build(fixture_config, tmp_path / "whole")
+        monkeypatch.setattr(providers, "REQUEST_CAP", 2)
+        sent = text_tool_requests(monkeypatch)
+        out = build(fixture_config, tmp_path / "run")
+        for name in ("dataset.jsonl", "stats.json", "triplets.jsonl"):
+            assert (out / name).read_bytes() == (expected / name).read_bytes()
+        assert [len(r) for r in sent["resolve"]] == [2, 2, 1]
+        assert chunked(sent["resolve"]) == [[s.sentence for s in v.segments] for v in corpus.videos]
+
     def test_a_video_without_segments_sends_no_coref_request(
         self, fixture_config, tmp_path, monkeypatch
     ):
@@ -1180,7 +1223,10 @@ class TestProviderBatches:
         config.write_text(json.dumps(cfg))
         sent = text_tool_requests(monkeypatch)
         build(config, tmp_path / "run")
-        assert len(sent["resolve"]) == 5 and all(sent["resolve"])
+        corpus = Corpus.load(annotations, stubs.fixture_path("recipes.json"))
+        assert corpus.videos[-1].video_id == "empty01"
+        documents = [[s.sentence for s in v.segments] for v in corpus.videos[:-1]]
+        assert sent["resolve"] == [documents] and all(documents)
 
     def test_pack_of_videos_without_questions_sends_no_rc_request(
         self, fixture_config, tmp_path, monkeypatch
@@ -1213,10 +1259,10 @@ class TestProviderBatches:
             out = build(config, tmp_path / "http")
             for name in ("dataset.jsonl", "triplets.jsonl"):
                 assert (out / name).read_bytes() == (expected / name).read_bytes()
-            assert posts == Counter({"coref": 5, "parse": 1, "rc": 1})
+            assert posts == Counter({"coref": 1, "parse": 1, "rc": 1})
             # the response log answers every request of a second build into the run
             build(config, out)
-            assert posts == Counter({"coref": 5, "parse": 1, "rc": 1})
+            assert posts == Counter({"coref": 1, "parse": 1, "rc": 1})
             assert (out / "dataset.jsonl").read_bytes() == (expected / "dataset.jsonl").read_bytes()
 
 
@@ -1236,6 +1282,40 @@ def text_tool_requests(monkeypatch) -> dict:
 
         monkeypatch.setattr(owner, attr, recorded)
     return sent
+
+
+def fallback_configs(fixture_config, tmp_path) -> tuple[Path, Path]:
+    """The fixture config with no retry delay, and that config with an empty coref table.
+
+    The parse table of both also holds the unresolved sentences the coref fallback keeps.
+    """
+    parse = json.loads(stubs.fixture_path("parse.json").read_text())
+    coref = json.loads(stubs.fixture_path("coref.json").read_text())
+    parse.update({original: parse[coref[original]] for original in coref})
+    (tmp_path / "parse.json").write_text(json.dumps(parse))
+    (tmp_path / "coref.json").write_text("{}")
+    cfg = json.loads(fixture_config.read_text())
+    cfg["providers"]["parse"] = {"kind": "stub", "path": str(tmp_path / "parse.json")}
+    cfg["retry_base_delay"] = 0
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(cfg))
+    cfg["providers"]["coref"] = {"kind": "stub", "path": str(tmp_path / "coref.json")}
+    unresolved = tmp_path / "unresolved.json"
+    unresolved.write_text(json.dumps(cfg))
+    return config, unresolved
+
+
+def count_manifest_saves(monkeypatch) -> Counter:
+    """A counter whose ``save`` entry counts manifest saves from here on."""
+    saves = Counter()
+    save = cli.Manifest.save
+
+    def counted(self):
+        saves["save"] += 1
+        save(self)
+
+    monkeypatch.setattr(cli.Manifest, "save", counted)
+    return saves
 
 
 def resolved_sentences(corpus, coref_path) -> list[list[str]]:

@@ -695,6 +695,51 @@ class TestConfigErrors:
         assert code == 2 and one_error_line(err), err
         assert f"provider {role!r} table {path}: " in err and named in err
 
+    def test_long_wrong_value_is_quoted_by_its_first_characters(
+        self, fixture_config, tmp_path, capsys
+    ):
+        table = json.loads(fixture_path("lm.json").read_text(encoding="utf-8"))
+        quoted = json.dumps(list(table["samples"].values()))
+        path = tmp_path / "lm.json"
+        path.write_text(json.dumps({"samples": list(table["samples"].values())}))
+        cfg = json.loads(fixture_config.read_text())
+        cfg["providers"]["lm"]["path"] = str(path)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(cfg))
+        code = cli.main(["build-dataset", "--config", str(config), "--out", str(tmp_path / "r")])
+        err = capsys.readouterr().err
+        assert code == 2 and one_error_line(err), err
+        assert len(quoted) > 500
+        assert err.endswith(f"field 'samples' must be a JSON object, not {quoted[:40]}...\n")
+
+    # each edit spoils the fixture's first canned tree, which the build parses
+    @pytest.mark.parametrize(
+        "edit, named",
+        [
+            (lambda t: t["arcs"].append([0, t["arcs"][0][1], "dep"]), "more than one head"),
+            (lambda t: t["arcs"].append([0, len(t["tokens"]), "dep"]), "out of token range"),
+            (lambda t: t["arcs"].pop(), "exactly one root"),
+        ],
+        ids=["two-heads", "arc-out-of-range", "two-roots"],
+    )
+    def test_canned_parse_that_is_not_one_tree_exits_3_naming_table_and_sentence(
+        self, fixture_config, tmp_path, capsys, edit, named
+    ):
+        table = json.loads(fixture_path("parse.json").read_text(encoding="utf-8"))
+        sentence = next(iter(table))
+        edit(table[sentence])
+        path = tmp_path / "parse.json"
+        path.write_text(json.dumps(table))
+        cfg = json.loads(fixture_config.read_text())
+        cfg["providers"]["parse"]["path"] = str(path)
+        cfg["retry_base_delay"] = 0
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(cfg))
+        code = cli.main(["build-dataset", "--config", str(config), "--out", str(tmp_path / "r")])
+        err = capsys.readouterr().err
+        assert code == 3 and one_error_line(err), err
+        assert str(path) in err and repr(sentence) in err and named in err
+
     def test_provider_spec_without_its_url_exits_2(self, fixture_config, tmp_path, capsys):
         cfg = json.loads(fixture_config.read_text())
         cfg["providers"]["lm"] = {"kind": "http"}

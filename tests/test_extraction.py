@@ -12,6 +12,7 @@ from actionsense.extraction import (
     extract_verb_ingredient_pairs,
     filter_pairs_by_frequency,
     resolve_coreferences,
+    resolve_videos,
 )
 from actionsense.providers import ProviderError
 from actionsense.stubs import fixture_path
@@ -34,13 +35,24 @@ class FixedParse:
 
 
 class FailingCoref:
-    def resolve(self, texts):
+    def resolve(self, documents):
         raise ProviderError("unreachable")
 
 
 class ShortCoref:
-    def resolve(self, texts):
-        return list(texts)[:-1]
+    """Resolves each document from ``table``, dropping the last sentence of those ``cut`` picks."""
+
+    def __init__(self, table, cut=lambda document: True):
+        self.table, self.cut, self.requests = table, cut, []
+
+    def resolve(self, documents):
+        self.requests.append(documents)
+        resolved = [[self.table.get(s, s) for s in document] for document in documents]
+        return [r[:-1] if self.cut(d) else r for d, r in zip(documents, resolved)]
+
+
+def document(video) -> list[str]:
+    return [seg.sentence for seg in video.segments]
 
 
 def spoiled_trees():
@@ -109,8 +121,50 @@ class TestResolveCoreferences:
         assert [s.resolved for s in resolved] == [seg.sentence for seg in video.segments]
 
     def test_length_contract_violation_flagged(self, corpus):
-        resolved = resolve_coreferences(corpus.video("blt01"), ShortCoref())
+        resolved = resolve_coreferences(corpus.video("blt01"), ShortCoref({}))
         assert all(s.flagged for s in resolved)
+
+
+class TestResolveVideos:
+    def table(self):
+        return json.loads(fixture_path("coref.json").read_text(encoding="utf-8"))
+
+    def test_one_request_resolves_each_video_as_its_own_document(self, corpus, coref_provider):
+        coref = ShortCoref(self.table(), cut=lambda document: False)
+        resolved = resolve_videos(corpus.videos, coref)
+        assert coref.requests == [[document(v) for v in corpus.videos]]
+        assert resolved == [resolve_coreferences(v, coref_provider) for v in corpus.videos]
+        assert not any(s.flagged for video in resolved for s in video)
+
+    def test_one_short_document_fails_the_request_and_flags_every_video(self, corpus):
+        videos = corpus.videos[:3]
+        tries = []
+
+        def retry(resolve):
+            for _ in range(2):
+                try:
+                    return resolve()
+                except ProviderError as exc:
+                    tries.append(str(exc))
+            raise ProviderError(tries[-1])
+
+        coref = ShortCoref(self.table(), cut=lambda sentences: sentences == document(videos[1]))
+        resolved = resolve_videos(videos, coref, retry)
+        assert len(coref.requests) == 2 and len(tries) == 2
+        assert f"(video {videos[1].video_id})" in tries[0]
+        for video, sentences in zip(videos, resolved):
+            assert [s.resolved for s in sentences] == document(video)
+            assert all(s.flagged for s in sentences)
+
+    def test_blank_resolution_is_flagged_alone(self, corpus):
+        videos = corpus.videos[:2]
+        first = videos[1].segments[0].sentence
+        resolved = resolve_videos(videos, ShortCoref({first: " "}, cut=lambda document: False))
+        assert [s.flagged for video in resolved for s in video] == [
+            video is videos[1] and seg.sentence == first
+            for video in videos for seg in video.segments
+        ]
+        assert resolved[1][0].resolved == first
 
 
 class TestExtractPairs:

@@ -38,6 +38,7 @@ def wire_server():
     """Tiny HTTP endpoint speaking the task/inputs and op/sequence envelopes."""
     requests = []
     state = {"fail_next": 0, "drop_row": False, "bad_parse": False, "rc_answer": None, "body": None}
+    them = lambda document: [t.replace("them", "the tomatoes") for t in document]
 
     class Handler(BaseHTTPRequestHandler):
         def do_POST(self):
@@ -52,7 +53,7 @@ def wire_server():
             if state["body"] is not None:  # the same answer to any request
                 body = state["body"]
             elif payload.get("task") == "coref":
-                body = {"outputs": [t.replace("them", "the tomatoes") for t in payload["inputs"]]}
+                body = {"outputs": [them(document) for document in payload["inputs"]]}
             elif payload.get("task") == "parse":
                 tree = {"tokens": [{"text": "stir", "lemma": "stir", "pos": "VERB"}], "arcs": []}
                 if state["bad_parse"]:
@@ -220,9 +221,11 @@ class TestWireContract:
     def test_coref_request_shape_and_response(self, wire_server):
         url, requests, _ = wire_server
         provider = HttpCorefProvider(url)
-        out = provider.resolve(["grill them"])
-        assert out == ["grill the tomatoes"]
-        assert requests[0] == {"task": "coref", "inputs": ["grill them"]}
+        documents = [["grill them", "turn them"], ["stir it"]]
+        out = provider.resolve(documents)
+        assert out == [["grill the tomatoes", "turn the tomatoes"], ["stir it"]]
+        assert requests == [{"task": "coref", "inputs": documents}]
+
 
     def test_rc_answer_must_be_span(self, wire_server):
         url, _, _ = wire_server
@@ -331,12 +334,19 @@ class TestWireContract:
         assert provider.answer_many(items) == ["golden", None]
         assert len(requests) == 2
 
-    # answers of the right count whose values are of the wrong type, once coerced
+    # answers of the right count whose values are of the wrong type, once coerced, or for
+    # a coref document of the wrong length
     @pytest.mark.parametrize(
         "provider, call, body, named",
         [
-            (HttpCorefProvider, lambda p: p.resolve(["grill them"]), {"outputs": [None]},
-             "'[0]' must be a string, not null"),
+            (HttpCorefProvider, lambda p: p.resolve([["grill them"]]), {"outputs": [[None]]},
+             "'[0][0]' must be a string, not null"),
+            (HttpCorefProvider, lambda p: p.resolve([["grill them", "turn them"], ["stir it"]]),
+             {"outputs": [["grill the tomatoes", "turn the tomatoes"], []]},
+             "0 sentences for document 1, which has 1"),
+            (HttpCorefProvider, lambda p: p.resolve([["grill them"], ["stir it"]]),
+             {"outputs": [["grill the tomatoes"], "stir it"]},
+             "'[1]' must be a list, not \"stir it\""),
             (HttpRCProvider, lambda p: p.answer_many([("bake 5 minutes", "How long?")]),
              {"outputs": [5]}, "'[0]' must be a string, not 5"),
             (HttpLMProvider, lambda p: p.sample(sequence(), 0.9, 16, 1), {"texts": [None]},
@@ -351,8 +361,8 @@ class TestWireContract:
                 "arcs": [[0.9, 1.7, "dobj"]],
             }]}, "'arcs[0][0]' must be an integer, not 0.9"),
         ],
-        ids=["coref-null", "rc-int", "sample-null", "logprobs-string-and-bool", "logprobs-nan",
-             "parse-float-arcs"],
+        ids=["coref-null", "coref-short-document", "coref-document-string", "rc-int",
+             "sample-null", "logprobs-string-and-bool", "logprobs-nan", "parse-float-arcs"],
     )
     def test_answer_of_the_wrong_type_is_a_provider_error_and_not_logged(
         self, tmp_path, wire_server, provider, call, body, named
@@ -367,33 +377,33 @@ class TestWireContract:
     def test_logged_record_is_checked_like_a_network_answer(self, tmp_path):
         cache = ResponseCache(tmp_path / "cache")
         provider = HttpCorefProvider("http://127.0.0.1:1/none", cache)
-        payload = {"task": "coref", "inputs": ["grill them"]}
-        cache.put(provider.log_key(payload), {"outputs": ["one", "two"]})
+        payload = {"task": "coref", "inputs": [["grill them"]]}
+        cache.put(provider.log_key(payload), {"outputs": [["one"], ["two"]]})
         with pytest.raises(ProviderError, match="2 outputs for 1 inputs"):
-            provider.resolve(["grill them"])
+            provider.resolve([["grill them"]])
 
     def test_logged_record_without_the_result_key_is_a_miss(self, tmp_path, wire_server):
         url, requests, _ = wire_server
         cache = ResponseCache(tmp_path / "cache")
         provider = HttpCorefProvider(url, cache)
-        payload = {"task": "coref", "inputs": ["grill them"]}
+        payload = {"task": "coref", "inputs": [["grill them"]]}
         cache.put(provider.log_key(payload), {"texts": ["grill"]})
-        assert provider.resolve(["grill them"]) == ["grill the tomatoes"]
+        assert provider.resolve([["grill them"]]) == [["grill the tomatoes"]]
         assert len(requests) == 1
 
     def test_responses_cached_by_content(self, tmp_path, wire_server):
         url, requests, _ = wire_server
         cache = ResponseCache(tmp_path / "cache")
         provider = HttpCorefProvider(url, cache)
-        provider.resolve(["grill them"])
-        provider.resolve(["grill them"])
+        provider.resolve([["grill them"]])
+        provider.resolve([["grill them"]])
         assert len(requests) == 1
 
     def test_server_error_raises_provider_error(self, wire_server):
         url, _, state = wire_server
         state["fail_next"] = 1
         with pytest.raises(ProviderError):
-            HttpCorefProvider(url).resolve(["x"])
+            HttpCorefProvider(url).resolve([["x"]])
 
     def test_read_timeout_mid_body_raises_provider_error(self):
         release = threading.Event()
@@ -426,7 +436,7 @@ class TestWireContract:
 
     def test_unreachable_endpoint(self):
         with pytest.raises(ProviderError):
-            HttpCorefProvider("http://127.0.0.1:1/none").resolve(["x"])
+            HttpCorefProvider("http://127.0.0.1:1/none").resolve([["x"]])
 
 
 class TestRetries:
@@ -436,12 +446,12 @@ class TestRetries:
         provider = HttpCorefProvider(url)
         sleeps = []
         out = with_retries(
-            lambda: provider.resolve(["grill them"]),
+            lambda: provider.resolve([["grill them"]]),
             attempts=3,
             base_delay=0.01,
             sleep=sleeps.append,
         )
-        assert out == ["grill the tomatoes"]
+        assert out == [["grill the tomatoes"]]
         assert len(requests) == 3
         assert sleeps == [0.01, 0.02]  # exponential backoff
 
@@ -450,7 +460,7 @@ class TestRetries:
         state["fail_next"] = 5
         provider = HttpCorefProvider(url)
         with pytest.raises(ProviderError):
-            with_retries(lambda: provider.resolve(["x"]), attempts=3, sleep=lambda _: None)
+            with_retries(lambda: provider.resolve([["x"]]), attempts=3, sleep=lambda _: None)
 
     @pytest.mark.parametrize("attempts", [0, -1])
     def test_no_attempts_is_a_value_error(self, attempts):
