@@ -25,7 +25,7 @@ from .generation import (
     compose_input_sequence,
     generate_inferences,
     score_candidate,
-    score_candidates,
+    score_many,
     seq2seq_loss,
 )
 from .metrics import (

@@ -309,7 +309,9 @@ def make_providers(cfg: RunConfig, cache_dir: Path, roles=None) -> Providers:
         ("coref", "http"): lambda spec: HttpCorefProvider(spec["url"], cache, session=session),
         ("parse", "http"): lambda spec: HttpParseProvider(spec["url"], cache, session=session),
         ("rc", "http"): lambda spec: HttpRCProvider(spec["url"], cache, session=session),
-        ("lm", "http"): lambda spec: HttpLMProvider(spec["url"], cache, session=session),
+        ("lm", "http"): lambda spec: HttpLMProvider(
+            spec["url"], cache, session=session, seed=cfg.seed
+        ),
     }
     for name, spec in cfg.providers.items():
         if roles is not None and name not in roles:
@@ -501,26 +503,43 @@ def _mask_inputs(instances, mask, vision) -> dict:
     return table
 
 
-def _generate_for_instance(cfg: RunConfig, lm, instance, masked, label, specs) -> list[dict]:
-    """The lines of one (instance, mask label, variant) request group, one per spec's type."""
-    if isinstance(masked, generation.MissingModality):
-        return []
+def _in_chunks(cfg: RunConfig, ask, inputs: list, workers: int = 1) -> list:
+    """``ask``'s outputs for ``inputs``: one retried call per chunk, over ``workers`` threads."""
+    call = lambda chunk: _retry(cfg, lambda: ask(chunk))
+    if workers > 1:
+        from concurrent.futures import ThreadPoolExecutor
+
+        # ordered collection keeps parallel runs byte-identical
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            return [out for outs in pool.map(call, chunks(inputs)) for out in outs]
+    return [out for chunk in chunks(inputs) for out in call(chunk)]
+
+
+def _generate_cell(cfg: RunConfig, lm, instances, masked, label, specs) -> list[dict]:
+    """The lines of one (mask label, variant) cell, in instance order, then type order.
+
+    Each input's distinct non-empty samples are scored once; an empty one has no score.
+    """
+    inputs = [
+        (instance.instance_id, spec, generation.compose_input_sequence(instance, spec, masked=step))
+        for instance in instances
+        if not isinstance(step := masked[instance.instance_id], generation.MissingModality)
+        for spec in specs
+    ]
+    sequences = [sequence for *_, sequence in inputs]
+    sample = lambda chunk: generation.generate_inferences(
+        chunk, lm, cfg.n_samples, nucleus_p=cfg.nucleus_p, max_new=cfg.max_new_tokens
+    )
+    samples = _in_chunks(cfg, sample, sequences, cfg.workers)
+    distinct = [list(dict.fromkeys(t for t in texts if t)) for texts in samples]
+    items = [(sequence, texts) for sequence, texts in zip(sequences, distinct) if texts]
+    scored = iter(_in_chunks(cfg, lambda c: generation.score_many(c, lm), items, cfg.workers))
     lines = []
-    for spec in specs:
-        sequence = generation.compose_input_sequence(instance, spec, masked=masked)
-        texts = _retry(
-            cfg,
-            lambda: generation.generate_inferences(
-                sequence, lm, cfg.n_samples, nucleus_p=cfg.nucleus_p, max_new=cfg.max_new_tokens
-            ),
-        )
-        # each distinct non-empty sample is scored once; an empty one has no score
-        distinct = list(dict.fromkeys(t for t in texts if t))
-        scored = _retry(cfg, lambda: generation.score_candidates(sequence, distinct, lm))
-        by_text = {c.text: c for c in scored}
+    for (instance_id, spec, _), texts, asked in zip(inputs, samples, distinct):
+        by_text = {c.text: c for c in (next(scored) if asked else ())}
         lines.append(
             {
-                "instance_id": instance.instance_id,
+                "instance_id": instance_id,
                 "inference_type": spec.inference_type.value,
                 "condition": label,
                 "variant": spec.variant,
@@ -559,25 +578,15 @@ def _generate(cfg: RunConfig, run: _Run, labels, variants, resume: bool, phase: 
             if resume and run.manifest.cell_done(key):
                 continue
             specs = [PromptSpec(t, variant, mask) for t in InferenceType]
-            work = lambda pair: _generate_for_instance(cfg, run.providers.lm, *pair, label, specs)
             try:
                 if masked is None:
                     masked = _mask_inputs(run.instances, mask, run.providers.vision)
-                pairs = ((i, masked[i.instance_id]) for i in run.instances)
-                if cfg.workers > 1:
-                    from concurrent.futures import ThreadPoolExecutor
-
-                    # ordered collection keeps parallel runs byte-identical
-                    with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-                        groups = list(pool.map(work, pairs))
-                else:
-                    groups = [work(pair) for pair in pairs]
+                lines = _generate_cell(cfg, run.providers.lm, run.instances, masked, label, specs)
             except ProviderError as exc:
                 failures += 1
                 run.manifest.record_failure(f"{key}: {exc}")
                 continue
-            encode = _LINE_ENCODER.encode
-            _write_atomic(cell_path, (encode(line) + "\n" for group in groups for line in group))
+            _write_atomic(cell_path, (_LINE_ENCODER.encode(line) + "\n" for line in lines))
             run.manifest.mark_cell(key, str(cell_path))
 
     if failures:
@@ -640,13 +649,13 @@ def _cell_metrics(cfg: RunConfig, entries, index, sequences, lm) -> dict:
     ``sequences`` maps each instance with references to its composed input,
     against which its A@50 pool is ranked.
     """
-    pools = []
-    for instance_id, sequence in sequences.items():
-        score = lambda texts: [
-            c.perplexity
-            for c in _retry(cfg, lambda: generation.score_candidates(sequence, texts, lm))
-        ]
-        pools.append(metrics.score_pool(index.pool(instance_id, cfg.seed, cfg.pool_size), score))
+    pools = [index.pool(instance_id, cfg.seed, cfg.pool_size) for instance_id in sequences]
+    items = [(sequences[p.instance_id], [c.text for c in p.candidates]) for p in pools]
+    scored = _in_chunks(cfg, lambda chunk: generation.score_many(chunk, lm), items)
+    pools = [
+        metrics.score_pool(pool, lambda texts, row=row: [c.perplexity for c in row])
+        for pool, row in zip(pools, scored)
+    ]
 
     all_texts = [t for _, texts in entries for t in texts]
     return {

@@ -13,6 +13,7 @@ text-only backends get the visual content serialized as object-label text.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import NamedTuple, Protocol, Sequence
@@ -177,11 +178,14 @@ class VisionProvider(Protocol):
 
 
 class LMProvider(Protocol):
-    def sample(self, sequence, nucleus_p: float, max_new: int, n: int) -> list[str]: ...
+    """Batched sampling and scoring: one answer per input, in order, as a function of it alone."""
 
-    def logprobs_many(self, sequence, continuations: list[str]) -> list[list[float]]: ...
+    def sample_many(self, sequences, nucleus_p: float, max_new: int, n: int) -> list[list[str]]: ...
 
-    def logprobs(self, sequence, continuation: str) -> list[float]: ...  # seq2seq_loss only
+    # each item is (sequence, continuations): one list of per-token scores per continuation
+    def score_many(self, items) -> list[list[list[float]]]: ...
+
+    def logprobs(self, sequence, continuation: str) -> list[float]: ...  # score_candidate only
 
 
 @dataclass(frozen=True)
@@ -381,48 +385,42 @@ class ScoredCandidate(NamedTuple):
 
 
 def generate_inferences(
-    sequence: TokenSequence,
+    sequences: Sequence[TokenSequence],
     lm: LMProvider,
     n: int,
     *,
     nucleus_p: float = 0.9,
     max_new: int = 16,
-) -> list[str]:
-    """Sample n inference statements, cut at the first end-of-field delimiter."""
+) -> list[list[str]]:
+    """n inference statements per sequence, in one provider request, each cut at ``e_inf``."""
     if n <= 0:
-        return []
-    texts = lm.sample(sequence, nucleus_p, max_new, n)
-    out = []
-    for text in texts:
-        cut = text.find(INFERENCE_END)
-        out.append((text if cut < 0 else text[:cut]).strip())
-    return out
+        return [[] for _ in sequences]
+    texts = lm.sample_many(list(sequences), nucleus_p, max_new, n)
+    return [[text.partition(INFERENCE_END)[0].strip() for text in row] for row in texts]
 
 
 def _scored(candidate: str, logprobs: list[float]) -> ScoredCandidate:
     if not logprobs:
         raise ProviderError("provider returned no token log-probabilities")
     nll = -sum(logprobs) / len(logprobs)
+    if nll > math.log(sys.float_info.max):  # exp(nll) would overflow a float
+        raise ProviderError(
+            f"perplexity of {candidate!r} overflows: mean log-probability {-nll} per token"
+        )
     return ScoredCandidate(candidate, nll, math.exp(nll))
 
 
-def score_candidates(
-    sequence: TokenSequence, candidates: Sequence[str], lm: LMProvider
-) -> list[ScoredCandidate]:
-    """Mean per-token negative log-likelihood of each candidate, in one provider request.
-
-    No candidates means no request.
-    """
-    if not all(c.strip() for c in candidates):
-        raise ValueError("candidate must be tokenizable")
-    if not candidates:
-        return []
-    rows = lm.logprobs_many(sequence, list(candidates))
-    return [_scored(c, row) for c, row in zip(candidates, rows, strict=True)]
+def score_many(items, lm: LMProvider) -> list[list[ScoredCandidate]]:
+    """Each (sequence, candidates) item's candidates by mean per-token NLL, in one request."""
+    rows = lm.score_many(items)
+    return [
+        [_scored(c, row) for c, row in zip(candidates, scores, strict=True)]
+        for (_, candidates), scores in zip(items, rows, strict=True)
+    ]
 
 
 def score_candidate(sequence: TokenSequence, candidate: str, lm: LMProvider) -> ScoredCandidate:
-    """``score_candidates`` for one candidate, over the provider's single-item ``logprobs``."""
+    """``score_many`` for one candidate, over the provider's single-item ``logprobs``."""
     if not candidate.strip():
         raise ValueError("candidate must be tokenizable")
     return _scored(candidate, lm.logprobs(sequence, candidate))

@@ -15,17 +15,18 @@ first ask it, as a ``{"context": ..., "question": ...}`` object; each answer
 is checked against its own object's context. One malformed output fails its
 whole request.
 
-The language-model provider speaks:
+The language-model provider speaks, one request per input:
 
     POST {"op": "sample" | "logprobs",
           "sequence": {"text_fields": {...}, "visual_refs": [...]},
           "params": {...}}
     ->   {"texts": [...]} or {"logprobs": [...]}
 
-A ``logprobs`` request scores ``params.continuations``, a list answered by
-one list of per-token log-probabilities per continuation, in request order:
-the distinct non-empty samples of one composed input, or the candidates of
-one A@50 pool, in one request.
+Generate and evaluate hand it ``chunks`` of a cell's inputs. ``sample_many``
+sends one ``sample`` per sequence, with the run's ``seed``, if given, in params;
+``score_many`` sends one ``logprobs`` per (sequence, continuations) item,
+answered by one list of per-token log-probabilities per continuation, in
+order: the distinct non-empty samples of one composed input, or one A@50 pool.
 
 Live responses are cached so that reruns are deterministic and work offline,
 in one append-only log per run directory, ``cache/responses.log``: one
@@ -39,8 +40,9 @@ JSON do not read back; a key none of whose records reads back is a miss, and
 its next response is appended. Memory holds each key's byte offset, and
 those of any later records of it.
 Caches written in the earlier one-file-per-response layout, records keyed
-by the payload alone, and coref records of one video's sentences, from before
-a request carried documents, are not read; they miss once.
+by the payload alone, coref records of one video's sentences, from before a
+request carried documents, and LM samples from before a sample carried the
+run's seed are not read; they miss once.
 
 Every provider sends through one request path, ``_HttpProvider._call``: log
 lookup, POST, check, log append. It checks a response (output count, parse
@@ -442,16 +444,22 @@ def _count(value) -> str:
 
 
 class HttpLMProvider(_HttpProvider):
-    """Language-model provider over the op/sequence/params envelope."""
+    """Language-model provider over the op/sequence/params envelope, one request per input."""
 
     timeout = 60.0
 
+    def __init__(self, url: str, cache: ResponseCache | None = None, *, seed=None, **options):
+        super().__init__(url, cache, **options)
+        self.seed = seed  # sent with each sample request, if set
+
+    def sample_many(self, sequences, nucleus_p: float, max_new: int, n: int) -> list[list[str]]:
+        return [self.sample(sequence, nucleus_p, max_new, n) for sequence in sequences]
+
     def sample(self, sequence, nucleus_p: float, max_new: int, n: int) -> list[str]:
-        payload = {
-            "op": "sample",
-            "sequence": sequence.to_wire(),
-            "params": {"p": nucleus_p, "n": n, "max_new": max_new},
-        }
+        params = {"p": nucleus_p, "n": n, "max_new": max_new}
+        if self.seed is not None:
+            params["seed"] = self.seed
+        payload = {"op": "sample", "sequence": sequence.to_wire(), "params": params}
 
         def check(texts):
             if not isinstance(texts, list) or len(texts) != n:
@@ -460,9 +468,11 @@ class HttpLMProvider(_HttpProvider):
 
         return self._call(payload, "texts", check)
 
-    def logprobs_many(self, sequence, continuations) -> list[list[float]]:
+    def score_many(self, items) -> list[list[list[float]]]:
+        return [self._score(sequence, list(continuations)) for sequence, continuations in items]
+
+    def _score(self, sequence, continuations: list) -> list[list[float]]:
         """Per-token log-probabilities of each continuation, in one request."""
-        continuations = list(continuations)
         payload = {
             "op": "logprobs",
             "sequence": sequence.to_wire(),
@@ -479,4 +489,4 @@ class HttpLMProvider(_HttpProvider):
         return self._call(payload, "logprobs", check)
 
     def logprobs(self, sequence, continuation: str) -> list[float]:
-        return self.logprobs_many(sequence, [continuation])[0]
+        return self._score(sequence, [continuation])[0]

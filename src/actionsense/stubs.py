@@ -113,12 +113,18 @@ class StubLMProvider:
             raise ProviderError(f"no canned continuations for {key!r}")
         return texts
 
-    def sample(self, sequence, nucleus_p: float, max_new: int, n: int) -> list[str]:
+    def _sample(self, sequence, nucleus_p: float, n: int) -> list[str]:
         texts = self._canned(sequence)
         if nucleus_p <= 0:
             return [texts[0]] * n
         start = _digest(str(self.seed), sequence.text()) % len(texts)
         return [texts[(start + k) % len(texts)] for k in range(n)]
+
+    def sample_many(self, sequences, nucleus_p: float, max_new: int, n: int) -> list[list[str]]:
+        return [self._sample(sequence, nucleus_p, n) for sequence in sequences]
+
+    def sample(self, sequence, nucleus_p: float, max_new: int, n: int) -> list[str]:
+        return self._sample(sequence, nucleus_p, n)
 
     def _context_hash(self, sequence):
         """Hash state after the seed, the context and their separators; each token extends it."""
@@ -137,12 +143,14 @@ class StubLMProvider:
             scores.append(-(0.5 + (digest % 2000) / 1000.0))
         return scores
 
-    def logprobs_many(self, sequence, continuations) -> list[list[float]]:
-        context_hash = self._context_hash(sequence)
-        return [self._logprobs(context_hash, c) for c in continuations]
+    def score_many(self, items) -> list[list[list[float]]]:
+        rows = []
+        for sequence, continuations in items:
+            context_hash = self._context_hash(sequence)
+            rows.append([self._logprobs(context_hash, c) for c in continuations])
+        return rows
 
     def logprobs(self, sequence, continuation: str) -> list[float]:
-        # not through logprobs_many, so a logprobs_many built on this method cannot recurse
         return self._logprobs(self._context_hash(sequence), continuation)
 
 

@@ -1,8 +1,10 @@
 import contextlib
 import hashlib
 import importlib.util
+import itertools
 import json
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -626,6 +628,31 @@ class TestProviderFailures:
         assert "evaluate" not in manifest["stages"]
 
 
+class TestScoreOverflow:
+    @pytest.mark.parametrize(
+        "row", [[-800.0], [-1e308, -1e308]], ids=["mean-below-709.8", "sum-overflows"]
+    )
+    @pytest.mark.parametrize("command", ["generate", "evaluate"])
+    def test_a_perplexity_too_large_for_a_float_exits_3_naming_the_candidate(
+        self, fixture_config, tmp_path, monkeypatch, capsys, command, row
+    ):
+        cfg = {**json.loads(fixture_config.read_text()), "retry_base_delay": 0}
+        config = tmp_path / "no_delay.json"
+        config.write_text(json.dumps(cfg))
+        flags = ["--config", str(config), "--out", str(build(config, tmp_path / "run"))]
+        generate = ["generate", *flags, "--modalities", "AOPair", "--variants", "1"]
+        if command == "evaluate":
+            assert cli.main(generate) == 0
+        # finite log-probabilities whose mean, or its exp, is too large for a float
+        monkeypatch.setattr(stubs.StubLMProvider, "_logprobs", lambda lm, h, c: row)
+        capsys.readouterr()
+        assert cli.main(generate if command == "generate" else ["evaluate", *flags]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        manifest = json.loads((tmp_path / "run" / "manifest.json").read_text())
+        assert re.search(r"perplexity of '[^']+' overflows", manifest["failures"][-1])
+
+
 class TestWorkerPool:
     def test_parallel_generation_matches_sequential(self, fixture_config, tmp_path):
         outputs = []
@@ -1035,8 +1062,8 @@ class TestConditioning:
     ):
         config = vision_config(fixture_config, tmp_path)
         out = build(config, tmp_path / "run")
-        cells, sent = {}, []  # composed input -> its (instance, type, mask, variant); requests
-        compose, logprobs_many = generation.compose_input_sequence, stubs.StubLMProvider.logprobs_many
+        cells, sent = {}, []  # composed input -> its (instance, type, mask, variant); score items
+        compose, score_many = generation.compose_input_sequence, stubs.StubLMProvider.score_many
 
         def composing(instance, spec, *args, **kwargs):
             sequence = compose(instance, spec, *args, **kwargs)
@@ -1044,18 +1071,21 @@ class TestConditioning:
                                               generation.combo_label(spec.modality_mask), spec.variant))
             return sequence
 
-        def recording(lm, sequence, continuations):
-            sent.append((cells[id(sequence)][1], json.dumps(sequence.to_wire(), sort_keys=True)))
-            return logprobs_many(lm, sequence, continuations)
+        def recording(lm, items):
+            sent.extend(
+                (cells[id(sequence)][1], json.dumps(sequence.to_wire(), sort_keys=True))
+                for sequence, _ in items
+            )
+            return score_many(lm, items)
 
         monkeypatch.setattr(generation, "compose_input_sequence", composing)
-        monkeypatch.setattr(stubs.StubLMProvider, "logprobs_many", recording)
+        monkeypatch.setattr(stubs.StubLMProvider, "score_many", recording)
         assert cli.main(
             ["generate", "--config", str(config), "--out", str(out),
              "--modalities", "Image+TextDesc+AOPair+OG,Image,AOPair", "--variants", "1,3"]
         ) == 0
         generated = dict(sent)
-        assert len(generated) == len(sent)  # one score request per composed input
+        assert len(generated) == len(sent)  # one score item per composed input
         sent.clear()
         assert cli.main(["evaluate", "--config", str(config), "--out", str(out)]) == 0
         by_id = {i.instance_id: i for i in read_dataset(out / "dataset.jsonl")}
@@ -1112,7 +1142,7 @@ def counting(monkeypatch, owner, attr, calls):
 
 
 class TestProviderBatches:
-    def test_generate_sends_one_sample_and_one_score_request_per_composed_input(
+    def test_generate_sends_each_cells_inputs_in_one_sample_and_one_score_chunk(
         self, fixture_config, tmp_path, monkeypatch
     ):
         out = build(fixture_config, tmp_path / "run")
@@ -1124,19 +1154,21 @@ class TestProviderBatches:
             return composed[-1]
 
         monkeypatch.setattr(generation, "compose_input_sequence", recording)
-        for attr in ("sample", "logprobs_many", "logprobs"):
+        for attr in ("sample_many", "score_many", "sample", "logprobs"):
             counting(monkeypatch, stubs.StubLMProvider, attr, calls)
         assert cli.main(
             ["generate", "--config", str(fixture_config), "--out", str(out), "--variants", "1"]
         ) == 0
-        sampled = [args[0] for attr, args in calls if attr == "sample"]
-        scored = [args for attr, args in calls if attr == "logprobs_many"]
-        assert len(sampled) == len(scored) == len(composed) > 0
-        assert [seq for seq, _ in scored] == sampled == composed
-        assert all(1 <= len(continuations) <= 3 for _, continuations in scored)
-        assert not [attr for attr, _ in calls if attr == "logprobs"]
+        sampled = [args[0] for attr, args in calls if attr == "sample_many"]
+        scored = [args[0] for attr, args in calls if attr == "score_many"]
+        # ten masks at P1, each a cell of fewer than REQUEST_CAP inputs, none with no input
+        assert [attr for attr, _ in calls] == ["sample_many", "score_many"] * 10
+        assert [s for chunk in sampled for s in chunk] == composed
+        # every input here has a non-empty sample, so each is scored, in the same chunks
+        assert [[s for s, _ in chunk] for chunk in scored] == sampled
+        assert all(1 <= len(texts) <= 3 for chunk in scored for _, texts in chunk)
 
-    def test_evaluate_sends_one_score_request_per_scored_entry(
+    def test_evaluate_sends_each_cells_pools_in_one_score_chunk(
         self, fixture_config, tmp_path, monkeypatch
     ):
         out = build(fixture_config, tmp_path / "run")
@@ -1145,16 +1177,106 @@ class TestProviderBatches:
              "--modalities", "AOPair,TextDesc", "--variants", "1,2"]
         ) == 0
         calls = []
-        for attr in ("logprobs_many", "logprobs"):
+        for attr in ("score_many", "logprobs"):
             counting(monkeypatch, stubs.StubLMProvider, attr, calls)
         assert cli.main(["evaluate", "--config", str(fixture_config), "--out", str(out)]) == 0
         by_id = {i.instance_id: i for i in read_dataset(out / "dataset.jsonl")}
         generated = (out / "generations_main.jsonl").read_text().splitlines()
         lines = [json.loads(line) for line in generated]
         entries = [l for l in lines if by_id[l["instance_id"]].inference_set(l["inference_type"])]
+        cells = {(l["inference_type"], l["condition"], l["variant"]) for l in entries}
         pool_size = json.loads(fixture_config.read_text())["pool_size"]
-        assert len(calls) == len(entries)
-        assert {(attr, len(args[1])) for attr, args in calls} == {("logprobs_many", pool_size)}
+        assert {attr for attr, _ in calls} == {"score_many"} and len(calls) == len(cells)
+        pools = [texts for _, (items,) in calls for _, texts in items]
+        assert len(pools) == len(entries) and {len(texts) for texts in pools} == {pool_size}
+
+    def test_a_cap_of_two_cuts_each_cells_lm_inputs_into_consecutive_chunks(
+        self, fixture_config, tmp_path, monkeypatch
+    ):
+        flags = ["--modalities", "AOPair,Image+TextDesc", "--variants", "1,3"]
+        calls, composed = [], []
+
+        def run(out):
+            config = ["--config", str(fixture_config), "--out", str(build(fixture_config, out))]
+            assert cli.main(["generate", *config, *flags]) == 0
+            generate_calls = len(calls)
+            assert cli.main(["evaluate", *config]) == 0
+            return out, generate_calls
+
+        expected, _ = run(tmp_path / "whole")
+        monkeypatch.setattr(providers, "REQUEST_CAP", 2)
+        compose = generation.compose_input_sequence
+        monkeypatch.setattr(
+            generation, "compose_input_sequence",
+            lambda *args, **kwargs: composed.append(compose(*args, **kwargs)) or composed[-1],
+        )
+        for attr in ("sample_many", "score_many"):
+            counting(monkeypatch, stubs.StubLMProvider, attr, calls)
+        out, generate_calls = run(tmp_path / "run")
+        for name in ("generations_main.jsonl", "report.json"):
+            assert (out / name).read_bytes() == (expected / name).read_bytes()
+
+        def cut(counts):
+            """The chunk sizes of consecutive cells of ``counts`` inputs under a cap of 2."""
+            return [min(2, count - i) for count in counts for i in range(0, count, 2)]
+
+        generated = (out / "generations_main.jsonl").read_text().splitlines()
+        lines = [json.loads(line) for line in generated]
+        cell_of = lambda line: (line["condition"], line["variant"])
+        cells = [list(group) for _, group in itertools.groupby(lines, cell_of)]
+        sampled = [args[0] for attr, args in calls[:generate_calls] if attr == "sample_many"]
+        scored = [args[0] for attr, args in calls[:generate_calls] if attr == "score_many"]
+        assert [s for chunk in sampled for s in chunk] == composed[: len(lines)]
+        assert [len(chunk) for chunk in sampled] == cut([len(cell) for cell in cells])
+        asked = [sequence for sequence, line in zip(composed, lines) if any(line["texts"])]
+        assert [s for chunk in scored for s, _ in chunk] == asked
+        assert [len(chunk) for chunk in scored] == cut(
+            [sum(any(line["texts"]) for line in cell) for cell in cells]
+        )
+        # evaluate scores each (type, mask, variant) cell's pools, in chunks of the cap
+        by_id = {i.instance_id: i for i in read_dataset(out / "dataset.jsonl")}
+        pools = Counter(
+            (l["inference_type"], l["condition"], l["variant"]) for l in lines
+            if by_id[l["instance_id"]].inference_set(l["inference_type"])
+        )
+        order = itertools.product(cli.INFERENCE_TYPE_NAMES, ("AOPair", "Image+TextDesc"), (1, 3))
+        pooled = [args[0] for _, args in calls[generate_calls:]]
+        assert {attr for attr, _ in calls[generate_calls:]} == {"score_many"}
+        assert [len(chunk) for chunk in pooled] == cut([pools[cell] for cell in order])
+        assert max(map(len, pooled)) == 2
+
+    def test_only_the_cell_whose_second_chunk_fails_is_recorded(
+        self, fixture_config, tmp_path, monkeypatch, capsys
+    ):
+        cfg = {**json.loads(fixture_config.read_text()), "retry_base_delay": 0}
+        config = tmp_path / "no_delay.json"
+        config.write_text(json.dumps(cfg))
+        monkeypatch.setattr(providers, "REQUEST_CAP", 2)
+        sent, failing = [], []
+        sample_many = stubs.StubLMProvider.sample_many
+
+        def sampling(lm, sequences, *rest):
+            sent.append([s.text() for s in sequences])
+            if sent[-1] in failing:
+                raise ProviderError("the LM is down")
+            return sample_many(lm, sequences, *rest)
+
+        monkeypatch.setattr(stubs.StubLMProvider, "sample_many", sampling)
+        flags = ["--config", str(config), "--modalities", "AOPair,TextDesc", "--variants", "1"]
+        assert cli.main(["generate", *flags, "--out", str(build(config, tmp_path / "dry"))]) == 0
+        failing.append(sent[1])  # the second chunk of the first cell, AOPair__P1
+        assert sent.count(sent[1]) == 1
+        sent.clear()
+        out = build(config, tmp_path / "run")
+        capsys.readouterr()
+        assert cli.main(["generate", *flags, "--out", str(out)]) == 3
+        assert "Traceback" not in capsys.readouterr().err
+        assert sent.count(failing[0]) == cli.load_config(config).retries  # then the cell failed
+        manifest = json.loads((out / "manifest.json").read_text())
+        [failure] = manifest["failures"]
+        assert failure.startswith("main:AOPair__P1:") and failure.endswith(": the LM is down")
+        assert [key.split(":")[1] for key in manifest["cells"]] == ["TextDesc__P1"]
+        assert "generate" not in manifest["stages"]
 
     @pytest.mark.parametrize(
         "copies, groups, requests, repeats",

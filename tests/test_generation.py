@@ -33,9 +33,10 @@ from actionsense.generation import (
     generate_inferences,
     mask_input,
     score_candidate,
-    score_candidates,
+    score_many,
     seq2seq_loss,
 )
+from actionsense.providers import ProviderError
 from actionsense.stubs import StubVisionProvider
 
 
@@ -65,9 +66,9 @@ class EchoLM:
         self.texts = texts
         self.sample_calls = 0
 
-    def sample(self, sequence, nucleus_p, max_new, n):
+    def sample_many(self, sequences, nucleus_p, max_new, n):
         self.sample_calls += 1
-        return list(self.texts[:n])
+        return [list(self.texts[:n]) for _ in sequences]
 
     def logprobs(self, sequence, continuation):
         return [-1.0] * len(continuation.split())
@@ -322,31 +323,38 @@ class TestCompose:
 class TestGenerate:
     def test_echo_stub_verbatim(self):
         lm = EchoLM(["a pan", "a bowl", "a fork"])
-        texts = generate_inferences(compose_input_sequence(make_instance(), spec()), lm, 3)
-        assert texts == ["a pan", "a bowl", "a fork"]
+        texts = generate_inferences([compose_input_sequence(make_instance(), spec())], lm, 3)
+        assert texts == [["a pan", "a bowl", "a fork"]]
 
     def test_zero_samples(self):
         lm = EchoLM(["a pan"])
-        assert generate_inferences(compose_input_sequence(make_instance(), spec()), lm, 0) == []
+        sequence = compose_input_sequence(make_instance(), spec())
+        assert generate_inferences([sequence, sequence], lm, 0) == [[], []]
         assert lm.sample_calls == 0
 
     def test_strip_at_end_of_field(self):
-        lm = EchoLM(["a pan e_inf trailing junk"])
-        texts = generate_inferences(compose_input_sequence(make_instance(), spec()), lm, 1)
-        assert texts == ["a pan"]
+        lm = EchoLM(["a pan e_inf trailing junk", " e_inf", "a bowl "])
+        texts = generate_inferences([compose_input_sequence(make_instance(), spec())], lm, 3)
+        assert texts == [["a pan", "", "a bowl"]]
+
+    def test_several_sequences_in_one_request(self):
+        lm = EchoLM(["a pan e_inf", "a bowl"])
+        sequences = [compose_input_sequence(make_instance(), spec(variant=v)) for v in (1, 2, 3)]
+        assert generate_inferences(sequences, lm, 2) == [["a pan", "a bowl"]] * 3
+        assert lm.sample_calls == 1
 
     def test_greedy_stub_repeats_modal_continuation(self, lm_provider):
-        texts = generate_inferences(
-            compose_input_sequence(make_instance(), spec()), lm_provider, 4, nucleus_p=0.0
+        [texts] = generate_inferences(
+            [compose_input_sequence(make_instance(), spec())], lm_provider, 4, nucleus_p=0.0
         )
         assert len(set(texts)) == 1 and len(texts) == 4
 
     def test_fixed_seed_is_deterministic(self, lm_provider):
         first = generate_inferences(
-            compose_input_sequence(make_instance(), spec()), lm_provider, 3
+            [compose_input_sequence(make_instance(), spec())], lm_provider, 3
         )
         second = generate_inferences(
-            compose_input_sequence(make_instance(), spec()), lm_provider, 3
+            [compose_input_sequence(make_instance(), spec())], lm_provider, 3
         )
         assert first == second
 
@@ -381,12 +389,30 @@ class TestScoring:
         assert scored.perplexity == pytest.approx(math.exp(scored.nll), abs=1e-12)
 
     def test_batch_scores_are_single_scores_with_perplexity_exp_of_nll(self, lm_provider):
+        items = [
+            (compose_input_sequence(make_instance(), spec(variant=v)), candidates)
+            for v, candidates in ((1, ["golden", "soft and fluffy"]), (2, ["a runny yolk"]))
+        ]
+        batch = score_many(items, lm_provider)
+        assert batch == [
+            [score_candidate(sequence, c, lm_provider) for c in candidates]
+            for sequence, candidates in items
+        ]
+        assert [[c.text for c in row] for row in batch] == [c for _, c in items]
+        assert all(c.perplexity == math.exp(c.nll) for row in batch for c in row)
+
+    @pytest.mark.parametrize(
+        "row", [[-800.0], [-1e308, -1e308]], ids=["mean-below-709.8", "sum-overflows"]
+    )
+    def test_perplexity_too_large_for_a_float_is_a_provider_error_naming_the_candidate(self, row):
+        class LowLM:  # finite log-probabilities for a burnt candidate, exp(nll) overflowing
+            def score_many(self, items):
+                return [[row if "burnt" in c else [-1.0] for c in cands] for _, cands in items]
+
         sequence = compose_input_sequence(make_instance(), spec())
-        candidates = ["golden", "soft and fluffy", "a runny yolk"]
-        batch = score_candidates(sequence, candidates, lm_provider)
-        assert batch == [score_candidate(sequence, c, lm_provider) for c in candidates]
-        assert [c.text for c in batch] == candidates
-        assert all(c.perplexity == math.exp(c.nll) for c in batch)
+        with pytest.raises(ProviderError, match="perplexity of 'burnt' overflows"):
+            score_many([(sequence, ["golden"]), (sequence, ["crisp", "burnt"])], LowLM())
+        assert score_candidate(sequence, "golden", UniformLM(math.exp(709))).perplexity > 1e307
 
     def test_score_independent_of_other_candidates(self):
         lm = UniformLM(11)

@@ -245,26 +245,70 @@ class TestWireContract:
         assert lps == [-1.0, -2.0]
         assert requests[-1]["op"] == "logprobs"
 
-    def test_lm_logprobs_many_equals_single_calls_in_one_request(self, wire_server):
+    def test_lm_score_many_sends_one_logprobs_request_per_item(self, wire_server):
         url, requests, _ = wire_server
         provider = HttpLMProvider(url)
-        continuations = ["two tokens", "one", "three more tokens"]
-        batched = provider.logprobs_many(sequence(), continuations)
-        assert len(requests) == 1
-        assert requests[0]["params"] == {"continuations": continuations}
-        assert batched == [provider.logprobs(sequence(), c) for c in continuations]
-        assert [len(row) for row in batched] == [2, 1, 3]
+        other = TokenSequence(blocks=(FieldBlock("start", ("s_goal",)),))
+        items = [(sequence(), ["two tokens", "one"]), (other, ["three more tokens"])]
+        scored = provider.score_many(items)
+        assert requests == [
+            {"op": "logprobs", "sequence": s.to_wire(), "params": {"continuations": c}}
+            for s, c in items
+        ]
+        assert scored == [[provider.logprobs(s, c) for c in cs] for s, cs in items]
+        assert [[len(row) for row in rows] for rows in scored] == [[2, 1], [3]]
 
-    def test_lm_logprobs_many_length_mismatch_is_a_provider_error(self, tmp_path, wire_server):
+    def test_lm_score_many_length_mismatch_is_a_provider_error(self, tmp_path, wire_server):
         url, requests, state = wire_server
         provider = HttpLMProvider(url, ResponseCache(tmp_path / "cache"))
         state["drop_row"] = True
         with pytest.raises(ProviderError, match="2 score lists, got 1"):
-            provider.logprobs_many(sequence(), ["two tokens", "one"])
+            provider.score_many([(sequence(), ["two tokens", "one"])])
         state["drop_row"] = False
         # the short answer was not cached: the retry asks the server again
-        assert provider.logprobs_many(sequence(), ["two tokens", "one"]) == [[-1.0, -2.0], [-1.0]]
+        assert provider.score_many([(sequence(), ["two tokens", "one"])]) == [
+            [[-1.0, -2.0], [-1.0]]
+        ]
         assert len(requests) == 2
+
+    def test_lm_sample_many_sends_one_sample_request_per_sequence(self, wire_server):
+        url, requests, _ = wire_server
+        provider = HttpLMProvider(url)
+        other = TokenSequence(blocks=(FieldBlock("start", ("s_goal",)),))
+        assert provider.sample_many([sequence(), other], 0.9, 8, 2) == [["canned"] * 2] * 2
+        params = {"p": 0.9, "n": 2, "max_new": 8}
+        assert requests == [
+            {"op": "sample", "sequence": s.to_wire(), "params": params} for s in (sequence(), other)
+        ]
+
+    def test_the_run_seed_goes_with_each_sample_request(self, wire_server):
+        url, requests, _ = wire_server
+        for seed in (13, 14):
+            HttpLMProvider(url, seed=seed).sample_many([sequence()], 0.9, 8, 2)
+        first, second = requests
+        assert (first["params"]["seed"], second["params"]["seed"]) == (13, 14)
+        assert first != second and {**first, "params": second["params"]} == second
+
+    def test_a_response_log_of_per_input_lm_payloads_still_answers(self, tmp_path):
+        # records as written before requests were batched: one payload per input
+        cache = ResponseCache(tmp_path / "cache")
+        url = "http://127.0.0.1:1/none"  # nothing listens: every answer must come from the log
+        wire = sequence().to_wire()
+        logged = [
+            ({"op": "sample", "sequence": wire, "params": {"p": 0.9, "n": 2, "max_new": 8}},
+             {"texts": ["logged", "twice"]}),
+            ({"op": "logprobs", "sequence": wire, "params": {"continuations": ["a b", "c"]}},
+             {"logprobs": [[-1.0, -2.0], [-3.0]]}),
+        ]
+        for payload, answer in logged:
+            cache.put({"url": url, "payload": payload}, answer)
+        provider = HttpLMProvider(url, cache, timeout=1)
+        assert provider.sample_many([sequence()], 0.9, 8, 2) == [["logged", "twice"]]
+        assert provider.score_many([(sequence(), ["a b", "c"])]) == [[[-1.0, -2.0], [-3.0]]]
+        # a seeded sample is another payload: it misses the log once
+        with pytest.raises(ProviderError, match="request to .* failed"):
+            HttpLMProvider(url, cache, timeout=1, seed=13).sample_many([sequence()], 0.9, 8, 2)
+        cache.close()
 
     def test_malformed_parse_is_a_provider_error_and_not_cached(self, tmp_path, wire_server):
         url, requests, state = wire_server
@@ -351,9 +395,9 @@ class TestWireContract:
              {"outputs": [5]}, "'[0]' must be a string, not 5"),
             (HttpLMProvider, lambda p: p.sample(sequence(), 0.9, 16, 1), {"texts": [None]},
              "'[0]' must be a string, not null"),
-            (HttpLMProvider, lambda p: p.logprobs_many(sequence(), ["two tokens"]),
+            (HttpLMProvider, lambda p: p.score_many([(sequence(), ["two tokens"])]),
              {"logprobs": [["-1", True]]}, "'[0][0]' must be a finite number, not \"-1\""),
-            (HttpLMProvider, lambda p: p.logprobs_many(sequence(), ["two tokens"]),
+            (HttpLMProvider, lambda p: p.score_many([(sequence(), ["two tokens"])]),
              {"logprobs": [[-1.0, float("nan")]]}, "'[0][1]' must be a finite number, not NaN"),
             (HttpParseProvider, lambda p: p.parse_many(["stir it"]), {"outputs": [{
                 "tokens": [{"text": w, "lemma": w, "pos": pos} for w, pos in
@@ -490,24 +534,28 @@ class TestFileStubs:
         ) != other.logprobs(seq, "soft curds")
 
     @pytest.mark.parametrize("vocab_size", [None, 100])
-    def test_lm_stub_logprobs_many_equals_single_calls(self, vocab_size):
+    def test_lm_stub_batches_equal_single_calls(self, vocab_size):
         stub = StubLMProvider(fixture_path("lm.json"), seed=13, vocab_size=vocab_size)
-        continuations = ["soft curds", "", "golden", "soft curds"]
-        assert stub.logprobs_many(sequence(), continuations) == [
-            stub.logprobs(sequence(), c) for c in continuations
+        other = TokenSequence(blocks=(FieldBlock("start", ("s_effect",)),), inference_type=None)
+        items = [(sequence(), ["soft curds", "", "golden", "soft curds"]), (other, ["golden"])]
+        assert stub.score_many(items) == [
+            [stub.logprobs(s, c) for c in continuations] for s, continuations in items
+        ]
+        assert stub.sample_many([sequence(), other], 0.9, 8, 3) == [
+            stub.sample(s, 0.9, 8, 3) for s in (sequence(), other)
         ]
 
-    def test_lm_stub_logprobs_many_equals_the_digest_formula(self):
+    def test_lm_stub_score_many_equals_the_digest_formula(self):
         stub = StubLMProvider(fixture_path("lm.json"), seed=13)
         continuations = ["soft curds", "golden brown crust", "crème brûlée", ""]
         context = sequence().text()
-        assert stub.logprobs_many(sequence(), continuations) == [
+        assert stub.score_many([(sequence(), continuations)]) == [[
             [
                 -(0.5 + (_digest("13", context, str(i), tok) % 2000) / 1000.0)
                 for i, tok in enumerate(c.split())
             ]
             for c in continuations
-        ]
+        ]]
 
     def test_parse_and_rc_stubs_batch_like_single_calls(self, resolved):
         parse = StubParseProvider(fixture_path("parse.json"))
