@@ -13,6 +13,7 @@ import json
 import re
 import string
 from dataclasses import dataclass, field, fields
+from functools import cache
 from typing import Mapping, Protocol, Sequence
 
 from . import shapes
@@ -68,6 +69,7 @@ class AnswerTable:
         return [self._answers[item] for item in items]
 
 
+@cache
 def simple_lemma(word: str) -> str:
     """Cheap noun lemmatizer used for mention matching and dedup keys."""
     w = word.lower()
@@ -89,6 +91,7 @@ def simple_lemma(word: str) -> str:
     return w
 
 
+@cache
 def normalize_phrase(text: str) -> str:
     """Dedup key: lowercase, strip punctuation, lemmatize the head word."""
     words = re.sub(r"[^\w\s]", " ", text.lower()).split()

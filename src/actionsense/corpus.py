@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -183,7 +184,8 @@ def load_recipe_index(path) -> RecipeIndex:
 
 # an annotation file and one video record in it; keys of clips and frames are segment indices
 _BOX = shapes.tuple_of("[t,x1,y1,x2,y2]", *[NUMBER] * 5)
-_PATHS = shapes.nullable(shapes.dict_of(STRING, "an object keyed by segment index", str.isdecimal))
+_SEGMENT_KEY = re.compile("[1-9][0-9]*").fullmatch  # ASCII, no leading 0: one key per segment
+_PATHS = shapes.nullable(shapes.dict_of(STRING, "an object keyed by segment index", _SEGMENT_KEY))
 _VIDEO = shapes.obj({
     "video_id": TEXT,
     "recipe_id": shapes.kind("a string or an integer", lambda v: type(v) in (str, int)),
@@ -247,6 +249,8 @@ def _parse_video(raw, index: RecipeIndex, base: Path) -> VideoRecord:
             resolved=raw_media.get("resolved", False),
         )
         for kind, paths in (("clip", media.clip_paths), ("frame", media.frame_paths)):
+            if paths and max(paths) > len(segments):
+                raise shapes.error(f"media.{kind}s", _PATHS.must, raw_media[f"{kind}s"])
             for path in paths.values():
                 # relative to ``base``, the annotation file's directory
                 if media.resolved and not (base / path).exists():

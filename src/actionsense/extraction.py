@@ -42,24 +42,11 @@ class Token:
     pos: str
 
 
-def _is_tree(raw) -> bool:
-    """Whether ``raw`` has shape ``TREE``, in one pass over tables of thousands of trees."""
-    tokens, arcs = (raw.get("tokens"), raw.get("arcs")) if type(raw) is dict else (None, None)
-    return type(tokens) is type(arcs) is list and all(
-        type(t) is dict and type(t.get("text")) is type(t.get("lemma")) is type(t.get("pos")) is str
-        for t in tokens
-    ) and all(
-        type(a) is list and len(a) == 3 and type(a[0]) is type(a[1]) is int and type(a[2]) is str
-        for a in arcs
-    )
-
-
-_TREE_FIELDS = {
+# a dependency parse as a parse provider answers it, checked before ParseTree.from_dict
+TREE = shapes.obj({
     "tokens": [{"text": shapes.STRING, "lemma": shapes.STRING, "pos": shapes.STRING}],
     "arcs": [shapes.tuple_of("[head, dependent, relation]", shapes.INT, shapes.INT, shapes.STRING)],
-}
-# a dependency parse as a parse provider answers it, checked before ParseTree.from_dict
-TREE = shapes.fast(_TREE_FIELDS, _is_tree)
+})
 
 
 @dataclass(frozen=True)

@@ -1,56 +1,55 @@
 """Shapes of the JSON values the CLI reads, and the one check that holds a value to one.
 
-A shape is a callable that raises on a value not of its kind; ``must`` says
-what it asks. Where a shape is taken, a dict stands for an object with those
-fields (a name ending in ``?`` may be absent; others are let be) and a one-item
-list for a list of that item. Readers declare their shapes once, at module
-level, ``check`` what they decode and then trust the types.
+A shape says what a value ``must`` be. Where a shape is taken, a dict stands for
+an object with those fields (a name ending in ``?`` may be absent; others are let
+be) and a one-item list for a list of that item. Readers declare their shapes
+once, at module level, ``check`` what they decode and then trust the types. The
+first ``check`` of a shape compiles its declaration to one Python function, as
+fastjsonschema does for JSON Schema, that returns True for a value that fits and
+else the first place that does not, for the message.
 """
 
 from __future__ import annotations
 
 import json
 import sys
-from itertools import count, repeat
+
+_CALLED = {}  # the callables that compiled shapes call, by the name each is called by
 
 
-class _Wrong(Exception):
-    """A value not of its shape, or a missing field (``must`` None); containers add to ``path``."""
+class Shape:
+    """What a value ``must`` be: ``test``, a Python expression in ``{v}``, holds its top
+    level, and ``parts(v, at)`` writes the lines that hold its parts."""
 
-    def __init__(self, must, value):
-        self.must, self.value, self.path = must, value, []
+    def __init__(self, must, test: str, parts=lambda v, at: []):
+        self.must, self.test, self.parts, self.compiled = must, test, parts, None
 
-
-def _shape(must: str, body):
-    body.must = must
-    return body
-
-
-def kind(must: str, test, parts=None):
-    """The shape of the values ``test`` accepts, if each (key, shape, item) of ``parts`` fits."""
-    def body(value):
-        if not test(value):
-            raise _Wrong(must, value)
-        if parts:
-            key = None
-            try:
-                for key, shape, item in parts(value):
-                    shape(item)
-            except _Wrong as wrong:
-                wrong.path.append(key)
-                raise
-    return _shape(must, body)
+    def code(self, v: str, at: list) -> list:
+        """Lines that hold the value in the local ``v``, found at keys ``at``, to this shape;
+        a wrong value returns its keys, what it must be (None: it is missing) and itself."""
+        return [f"if not ({self.test.format(v=v)}): return [{', '.join(at)}], {self.must!r}, {v}",
+                *self.parts(v, at)]
 
 
-ANY = kind("any value", lambda v: True)
-STRING = kind("a string", lambda v: type(v) is str)
-TEXT = kind("a non-blank string", lambda v: type(v) is str and v.strip() != "")
-INT = kind("an integer", lambda v: type(v) is int)  # a bool is not one
+def _name(function) -> str:
+    _CALLED[f"_{id(function)}"] = function
+    return f"_{id(function)}"
+
+
+def kind(must: str, test):
+    """The shape of the values ``test`` accepts: a Python expression in ``{v}``, or a callable."""
+    return Shape(must, test if type(test) is str else f"{_name(test)}({{v}})")
+
+
+ANY = kind("any value", "True")
+STRING = kind("a string", "type({v}) is str")
+TEXT = kind("a non-blank string", "type({v}) is str and {v}.strip() != ''")
+INT = kind("an integer", "type({v}) is int")  # a bool is not one
 _MAX = sys.float_info.max  # an int beyond a float's range fails float arithmetic
-NUMBER = kind("a finite number", lambda v: type(v) in (int, float) and -_MAX <= v <= _MAX)
-BOOL = kind("true or false", lambda v: type(v) is bool)
-LIST = kind("a list", lambda v: type(v) is list)
-OBJECT = kind("a JSON object", lambda v: type(v) is dict)
+NUMBER = kind("a finite number", f"type({{v}}) in (int, float) and -{_MAX!r} <= {{v}} <= {_MAX!r}")
+BOOL = kind("true or false", "type({v}) is bool")
+LIST = kind("a list", "type({v}) is list")
+OBJECT = kind("a JSON object", "type({v}) is dict")
 
 
 def _of(spec):
@@ -59,83 +58,89 @@ def _of(spec):
     return list_of(*spec) if type(spec) is list else spec
 
 
+def _block(head: str, lines: list) -> list:
+    """``lines`` indented under ``head``, or no lines if there are none."""
+    return lines and [head, *("    " + line for line in lines)]
+
+
 def obj(fields: dict):
     """An object with each of ``fields``, of its shape."""
     fields = [(name.rstrip("?"), _of(s), not name.endswith("?")) for name, s in fields.items()]
 
-    def body(value):
-        OBJECT(value)
-        name = None
-        try:
-            for name, shape, needed in fields:
-                if name in value:
-                    shape(value[name])
-                elif needed:
-                    raise _Wrong(None, None)
-        except _Wrong as wrong:
-            wrong.path.append(name)
-            raise
-    return _shape(OBJECT.must, body)
+    def parts(v, at):
+        lines = []
+        for i, (name, shape, needed) in enumerate(fields):
+            x, key = f"{v}_{i}", [*at, repr(name)]
+            lines += _block(f"if {name!r} in {v}:", [f"{x} = {v}[{name!r}]", *shape.code(x, key)])
+            lines += [f"else: return [{', '.join(key)}], None, None"] if needed else []
+        return lines
+    return Shape(OBJECT.must, OBJECT.test, parts)
+
+
+def _each(must: str, test: str, item, pairs: str):
+    """A container whose every item has shape ``item``; ``pairs`` in ``{v}`` gives (key, item)s."""
+    item = _of(item)
+    return Shape(must, test, lambda v, at: _block(f"for {v}_k, {v}_i in {pairs.format(v=v)}:",
+                                                  item.code(f"{v}_i", [*at, f"{v}_k"])))
 
 
 def list_of(item):
     """A list of items of shape ``item``."""
-    item = _of(item)
-    return kind(LIST.must, lambda v: type(v) is list, lambda v: zip(count(), repeat(item), v))
+    return _each(LIST.must, LIST.test, item, "enumerate({v})")
+
+
+def dict_of(item, must: str = OBJECT.must, key=None):
+    """An object whose every key passes ``key`` and every value has shape ``item``."""
+    keys = "" if key is None else f" and all(map({_name(key)}, {{v}}))"
+    return _each(must, OBJECT.test + keys, item, "{v}.items()")
 
 
 def tuple_of(must: str, *items):
     """A list of one value of each of ``items``' shapes, in order."""
     items = [_of(item) for item in items]
-    return kind(
-        must, lambda v: type(v) is list and len(v) == len(items), lambda v: zip(count(), items, v)
-    )
 
-
-def dict_of(item, must: str = OBJECT.must, key=lambda k: True):
-    """An object whose every key passes ``key`` and every value has shape ``item``."""
-    item = _of(item)
-    return kind(
-        must,
-        lambda v: type(v) is dict and all(map(key, v)),
-        lambda v: zip(v, repeat(item), v.values()),
-    )
+    def parts(v, at):
+        lines = []
+        for i, item in enumerate(items):
+            lines += [f"{v}_{i} = {v}[{i}]", *item.code(f"{v}_{i}", [*at, str(i)])]
+        return lines
+    return Shape(must, f"type({{v}}) is list and len({{v}}) == {len(items)}", parts)
 
 
 def nullable(inner):
     """Null, or a value of shape ``inner``; a wrong value is told what ``inner`` must be."""
     inner = _of(inner)
-    return _shape(f"null or {inner.must}", lambda value: value is None or inner(value))
+    return Shape(inner.must, f"{{v}} is None or ({inner.test})",
+                 lambda v, at: _block(f"if {v} is not None:", inner.parts(v, at)))
 
 
-def fast(shape, test):
-    """``shape``, walked only for values ``test`` rejects, so ``test`` must reject all it does."""
-    shape = _of(shape)
-    return _shape(shape.must, lambda value: test(value) or shape(value))
+def _compile(shape: Shape):
+    """``shape`` as one function, written from its declaration alone: no value reaches it."""
+    names = dict(_CALLED)
+    lines = [*_block("def fits(value):", shape.code("value", [])), "    return True"]
+    exec(compile("\n".join(lines), f"<shape {shape.must}>", "exec"), names)
+    return names["fits"]
 
 
-# the most characters of a wrong value's JSON that a message quotes
-_QUOTED = 40
+_QUOTED = 40  # the most characters of a wrong value's JSON that a message quotes
 
 
-def _quote(value) -> str:
+def error(path: str, must: str | None, value) -> ValueError:
+    """``field 'a.b[0]' must be <must>, not <json>``, or ``missing field 'a.b'`` for a
+    ``must`` of None; a ``<json>`` over ``_QUOTED`` characters is cut there with ``...``."""
+    if must is None:
+        return ValueError(f"missing field '{path}'")
     text = json.dumps(value)
-    return text if len(text) <= _QUOTED else text[:_QUOTED] + "..."
+    text = text if len(text) <= _QUOTED else text[:_QUOTED] + "..."
+    return ValueError((f"field '{path}' " if path else "") + f"must be {must}, not {text}")
 
 
-def check(value, shape):
-    """``value``, if it has ``shape``; else a ValueError names the first place that has not.
-
-    It reads ``field 'a.b[0]' must be <must>, not <json>`` or ``missing field 'a.b'``;
-    a ``<json>`` over ``_QUOTED`` characters is cut there and ends in ``...``.
-    """
-    try:
-        shape(value)
-    except _Wrong as wrong:
-        path = "".join(f"[{k}]" if type(k) is int else f".{k}" for k in reversed(wrong.path))
-        path = path.removeprefix(".")
-        if wrong.must is None:
-            raise ValueError(f"missing field '{path}'") from None
-        at = f"field '{path}' " if path else ""
-        raise ValueError(f"{at}must be {wrong.must}, not {_quote(wrong.value)}") from None
-    return value
+def check(value, shape: Shape):
+    """``value``, if it has ``shape``; else the ``error`` of the first place that has not."""
+    if shape.compiled is None:
+        shape.compiled = _compile(shape)
+    if (wrong := shape.compiled(value)) is True:
+        return value
+    keys, must, at = wrong
+    path = "".join(f"[{k}]" if type(k) is int else f".{k}" for k in keys)
+    raise error(path.removeprefix("."), must, at)

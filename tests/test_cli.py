@@ -1337,7 +1337,8 @@ class TestProviderBatches:
         self, fixture_config, tmp_path, monkeypatch
     ):
         raw = json.loads(stubs.fixture_path("annotations.json").read_text())
-        raw["videos"].append({**raw["videos"][0], "video_id": "empty01", "segments": []})
+        # no media either: clips and frames may name only segments the video has
+        raw["videos"].append({**raw["videos"][0], "video_id": "empty01", "segments": [], "media": None})
         annotations = tmp_path / "with_empty.json"
         annotations.write_text(json.dumps(raw))
         cfg = {**json.loads(fixture_config.read_text()), "annotation_file": str(annotations)}

@@ -4,6 +4,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
+from actionsense import cli
 from actionsense.corpus import (
     DuplicateVideoId,
     InvalidWindow,
@@ -95,6 +96,35 @@ class TestLoadCorpus:
         monkeypatch.chdir(tmp_path / "elsewhere")
         video = load_corpus(path, RECIPES)[0]
         assert video.media.clip_paths == {1: "media/c1.mp4"}
+
+    @pytest.mark.parametrize(
+        "kind, paths",
+        [
+            ("clips", {"1": "a.mp4", "01": "b.mp4"}),  # two keys, one segment
+            ("clips", {"\u0661": "a.mp4"}),  # an Arabic-Indic one
+            ("clips", {"99": "a.mp4"}),  # past the last of 8 segments
+            ("frames", {"9": "f.jpg"}),
+            ("clips", {"0": "a.mp4"}),
+            ("clips", {"+1": "a.mp4"}),
+        ],
+        ids=["leading-zero", "arabic-indic-digit", "past-the-end", "frame-past-the-end", "zero", "plus"],
+    )
+    def test_media_keys_must_name_segments_of_the_video(
+        self, tmp_path, fixture_config, capsys, kind, paths
+    ):
+        raw = json.loads(ANNOTATIONS.read_text(encoding="utf-8"))
+        raw["videos"][0]["media"][kind] = paths
+        path = tmp_path / "keys.json"
+        path.write_text(json.dumps(raw))
+        with pytest.raises(MalformedAnnotation) as excinfo:
+            load_corpus(path, RECIPES)
+        assert f"(record 0): field 'media.{kind}' must be an object keyed by segment index, not {{" in (
+            str(excinfo.value)
+        )
+        cfg = {**json.loads(fixture_config.read_text()), "annotation_file": str(path)}
+        fixture_config.write_text(json.dumps(cfg))
+        assert cli.main(["build-dataset", "--config", str(fixture_config), "--out", str(tmp_path / "r")]) == 2
+        assert capsys.readouterr().err == f"error: {excinfo.value}\n"
 
 
 class TestSliceTranscript:
