@@ -220,15 +220,13 @@ def with_retries(fn, attempts: int = 3, base_delay: float = 0.1, sleep=time.slee
     """Call fn() up to ``attempts`` times, retrying ProviderError with exponential backoff."""
     if attempts < 1:
         raise ValueError(f"attempts must be at least 1, not {attempts}")
-    last = None
     for attempt in range(attempts):
         try:
             return fn()
-        except ProviderError as exc:
-            last = exc
-            if attempt + 1 < attempts:
-                sleep(base_delay * (2**attempt))
-    raise last
+        except ProviderError:
+            if attempt + 1 == attempts:
+                raise  # kept in a local, the error would sit in a cycle with this frame and fn
+            sleep(base_delay * (2**attempt))
 
 
 def _exchange(conn: http.client.HTTPConnection, target: str, body: bytes, headers, timeout):

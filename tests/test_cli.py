@@ -1,4 +1,5 @@
 import contextlib
+import gc
 import hashlib
 import importlib.util
 import itertools
@@ -1576,3 +1577,121 @@ class TestDirectoryArguments:
         assert cli.main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and str(tmp_path) in err and "Traceback" not in err
+
+
+def garbage_after(argv) -> tuple[int, list[str]]:
+    """``cli.main(argv)``'s exit code, and the actionsense types of the garbage it leaves."""
+    flags = gc.get_debug()
+    gc.collect()
+    gc.set_debug(flags | gc.DEBUG_SAVEALL)
+    try:
+        code = cli.main(argv)
+        gc.collect()
+        kinds = {type(o) for o in gc.garbage}
+        return code, sorted(
+            f"{kind.__module__}.{kind.__qualname__}"
+            for kind in kinds
+            if kind.__module__.startswith("actionsense")
+        )
+    finally:
+        gc.set_debug(flags)
+        gc.garbage.clear()
+
+
+@pytest.fixture()
+def collector():
+    """Automatic collection on for the test, and back as it was after it."""
+    collecting = gc.isenabled()
+    gc.enable()
+    yield
+    (gc.enable if collecting else gc.disable)()
+
+
+def no_delay_config(fixture_config, tmp_path) -> Path:
+    cfg = {**json.loads(fixture_config.read_text()), "retry_base_delay": 0}
+    config = tmp_path / "no_delay.json"
+    config.write_text(json.dumps(cfg))
+    return config
+
+
+def provider_down(*args):
+    raise ProviderError("endpoint down")
+
+
+class TestNoCycleHoldsPipelineData:
+    """Commands run with the cyclic collector paused, so no cycle may hold their data."""
+
+    def test_build_generate_evaluate_and_stats(self, fixture_config, tmp_path):
+        out = tmp_path / "run"
+        flags = ["--config", str(fixture_config), "--out", str(out)]
+        # the Image mask skips the text-only instances on their MissingModality
+        grid = ["--modalities", "Image,AOPair", "--variants", "1"]
+        for argv in (
+            ["build-dataset", *flags],
+            ["generate", *flags, *grid],
+            ["evaluate", *flags],
+            ["stats", str(out / "dataset.jsonl")],
+        ):
+            assert garbage_after(argv) == (0, []), argv[0]
+        no_image = [i for i in read_dataset(out / "dataset.jsonl") if i.image is None]
+        image_lines = (out / "gen_cells_main" / "Image__P1.jsonl").read_text()
+        assert no_image and all(i.instance_id not in image_lines for i in no_image)
+
+    def test_a_coref_outage_the_build_survives(self, fixture_config, tmp_path, monkeypatch):
+        config, _ = fallback_configs(fixture_config, tmp_path)
+        monkeypatch.setattr(stubs.StubCorefProvider, "resolve", provider_down)
+        out = tmp_path / "run"
+        assert garbage_after(["build-dataset", "--config", str(config), "--out", str(out)]) == (0, [])
+        failures = json.loads((out / "manifest.json").read_text())["failures"]
+        assert failures and all("kept its sentences" in f for f in failures)
+
+    @pytest.mark.parametrize(
+        "command, method", [("generate", "sample_many"), ("evaluate", "score_many")]
+    )
+    def test_a_provider_failure(self, fixture_config, tmp_path, monkeypatch, command, method):
+        config = no_delay_config(fixture_config, tmp_path)
+        flags = ["--config", str(config), "--out", str(build(config, tmp_path / "run"))]
+        generate = ["generate", *flags, "--modalities", "AOPair", "--variants", "1"]
+        if command == "evaluate":
+            assert cli.main(generate) == 0
+        monkeypatch.setattr(stubs.StubLMProvider, method, provider_down)
+        argv = generate if command == "generate" else ["evaluate", *flags]
+        assert garbage_after(argv) == (3, [])
+
+
+class TestCollectorState:
+    def test_a_command_runs_with_collection_off(self, fixture_config, tmp_path, monkeypatch, collector):
+        seen = []
+        parse_many = stubs.StubParseProvider.parse_many
+
+        def recorded(self, *args):
+            seen.append(gc.isenabled())
+            return parse_many(self, *args)
+
+        monkeypatch.setattr(stubs.StubParseProvider, "parse_many", recorded)
+        build(fixture_config, tmp_path / "run")
+        assert seen and not any(seen)
+        assert gc.isenabled()
+
+    @pytest.mark.parametrize("code", [0, 2, 3])
+    def test_collection_is_back_on_after_each_exit_code(
+        self, fixture_config, tmp_path, monkeypatch, collector, code
+    ):
+        config = no_delay_config(fixture_config, tmp_path)
+        argv = ["build-dataset", "--config", str(config), "--out", str(tmp_path / "run")]
+        if code == 2:
+            argv = ["stats", str(tmp_path / "missing.jsonl")]
+        elif code == 3:
+            monkeypatch.setattr(stubs.StubParseProvider, "parse_many", provider_down)
+        assert cli.main(argv) == code
+        assert gc.isenabled()
+
+    def test_an_unknown_command_leaves_collection_on(self, collector, capsys):
+        with pytest.raises(SystemExit):
+            cli.main(["no-such-command"])
+        assert gc.isenabled()
+
+    def test_a_caller_with_collection_off_keeps_it_off(self, fixture_config, tmp_path, collector):
+        gc.disable()
+        build(fixture_config, tmp_path / "run")
+        assert not gc.isenabled()

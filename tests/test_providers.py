@@ -1,3 +1,4 @@
+import gc
 import json
 import re
 import sys
@@ -505,6 +506,37 @@ class TestRetries:
         provider = HttpCorefProvider(url)
         with pytest.raises(ProviderError):
             with_retries(lambda: provider.resolve([["x"]]), attempts=3, sleep=lambda _: None)
+
+    def test_the_last_error_propagates_and_no_cycle_holds_it(self):
+        calls, sleeps = [], []
+
+        def down():
+            calls.append(1)
+            raise ProviderError(f"endpoint down ({len(calls)})")
+
+        def exhaust() -> str:
+            try:
+                with_retries(down, attempts=3, base_delay=0.01, sleep=sleeps.append)
+            except ProviderError as exc:
+                return str(exc)
+
+        collecting, flags = gc.isenabled(), gc.get_debug()
+        gc.disable()
+        gc.collect()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            message = exhaust()
+            gc.collect()
+            kept = [o for o in gc.garbage if isinstance(o, ProviderError)]
+        finally:
+            gc.set_debug(flags)
+            gc.garbage.clear()
+            if collecting:
+                gc.enable()
+        assert message == "endpoint down (3)"
+        assert len(calls) == 3 and sleeps == [0.01, 0.02]
+        # with collection paused, an error in a cycle would keep fn and its data alive
+        assert kept == []
 
     @pytest.mark.parametrize("attempts", [0, -1])
     def test_no_attempts_is_a_value_error(self, attempts):
