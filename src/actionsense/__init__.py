@@ -30,7 +30,6 @@ from .generation import (
 )
 from .metrics import (
     acc_at_50,
-    aggregate_report,
     bleu2,
     build_candidate_pool,
     cider,

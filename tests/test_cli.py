@@ -997,26 +997,90 @@ class TestEvaluate:
         assert code == 0, capsys.readouterr().err
 
     @staticmethod
-    def grid_scores(config, out, masks, variants):
-        """Generate the grid, evaluate it, and score its cells again apart from the report."""
+    def generated_grid(config, out, masks, variants):
+        """Generate the grid; its config, cells and instances."""
         assert cli.main(
             ["generate", "--config", str(config), "--out", str(out),
              "--modalities", ",".join(masks), "--variants", ",".join(map(str, variants))]
         ) == 0
-        assert cli.main(["evaluate", "--config", str(config), "--out", str(out)]) == 0
         cfg = cli.load_config(config, {"out_dir": str(out)})
         instances = read_dataset(out / "dataset.jsonl")
         ids = {i.instance_id for i in instances}
-        cells = cli._read_generations(out / "generations_main.jsonl", ids)
-        providers = cli.make_providers(cfg, out / "cache")
+        return cfg, cli._read_generations(out / "generations_main.jsonl", ids), instances
+
+    @staticmethod
+    def score_grid(cfg, cells, instances, masks, variants):
+        providers = cli.make_providers(cfg, Path(cfg.out_dir) / "cache")
         with contextlib.closing(providers):
             return cli._evaluate_grid(cfg, cells, instances, providers, masks, variants)
 
-    def test_full_report_is_the_aggregate_report_of_its_cells(self, fixture_config, tmp_path):
+    @classmethod
+    def grid_scores(cls, config, out, masks, variants):
+        """Generate the grid, evaluate it, and score its cells again apart from the report."""
+        cfg, cells, instances = cls.generated_grid(config, out, masks, variants)
+        assert cli.main(["evaluate", "--config", str(config), "--out", str(out)]) == 0
+        return cls.score_grid(cfg, cells, instances, masks, variants)
+
+    def test_overlap_work_is_done_once_per_type(self, fixture_config, tmp_path, monkeypatch):
         out = build(fixture_config, tmp_path / "run")
-        scores = self.grid_scores(fixture_config, out, ["AOPair", "TextDesc"], [1, 2])
-        expected = metrics.aggregate_report(
-            {(t, f"{label}|P{v}"): cell for (t, label, v), cell in scores.items()}
+        masks, variants = ["AOPair", "TextDesc", "Image+TextDesc+AOPair+OG"], [1, 2]
+        cfg, cells, instances = self.generated_grid(fixture_config, out, masks, variants)
+        # each call's arguments, kept alive so that their ids stay distinct
+        calls = {"bleu2": [], "meteor": [], "cider": [], "vector": []}
+        bleu2, meteor, tfidf_vector = metrics._bleu2, metrics._meteor, metrics._tfidf_vector
+
+        class CountedCider(metrics._Cider):
+            def __init__(self, documents, nmax):
+                calls["cider"].append(self)
+                super().__init__(documents, nmax)
+
+        def counted(name, fn):
+            return lambda *args: calls[name].append(args[:2]) or fn(*args)
+
+        monkeypatch.setattr(metrics, "_bleu2", counted("bleu2", bleu2))
+        monkeypatch.setattr(metrics, "_meteor", counted("meteor", meteor))
+        monkeypatch.setattr(metrics, "_tfidf_vector", counted("vector", tfidf_vector))
+        monkeypatch.setattr(metrics, "_Cider", CountedCider)
+        self.score_grid(cfg, cells, instances, masks, variants)
+
+        pairs, corpora = set(), {}  # (type, signature) -> the texts its corpus weighs
+        for (itype, _, _), entries in cells.items():
+            refs_of = {i.instance_id: tuple(sorted(i.inference_set(itype))) for i in instances}
+            kept = [
+                (refs_of[i], text)
+                for i, texts in entries
+                if any(map(metrics.tokenize, refs_of[i]))
+                for text in texts
+                if metrics.tokenize(text)
+            ]
+            pairs.update((itype, *document) for document in kept)
+            if len(kept) >= 2:
+                signature = frozenset(Counter(refs for refs, _ in kept).items())
+                texts = corpora.setdefault((itype, signature), set())
+                texts.update(t for refs, text in kept for t in (*refs, text))
+        assert len(pairs) < sum(len(texts) for entries in cells.values() for _, texts in entries)
+        assert len(corpora) < len(cells) == 5 * len(masks) * len(variants)
+        # B and M once per (reference set, text) pair of a type
+        for name in ("bleu2", "meteor"):
+            assert len({tuple(map(id, args)) for args in calls[name]}) == len(pairs)
+            assert len(calls[name]) == len(pairs)
+        # one corpus per set of kept documents of a type
+        assert len(calls["cider"]) == len(corpora)
+        # each text's vector per n once per corpus: a reference set's are made once
+        assert len({tuple(map(id, args)) for args in calls["vector"]}) == len(calls["vector"])
+        assert len(calls["vector"]) == 4 * sum(len(texts) for texts in corpora.values())
+
+    def test_full_report_is_the_rows_of_its_cells(self, fixture_config, tmp_path):
+        out = build(fixture_config, tmp_path / "run")
+        masks, variants = ["AOPair", "TextDesc"], [1, 2]
+        scores = self.grid_scores(fixture_config, out, masks, variants)
+        expected = metrics.EvalReport(
+            rows=tuple(
+                metrics.ReportRow.from_cell(t, f"{label}|P{v}", scores[(t, label, v)])
+                for t in cli.INFERENCE_TYPE_NAMES
+                for label in masks
+                for v in variants
+            )
         )
         assert len(expected.rows) == 5 * 2 * 2
         assert (out / "report.json").read_text() == expected.to_json() + "\n"

@@ -6,7 +6,7 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from actionsense import metrics
 from actionsense.corpus import FrameRef
@@ -16,13 +16,13 @@ from actionsense.metrics import (
     CorpusTooSmall,
     EmptyCandidate,
     EmptyList,
+    EvalReport,
     InsufficientNegatives,
-    MissingCell,
     ReferenceIndex,
+    ReportRow,
     ScoredText,
     UnscoredCandidate,
     acc_at_50,
-    aggregate_report,
     bleu2,
     build_candidate_pool,
     cider,
@@ -389,10 +389,14 @@ class TestReferenceIndex:
             assert scores == ReferenceIndex(dataset, "goal").overlap_scores(entries)
             assert scores["B"] > 0.1 and scores["M"] > 0.1 and scores["C"] > 0.1
 
-    def test_each_reference_is_counted_once_per_index(self, monkeypatch):
+    def test_each_text_is_counted_once_per_index(self, monkeypatch):
         dataset, cells = self.shared_cells()
-        ngram_calls, stem_calls = Counter(), []
-        ngrams, stem = metrics._ngrams, metrics._stem
+        prep_calls, ngram_calls, stem_calls = Counter(), Counter(), []
+        prep, ngrams, stem = metrics._prep, metrics._ngrams, metrics._stem
+
+        def counted_prep(text):
+            prep_calls[text] += 1
+            return prep(text)
 
         def counted_ngrams(tokens, n):
             ngram_calls[(tuple(tokens), n)] += 1
@@ -402,24 +406,59 @@ class TestReferenceIndex:
             stem_calls.append(token)
             return stem(token)
 
+        monkeypatch.setattr(metrics, "_prep", counted_prep)
         monkeypatch.setattr(metrics, "_ngrams", counted_ngrams)
         monkeypatch.setattr(metrics, "_stem", counted_stem)
         index = ReferenceIndex(dataset, "goal")
         for entries in cells + cells:
             index.overlap_scores(entries)
-        refs = Counter({tuple(tokenize(r)) for i in dataset for r in i.goals})
-        generated = Counter(
-            tuple(tokenize(text))
-            for entries in cells + cells
-            for _, texts in entries
-            for text in texts
-            if tokenize(text)
+        refs = {r for i in dataset for r in i.goals}
+        generated = {text for entries in cells for _, texts in entries for text in texts}
+        assert refs & generated and not all(map(tokenize, refs | generated))
+        # every distinct text, generated or reference, is read once per index;
+        # each reference and each generated text with tokens is counted and stemmed once
+        assert prep_calls == Counter(refs | generated)
+        counted = Counter(tuple(tokenize(t)) for t in refs | generated if t in refs or tokenize(t))
+        assert ngram_calls == {(t, n): count for t, count in counted.items() for n in (1, 2, 3, 4)}
+        assert len(stem_calls) == sum(len(t) * count for t, count in counted.items())
+
+    GENERATED = [
+        "fry bacon crisp",
+        "toast the bread",  # a reference of b
+        "serve the toast warm",  # a reference of a
+        "boil the potatoes",
+        "Boil the potatoes!",
+        "slice tomatoes",
+        "mashing potatoes",
+        "[Object1] fries the [Object2]",
+        "",
+        "?!",
+    ]
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_memoised_scores_equal_fresh_ones(self, data):
+        dataset, _ = self.shared_cells()
+        entry = st.tuples(
+            st.sampled_from([i.instance_id for i in dataset]),
+            st.lists(st.sampled_from(self.GENERATED), max_size=4),
         )
-        # a reference is counted and stemmed once per index, a generated text once per entry
-        assert ngram_calls == {
-            (tokens, n): count for tokens, count in (refs + generated).items() for n in (1, 2, 3, 4)
-        }
-        assert len(stem_calls) == sum(len(t) * count for t, count in (refs + generated).items())
+        cells = data.draw(
+            st.lists(st.lists(entry, max_size=5, unique_by=lambda e: e[0]), min_size=1, max_size=3)
+        )
+        # each cell's twin has other texts with tokens in the same places, so equal kept
+        # counts; its trim drops each entry's last text, so the same instances, other counts
+        worded = st.sampled_from([t for t in self.GENERATED if tokenize(t)])
+        twins = [
+            [(i, [data.draw(worded) if tokenize(t) else t for t in texts]) for i, texts in entries]
+            for entries in cells
+        ]
+        trims = [[(i, texts[:-1]) for i, texts in entries] for entries in cells]
+        index = ReferenceIndex(dataset, "goal")
+        for entries in [c for group in zip(cells, twins, trims) for c in group] + cells:
+            scores = index.overlap_scores(entries)
+            assert scores == string_level_overlap(dataset, entries)
+            assert scores == ReferenceIndex(dataset, "goal").overlap_scores(entries)
 
 
 class TestAccAt50:
@@ -558,29 +597,11 @@ class TestReferenceRows:
         assert set(FULL_RUN_BEST_PROMPT_ROWS) == {"Pp2", "Pe4", "Pg4", "Pb3", "Pa3"}
 
 
-class TestAggregateReport:
-    def grid(self):
-        scores = {}
-        for t in ("goal", "effect"):
-            for c in ("c1", "c2"):
-                scores[(t, c)] = {
-                    "B": 0.5, "M": 0.25, "C": 2.0, "A50": 0.1, "unique": 0.8, "novel": 0.4,
-                }
-        return scores
-
-    def test_row_count_is_grid_size(self):
-        report = aggregate_report(self.grid())
-        assert len(report.rows) == 4
-
-    def test_missing_cell_named(self):
-        scores = self.grid()
-        del scores[("effect", "c2")]
-        with pytest.raises(MissingCell) as excinfo:
-            aggregate_report(scores)
-        assert "effect" in str(excinfo.value) and "c2" in str(excinfo.value)
+class TestEvalReport:
+    SCORES = {"B": 0.5, "M": 0.25, "C": 2.0, "A50": 0.1, "unique": 0.8, "novel": 0.4}
 
     def test_serialized_golden(self):
-        report = aggregate_report({("goal", "c1"): self.grid()[("goal", "c1")]})
+        report = EvalReport(rows=(ReportRow.from_cell("goal", "c1", self.SCORES),))
         assert json.loads(report.to_json()) == {
             "rows": [
                 {
@@ -597,12 +618,13 @@ class TestAggregateReport:
         }
 
     def test_out_of_range_scores_rejected(self):
-        bad = {("goal", "c1"): {"B": 1.5, "M": 0.2, "C": 1.0, "A50": 0.1, "unique": 0.5, "novel": 0.5}}
         with pytest.raises(ValueError):
-            aggregate_report(bad)
+            ReportRow.from_cell("goal", "c1", {**self.SCORES, "B": 1.5})
 
     def test_csv_export(self):
-        rows = json.loads(aggregate_report(self.grid()).to_json())["rows"]
+        cells = [(t, c) for t in ("goal", "effect") for c in ("c1", "c2")]
+        report = EvalReport(rows=tuple(ReportRow.from_cell(t, c, self.SCORES) for t, c in cells))
+        rows = json.loads(report.to_json())["rows"]
         csv_text = metrics.format_csv(rows)
         assert csv_text.splitlines()[0] == "type,condition,B,M,C,A50,unique,novel"
         assert len(csv_text.strip().splitlines()) == 5
