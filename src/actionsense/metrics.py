@@ -90,12 +90,11 @@ class _Text:
 class _References:
     """One instance's reference texts, with their BLEU clip table made on first use."""
 
-    __slots__ = ("texts", "_bleu", "_overlap")
+    __slots__ = ("texts", "_bleu")
 
     def __init__(self, texts: Sequence[_Text]):
         self.texts = texts
         self._bleu: tuple[list[int], list[Counter]] | None = None
-        self._overlap: dict[_Text, tuple[float, float]] = {}  # candidate -> its B and M
 
     @property
     def usable(self) -> bool:
@@ -116,13 +115,6 @@ class _References:
                 max_ref.append(counts)
             self._bleu = [len(ref.tokens) for ref in refs], max_ref
         return self._bleu
-
-    def overlap(self, cand: _Text) -> tuple[float, float]:
-        """B and M of a candidate against these references, made once per candidate object."""
-        scores = self._overlap.get(cand)
-        if scores is None:
-            scores = self._overlap[cand] = _bleu2(cand, self), _meteor(cand, self.texts)
-        return scores
 
 
 def _bleu2(cand: _Text, refs: _References) -> float:
@@ -253,14 +245,14 @@ class _Cider:
 
     Every candidate is one document holding its references, so a reference
     set's n-grams count once per candidate in the document frequencies. Each
-    text's tf-idf vectors and each (candidate, references) score are made
-    once per corpus, on first use, and kept as long as the corpus.
+    reference set's tf-idf vectors are made once per corpus, on first use.
     """
 
     def __init__(self, documents: Iterable[tuple[_References, int]], nmax: int):
         """``documents`` pairs each reference set with its number of candidate documents."""
         documents = list(documents)
         n_docs = sum(count for _, count in documents)
+        self.nmax = nmax
         # an n-gram in no document weighs as one in a single document
         self.unseen = math.log(n_docs / 1.0)
         self.idf = []
@@ -270,27 +262,22 @@ class _Cider:
                 for gram in set().union(*(t.grams(n) for t in refs.texts)):
                     doc_freq[gram] = doc_freq.get(gram, 0) + count
             self.idf.append({g: math.log(n_docs / max(1.0, df)) for g, df in doc_freq.items()})
-        self._vectors: dict[_Text, list[tuple[dict, float]]] = {}  # per n = 1..nmax
-        self._scores: dict[tuple[_Text, _References], float] = {}
+        self._refs: dict[_References, list] = {}  # references -> their vectors per n, per text
 
-    def _vector(self, text: _Text) -> list[tuple[dict, float]]:
-        vectors = self._vectors.get(text)
-        if vectors is None:
-            vectors = self._vectors[text] = [
-                _tfidf_vector(text.grams(n), idf, self.unseen) for n, idf in enumerate(self.idf, 1)
-            ]
-        return vectors
+    def _vector(self, text: _Text, n: int) -> tuple[dict, float]:
+        return _tfidf_vector(text.grams(n), self.idf[n - 1], self.unseen)
 
     def score(self, cand: _Text, refs: _References) -> float:
         """One candidate's CIDEr against its references."""
-        score = self._scores.get((cand, refs))
-        if score is not None:
-            return score
-        ref_vectors = [self._vector(ref) for ref in refs.texts]
+        vectors = self._refs.get(refs)
+        if vectors is None:
+            n_range = range(1, self.nmax + 1)
+            vectors = self._refs[refs] = [[self._vector(r, n) for r in refs.texts] for n in n_range]
         per_n = []
-        for n, (cand_vec, cand_norm) in enumerate(self._vector(cand)):
+        for n, ref_vectors in enumerate(vectors, 1):
+            cand_vec, cand_norm = self._vector(cand, n)
             sims = []
-            for ref_vec, ref_norm in (vectors[n] for vectors in ref_vectors):
+            for ref_vec, ref_norm in ref_vectors:
                 if cand_norm == 0 or ref_norm == 0:
                     sims.append(0.0)
                     continue
@@ -299,8 +286,7 @@ class _Cider:
                 dot = sum(w * ref_vec[g] for g, w in cand_vec.items() if g in ref_vec)
                 sims.append(dot / (cand_norm * ref_norm))
             per_n.append(sum(sims) / len(sims) if sims else 0.0)
-        score = self._scores[cand, refs] = 10.0 * sum(per_n) / len(self.idf)
-        return score
+        return 10.0 * sum(per_n) / self.nmax
 
 
 def cider(
@@ -378,13 +364,12 @@ class ReferenceIndex:
     """One inference type's references over an evaluation dataset, read once.
 
     It holds each instance's sorted references and which instances, with
-    their image keys, own each reference text. The overlap metrics' work is
-    made on first use and kept as long as the index, for every cell of the
-    type: each distinct text's tokens, stems and n-gram counts, generated or
-    reference; each reference set's BLEU clip table and each (reference set,
-    generated text) B and M; and one CIDEr corpus per set of kept documents.
-    Candidate pools are cached per instance too, so evaluate builds each pool
-    once however many masks and variants it scores.
+    their image keys, own each reference text. The reference side of the
+    overlap metrics is made on first use and kept: each reference text's
+    tokens, stems and n-gram counts, and each reference set's BLEU clip
+    table. Generated texts are counted afresh in every cell. Candidate pools
+    are cached per instance too, so evaluate builds each pool once however
+    many masks and variants it scores.
     """
 
     def __init__(self, instances: Iterable, inference_type: str):
@@ -394,9 +379,8 @@ class ReferenceIndex:
         self._positions: dict[str, int] = {}  # instance id, unique as in a dataset -> position
         self._by_image: dict[str, list[int]] = {}  # image key -> positions
         self._owners: dict[str, list[int]] = {}  # reference text -> positions
-        self._texts: dict[str, _Text] = {}  # any text -> its tokens, stems and n-grams
+        self._texts: dict[str, _Text] = {}  # reference text -> its tokens, stems and n-grams
         self._ref_sets: dict[tuple[str, ...], _References] = {}  # references -> their tables
-        self._corpora: dict[frozenset, _Cider] = {}  # documents per reference set -> corpus
         self._pools: dict[tuple, CandidatePool] = {}
         for position, instance in enumerate(instances):
             refs = tuple(sorted(instance.inference_set(inference_type)))
@@ -413,18 +397,15 @@ class ReferenceIndex:
     def references(self, instance_id: str) -> tuple[str, ...]:
         return self._refs[self._positions[instance_id]]
 
-    def _text(self, text: str) -> _Text:
-        found = self._texts.get(text)
-        if found is None:
-            found = self._texts[text] = _Text(_prep(text))
-        return found
-
     def _references(self, position: int) -> _References:
         """The tables of a position's references, shared by every position with the same ones."""
         key = self._refs[position]
         refs = self._ref_sets.get(key)
         if refs is None:
-            refs = self._ref_sets[key] = _References([self._text(t) for t in key])
+            for text in key:
+                if text not in self._texts:
+                    self._texts[text] = _Text(_prep(text))
+            refs = self._ref_sets[key] = _References([self._texts[t] for t in key])
         return refs
 
     def overlap_scores(self, entries: Iterable[tuple[str, Sequence[str]]]) -> dict[str, float]:
@@ -432,31 +413,33 @@ class ReferenceIndex:
 
         Instances without a usable reference (one with a word character) and
         texts without tokens are skipped. Each kept text is one CIDEr
-        document; C is 0 below two documents. Cells whose reference sets
-        hold the same numbers of documents share one corpus.
+        document; C is 0 below two documents. Each distinct generated text
+        is read, and each distinct (references, text) document scored, once
+        per call; nothing about them is kept after it.
         """
+        texts: dict[str, _Text] = {}  # generated text -> its tokens and n-grams
         kept: list[tuple[_References, _Text]] = []  # (references, text) of each document
-        for instance_id, texts in entries:
+        for instance_id, generated in entries:
             refs = self._references(self._positions[instance_id])
             if refs.usable:
-                kept.extend((refs, cand) for cand in map(self._text, texts) if cand.tokens)
+                for text in generated:
+                    cand = texts.get(text)
+                    if cand is None:
+                        cand = texts[text] = _Text(_prep(text))
+                    if cand.tokens:
+                        kept.append((refs, cand))
         corpus = None
         if len(kept) >= 2:
-            counts = Counter(refs for refs, _ in kept)
-            key = frozenset(counts.items())
-            corpus = self._corpora.get(key)
-            if corpus is None:
-                corpus = self._corpora[key] = _Cider(counts.items(), 4)
+            corpus = _Cider(Counter(refs for refs, _ in kept).items(), 4)
 
-        bleu_scores, meteor_scores, cider_scores = [], [], []
+        scores: dict[tuple[_References, _Text], tuple[float, float, float]] = {}  # B, M, C
         for refs, cand in kept:
-            b, m = refs.overlap(cand)
-            bleu_scores.append(b)
-            meteor_scores.append(m)
-            if corpus is not None:
-                cider_scores.append(corpus.score(cand, refs))
-        mean = lambda xs: sum(xs) / len(xs) if xs else 0.0
-        return {"B": mean(bleu_scores), "M": mean(meteor_scores), "C": mean(cider_scores)}
+            if (refs, cand) not in scores:
+                c = corpus.score(cand, refs) if corpus is not None else 0.0
+                scores[refs, cand] = _bleu2(cand, refs), _meteor(cand, refs.texts), c
+        per_document = [scores[document] for document in kept]
+        mean = lambda k: sum(s[k] for s in per_document) / len(kept) if kept else 0.0
+        return {"B": mean(0), "M": mean(1), "C": mean(2)}
 
     def pool(self, instance_id: str, seed, pool_size: int = DEFAULT_POOL_SIZE) -> CandidatePool:
         """The candidate pool of an indexed instance: drawn on first use, then cached."""

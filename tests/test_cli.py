@@ -1021,7 +1021,7 @@ class TestEvaluate:
         assert cli.main(["evaluate", "--config", str(config), "--out", str(out)]) == 0
         return cls.score_grid(cfg, cells, instances, masks, variants)
 
-    def test_overlap_work_is_done_once_per_type(self, fixture_config, tmp_path, monkeypatch):
+    def test_overlap_work_is_done_once_per_cell(self, fixture_config, tmp_path, monkeypatch):
         out = build(fixture_config, tmp_path / "run")
         masks, variants = ["AOPair", "TextDesc", "Image+TextDesc+AOPair+OG"], [1, 2]
         cfg, cells, instances = self.generated_grid(fixture_config, out, masks, variants)
@@ -1043,7 +1043,7 @@ class TestEvaluate:
         monkeypatch.setattr(metrics, "_Cider", CountedCider)
         self.score_grid(cfg, cells, instances, masks, variants)
 
-        pairs, corpora = set(), {}  # (type, signature) -> the texts its corpus weighs
+        documents, pairs, corpora, vectors = 0, 0, 0, 0
         for (itype, _, _), entries in cells.items():
             refs_of = {i.instance_id: tuple(sorted(i.inference_set(itype))) for i in instances}
             kept = [
@@ -1053,22 +1053,18 @@ class TestEvaluate:
                 for text in texts
                 if metrics.tokenize(text)
             ]
-            pairs.update((itype, *document) for document in kept)
+            documents, pairs = documents + len(kept), pairs + len(set(kept))
             if len(kept) >= 2:
-                signature = frozenset(Counter(refs for refs, _ in kept).items())
-                texts = corpora.setdefault((itype, signature), set())
-                texts.update(t for refs, text in kept for t in (*refs, text))
-        assert len(pairs) < sum(len(texts) for entries in cells.values() for _, texts in entries)
-        assert len(corpora) < len(cells) == 5 * len(masks) * len(variants)
-        # B and M once per (reference set, text) pair of a type
+                corpora += 1
+                # per n: each distinct reference set's texts and each distinct document's text
+                vectors += 4 * (sum(map(len, {refs for refs, _ in kept})) + len(set(kept)))
+        assert pairs < documents
+        # B and M once per (reference set, text) pair of a cell
         for name in ("bleu2", "meteor"):
-            assert len({tuple(map(id, args)) for args in calls[name]}) == len(pairs)
-            assert len(calls[name]) == len(pairs)
-        # one corpus per set of kept documents of a type
-        assert len(calls["cider"]) == len(corpora)
-        # each text's vector per n once per corpus: a reference set's are made once
-        assert len({tuple(map(id, args)) for args in calls["vector"]}) == len(calls["vector"])
-        assert len(calls["vector"]) == 4 * sum(len(texts) for texts in corpora.values())
+            assert len({tuple(map(id, args)) for args in calls[name]}) == len(calls[name]) == pairs
+        # one corpus per cell of two documents or more, a reference set's vectors once in it
+        assert len(calls["cider"]) == corpora
+        assert len(calls["vector"]) == vectors
 
     def test_full_report_is_the_rows_of_its_cells(self, fixture_config, tmp_path):
         out = build(fixture_config, tmp_path / "run")

@@ -389,7 +389,9 @@ class TestReferenceIndex:
             assert scores == ReferenceIndex(dataset, "goal").overlap_scores(entries)
             assert scores["B"] > 0.1 and scores["M"] > 0.1 and scores["C"] > 0.1
 
-    def test_each_text_is_counted_once_per_index(self, monkeypatch):
+    def test_each_reference_is_counted_once_per_index_and_each_text_once_per_cell(
+        self, monkeypatch
+    ):
         dataset, cells = self.shared_cells()
         prep_calls, ngram_calls, stem_calls = Counter(), Counter(), []
         prep, ngrams, stem = metrics._prep, metrics._ngrams, metrics._stem
@@ -413,12 +415,15 @@ class TestReferenceIndex:
         for entries in cells + cells:
             index.overlap_scores(entries)
         refs = {r for i in dataset for r in i.goals}
-        generated = {text for entries in cells for _, texts in entries for text in texts}
-        assert refs & generated and not all(map(tokenize, refs | generated))
-        # every distinct text, generated or reference, is read once per index;
-        # each reference and each generated text with tokens is counted and stemmed once
-        assert prep_calls == Counter(refs | generated)
-        counted = Counter(tuple(tokenize(t)) for t in refs | generated if t in refs or tokenize(t))
+        per_cell = [{text for _, texts in entries for text in texts} for entries in cells + cells]
+        generated = [text for texts in per_cell for text in texts]
+        assert len(generated) < sum(len(texts) for entries in cells + cells for _, texts in entries)
+        assert refs & set(generated) and not all(map(tokenize, [*refs, *generated]))
+        # a reference is read once per index, a generated text once per cell it is in
+        assert prep_calls == Counter(refs) + Counter(generated)
+        # and each reference and each generated text with tokens is counted and stemmed then
+        counted = Counter(tuple(tokenize(r)) for r in refs)
+        counted.update(tuple(tokenize(t)) for t in generated if tokenize(t))
         assert ngram_calls == {(t, n): count for t, count in counted.items() for n in (1, 2, 3, 4)}
         assert len(stem_calls) == sum(len(t) * count for t, count in counted.items())
 
