@@ -6,7 +6,7 @@ and resumable through a manifest that records stage completion in pipeline
 order: ingest -> extract -> triplets -> assemble -> generate -> evaluate.
 
 Exit codes: 0 success, 2 configuration or input error, 3 provider failure
-after retries.
+(over HTTP, after the request's retries).
 """
 
 from __future__ import annotations
@@ -91,7 +91,7 @@ class RunConfig:
     modalities: list[str] = _setting(["all"], bool, "a non-empty list")
     variants: list[int] = _setting([1, 2, 3, 4], bool, "a non-empty list")
     modality_stage_variant: int = _setting(1)
-    retries: int = _setting(3, lambda v: v >= 1, "at least 1")
+    retries: int = _setting(3, lambda v: 1 <= v <= 10, "from 1 to 10")
     retry_base_delay: float = _setting(0.05, lambda v: 0 <= v <= 60, "from 0 to 60")
     providers: dict = _setting(
         {},
@@ -301,18 +301,18 @@ def make_providers(cfg: RunConfig, cache_dir: Path, roles=None) -> Providers:
     cache = ResponseCache(cache_dir)
     session = HttpSession()
     built = Providers(session=session, cache=cache)
+    retry = lambda send: with_retries(send, attempts=cfg.retries, base_delay=cfg.retry_base_delay)
+    http = {"session": session, "retry": retry}  # only requests retry: a stub answers the same
     factories = {
         ("coref", "stub"): lambda spec: stubs.StubCorefProvider(spec["path"]),
         ("parse", "stub"): lambda spec: stubs.StubParseProvider(spec["path"]),
         ("rc", "stub"): lambda spec: stubs.StubRCProvider(spec["path"]),
         ("lm", "stub"): lambda spec: stubs.StubLMProvider(spec.get("path"), seed=cfg.seed),
         ("vision", "stub"): lambda spec: stubs.StubVisionProvider(),
-        ("coref", "http"): lambda spec: HttpCorefProvider(spec["url"], cache, session=session),
-        ("parse", "http"): lambda spec: HttpParseProvider(spec["url"], cache, session=session),
-        ("rc", "http"): lambda spec: HttpRCProvider(spec["url"], cache, session=session),
-        ("lm", "http"): lambda spec: HttpLMProvider(
-            spec["url"], cache, session=session, seed=cfg.seed
-        ),
+        ("coref", "http"): lambda spec: HttpCorefProvider(spec["url"], cache, **http),
+        ("parse", "http"): lambda spec: HttpParseProvider(spec["url"], cache, **http),
+        ("rc", "http"): lambda spec: HttpRCProvider(spec["url"], cache, **http),
+        ("lm", "http"): lambda spec: HttpLMProvider(spec["url"], cache, seed=cfg.seed, **http),
     }
     for name, spec in cfg.providers.items():
         if roles is not None and name not in roles:
@@ -335,10 +335,6 @@ def make_providers(cfg: RunConfig, cache_dir: Path, roles=None) -> Providers:
 def _fail(message: str, code: int) -> int:
     print(f"error: {message}", file=sys.stderr)
     return code
-
-
-def _retry(cfg: RunConfig, fn):
-    return with_retries(fn, attempts=cfg.retries, base_delay=cfg.retry_base_delay)
 
 
 # ---------------------------------------------------------------------------
@@ -367,30 +363,23 @@ def _build_dataset(cfg: RunConfig, run_dir: Path, manifest: Manifest, corpus, pr
 
     manifest.mark_stage("ingest", videos=len(corpus.videos))
 
-    def resolve_or_record(videos, resolve):
-        # resolve_videos keeps the videos' unresolved sentences, flagged, when this raises
+    # each video with segments is one coref document
+    resolved: dict[tuple[str, int], str] = {}
+    for videos in chunks([video for video in corpus.videos if video.segments]):
         try:
-            return _retry(cfg, resolve)
+            documents = extraction.resolve_videos(videos, providers.coref)
         except ProviderError as exc:
             manifest.record_failure(
                 *(f"extract: video {v.video_id} kept its sentences: {exc}" for v in videos)
             )
-            raise
-
-    # each video with segments is one coref document
-    resolved: dict[tuple[str, int], str] = {}
-    for videos in chunks([video for video in corpus.videos if video.segments]):
-        retry = lambda resolve: resolve_or_record(videos, resolve)
-        for video, sentences in zip(
-            videos, extraction.resolve_videos(videos, providers.coref, retry)
-        ):
+            documents = extraction.unresolved(videos)
+        for video, sentences in zip(videos, documents):
             for seg, sentence in zip(video.segments, sentences):
                 resolved[video.video_id, seg.index] = sentence.resolved
 
-    pairs = []
     try:
-        for chunk in chunks(list(resolved.items())):
-            pairs.extend(_retry(cfg, lambda: extraction.extract_pairs(chunk, providers.parse)))
+        parse = lambda chunk: extraction.extract_pairs(chunk, providers.parse)
+        pairs = _in_chunks(parse, list(resolved.items()))
     except ProviderError as exc:
         manifest.record_failure(f"extract: {exc}")
         raise ProviderError(f"parse provider failed after retries: {exc}") from exc
@@ -411,10 +400,7 @@ def _build_dataset(cfg: RunConfig, run_dir: Path, manifest: Manifest, corpus, pr
     answers = None
     if items and providers.rc is not None:
         try:
-            answers = assembly.AnswerTable(items, [
-                answer for chunk in chunks(items)
-                for answer in _retry(cfg, lambda: providers.rc.answer_many(chunk))
-            ])
+            answers = assembly.AnswerTable(items, _in_chunks(providers.rc.answer_many, items))
         except ProviderError as exc:
             manifest.record_failure(f"assemble: {exc}")
             raise ProviderError(f"rc provider failed after retries: {exc}") from exc
@@ -504,16 +490,15 @@ def _mask_inputs(instances, mask, vision) -> dict:
     return table
 
 
-def _in_chunks(cfg: RunConfig, ask, inputs: list, workers: int = 1) -> list:
-    """``ask``'s outputs for ``inputs``: one retried call per chunk, over ``workers`` threads."""
-    call = lambda chunk: _retry(cfg, lambda: ask(chunk))
+def _in_chunks(ask, inputs: list, workers: int = 1) -> list:
+    """``ask``'s outputs for ``inputs``: one unretried call per chunk, over ``workers`` threads."""
     if workers > 1:
         from concurrent.futures import ThreadPoolExecutor
 
         # ordered collection keeps parallel runs byte-identical
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            return [out for outs in pool.map(call, chunks(inputs)) for out in outs]
-    return [out for chunk in chunks(inputs) for out in call(chunk)]
+            return [out for outs in pool.map(ask, chunks(inputs)) for out in outs]
+    return [out for chunk in chunks(inputs) for out in ask(chunk)]
 
 
 def _generate_cell(cfg: RunConfig, lm, instances, masked, label, specs) -> list[dict]:
@@ -531,10 +516,10 @@ def _generate_cell(cfg: RunConfig, lm, instances, masked, label, specs) -> list[
     sample = lambda chunk: generation.generate_inferences(
         chunk, lm, cfg.n_samples, nucleus_p=cfg.nucleus_p, max_new=cfg.max_new_tokens
     )
-    samples = _in_chunks(cfg, sample, sequences, cfg.workers)
+    samples = _in_chunks(sample, sequences, cfg.workers)
     distinct = [list(dict.fromkeys(t for t in texts if t)) for texts in samples]
     items = [(sequence, texts) for sequence, texts in zip(sequences, distinct) if texts]
-    scored = iter(_in_chunks(cfg, lambda c: generation.score_many(c, lm), items, cfg.workers))
+    scored = iter(_in_chunks(lambda c: generation.score_many(c, lm), items, cfg.workers))
     lines = []
     for (instance_id, spec, _), texts, asked in zip(inputs, samples, distinct):
         by_text = {c.text: c for c in (next(scored) if asked else ())}
@@ -652,7 +637,7 @@ def _cell_metrics(cfg: RunConfig, entries, index, sequences, lm) -> dict:
     """
     pools = [index.pool(instance_id, cfg.seed, cfg.pool_size) for instance_id in sequences]
     items = [(sequences[p.instance_id], [c.text for c in p.candidates]) for p in pools]
-    scored = _in_chunks(cfg, lambda chunk: generation.score_many(chunk, lm), items)
+    scored = _in_chunks(lambda chunk: generation.score_many(chunk, lm), items)
     pools = [
         metrics.score_pool(pool, lambda texts, row=row: [c.perplexity for c in row])
         for pool, row in zip(pools, scored)

@@ -105,37 +105,26 @@ class ResolvedSentence:
 
 
 def resolve_videos(
-    videos: Sequence[VideoRecord], provider: CorefProvider, retry=lambda resolve: resolve()
+    videos: Sequence[VideoRecord], provider: CorefProvider
 ) -> list[list[ResolvedSentence]]:
     """Resolve pronouns in the segment sentences of ``videos``, in one request.
 
-    Each video is one document, the list of its sentences. ``retry`` makes
-    the request: it calls the function it is given, which raises
-    ProviderError when the provider fails or breaks its length contract for
-    any document, as many times as it allows. If the last call raises, every
-    video keeps its originals, flagged; a sentence resolved to nothing but
-    whitespace keeps its original and is flagged alone.
+    Each video is one document, the list of its sentences. The provider's
+    failure raises ProviderError, as does a document answered with another
+    number of sentences, naming its video; ``unresolved`` is the fallback. A
+    sentence resolved to nothing but whitespace keeps its original and is
+    flagged alone.
     """
     documents = [[seg.sentence for seg in video.segments] for video in videos]
-
-    def resolve() -> list[list[str]]:
-        resolved = provider.resolve(documents)
-        if len(resolved) != len(documents):
+    resolved = provider.resolve(documents)
+    if len(resolved) != len(documents):
+        raise ProviderError(f"coref returned {len(resolved)} documents for {len(documents)} videos")
+    for video, document, sentences in zip(videos, documents, resolved):
+        if len(sentences) != len(document):
             raise ProviderError(
-                f"coref returned {len(resolved)} documents for {len(documents)} videos"
+                f"coref returned {len(sentences)} sentences for {len(document)} inputs"
+                f" (video {video.video_id})"
             )
-        for video, document, sentences in zip(videos, documents, resolved):
-            if len(sentences) != len(document):
-                raise ProviderError(
-                    f"coref returned {len(sentences)} sentences for {len(document)} inputs"
-                    f" (video {video.video_id})"
-                )
-        return resolved
-
-    try:
-        resolved = retry(resolve)
-    except ProviderError:
-        return [[ResolvedSentence(s, s, flagged=True) for s in document] for document in documents]
     return [
         [
             ResolvedSentence(original=orig, resolved=res)
@@ -147,11 +136,20 @@ def resolve_videos(
     ]
 
 
-def resolve_coreferences(
-    video: VideoRecord, provider: CorefProvider, retry=lambda resolve: resolve()
-) -> list[ResolvedSentence]:
-    """``resolve_videos`` for one video; a video with no segments sends no request."""
-    return resolve_videos([video], provider, retry)[0] if video.segments else []
+def unresolved(videos: Sequence[VideoRecord]) -> list[list[ResolvedSentence]]:
+    """Each video's sentences kept as they are, flagged: a failed coref request's fallback."""
+    return [
+        [ResolvedSentence(seg.sentence, seg.sentence, flagged=True) for seg in video.segments]
+        for video in videos
+    ]
+
+
+def resolve_coreferences(video: VideoRecord, provider: CorefProvider) -> list[ResolvedSentence]:
+    """``resolve_videos`` for one video, ``unresolved`` if it fails; no segments send no request."""
+    try:
+        return resolve_videos([video], provider)[0] if video.segments else []
+    except ProviderError:
+        return unresolved([video])[0]
 
 
 def _compound_lemma(tree: ParseTree, noun_index: int) -> str:

@@ -45,10 +45,11 @@ request carried documents, and LM samples from before a sample carried the
 run's seed are not read; they miss once.
 
 Every provider sends through one request path, ``_HttpProvider._call``: log
-lookup, POST, check, log append. It checks a response (output count, parse
-tree, answer span, score lists) before it is logged, and a logged record the
-same way, so a malformed answer is never stored or returned and a retry asks
-again. A logged record without the answer's result key is a miss.
+lookup, then POST, check and log append as one attempt, which the provider's
+``retry`` repeats; nothing else retries. It checks a response (output count,
+parse tree, answer span, score lists) before it is logged, and a logged record
+the same way, so a malformed answer is never stored or returned and a retry
+asks again. A logged record without the answer's result key is a miss.
 
 A command sends its requests through one ``HttpSession``, which keeps
 connections alive: one per endpoint per thread sending at once. A thread
@@ -328,6 +329,7 @@ class _HttpProvider:
         cache: ResponseCache | None = None,
         timeout: float | None = None,
         session: HttpSession | None = None,
+        retry=lambda send: send(),
     ):
         import http.client  # noqa: F401  (set-up loads the HTTP stack, not the first request)
 
@@ -335,6 +337,7 @@ class _HttpProvider:
         self.cache = cache
         self.timeout = self.timeout if timeout is None else timeout
         self.session = session
+        self.retry = retry  # retry(send) makes a request; by default in one attempt
 
     def log_key(self, payload) -> dict:
         """What the response log keys ``payload``'s answer by: this endpoint and the payload."""
@@ -347,13 +350,17 @@ class _HttpProvider:
             hit = self.cache.get(key)
             if isinstance(hit, dict) and result_key in hit:
                 return check(hit[result_key])
-        response = _post_json(self.url, payload, self.timeout, self.session)
-        if not isinstance(response, dict) or result_key not in response:
-            raise ProviderError(f"{self.url} response missing {result_key!r}")
-        result = check(response[result_key])
-        if self.cache is not None:
-            self.cache.put(key, {result_key: response[result_key]})
-        return result
+
+        def send():
+            response = _post_json(self.url, payload, self.timeout, self.session)
+            if not isinstance(response, dict) or result_key not in response:
+                raise ProviderError(f"{self.url} response missing {result_key!r}")
+            result = check(response[result_key])
+            if self.cache is not None:
+                self.cache.put(key, {result_key: response[result_key]})
+            return result
+
+        return self.retry(send)
 
     def _shaped(self, value, shape):
         """``value``, if it has ``shape``; else a ProviderError names where it has not."""

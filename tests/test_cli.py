@@ -82,25 +82,17 @@ class TestBuildDataset:
         for name in ("dataset.jsonl", "stats.json", "triplets.jsonl"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
 
-    def test_coref_error_is_retried_before_the_fallback(
-        self, fixture_config, tmp_path, monkeypatch
-    ):
+    def test_coref_error_is_retried_before_the_fallback(self, fixture_config, tmp_path):
         expected = build(fixture_config, tmp_path / "steady")
-        resolve = stubs.StubCorefProvider.resolve
-        failures = [ProviderError("coref endpoint busy")]
-        requests = []
-
-        def fail_once(self, documents):
-            requests.append(documents)
-            if failures:
-                raise failures.pop()
-            return resolve(self, documents)
-
-        monkeypatch.setattr(stubs.StubCorefProvider, "resolve", fail_once)
-        out = build(fixture_config, tmp_path / "flaky")
-        assert failures == []
-        # the retry sends the same documents again
-        assert len(requests) == 2 and requests[0] == requests[1]
+        with text_tool_server(refuse_first={"coref"}) as (url, posts):
+            cfg = {**json.loads(fixture_config.read_text()), "retry_base_delay": 0}
+            cfg["providers"]["coref"] = {"kind": "http", "url": f"{url}/coref"}
+            config = tmp_path / "http_coref.json"
+            config.write_text(json.dumps(cfg))
+            out = build(config, tmp_path / "flaky")
+            # the first coref request was refused and its retry answered
+            assert posts == Counter({"coref": 2})
+        assert json.loads((out / "manifest.json").read_text())["failures"] == []
         for name in ("dataset.jsonl", "stats.json", "triplets.jsonl"):
             assert (out / name).read_bytes() == (expected / name).read_bytes()
 
@@ -145,14 +137,17 @@ class TestBuildDataset:
 
         monkeypatch.setattr(stubs.StubCorefProvider, "resolve", second_chunk_down)
         flagged = []
-        resolve_videos = extraction.resolve_videos
+        # a chunk's sentences come from resolve_videos, or from unresolved if its request failed
+        for name in ("resolve_videos", "unresolved"):
 
-        def recorded(videos, *rest):
-            resolved = resolve_videos(videos, *rest)
-            flagged.extend((v.video_id, [s.flagged for s in r]) for v, r in zip(videos, resolved))
-            return resolved
+            def recorded(videos, *rest, original=getattr(extraction, name)):
+                resolved = original(videos, *rest)
+                flagged.extend(
+                    (v.video_id, [s.flagged for s in r]) for v, r in zip(videos, resolved)
+                )
+                return resolved
 
-        monkeypatch.setattr(extraction, "resolve_videos", recorded)
+            monkeypatch.setattr(extraction, name, recorded)
         out = build(config, tmp_path / "run")
         failures = json.loads((out / "manifest.json").read_text())["failures"]
         assert len(failures) == 2 and saves["save"] == steady_saves + 1
@@ -1332,7 +1327,7 @@ class TestProviderBatches:
         capsys.readouterr()
         assert cli.main(["generate", *flags, "--out", str(out)]) == 3
         assert "Traceback" not in capsys.readouterr().err
-        assert sent.count(failing[0]) == cli.load_config(config).retries  # then the cell failed
+        assert sent.count(failing[0]) == 1  # a stub is not retried: the cell failed at once
         manifest = json.loads((out / "manifest.json").read_text())
         [failure] = manifest["failures"]
         assert failure.startswith("main:AOPair__P1:") and failure.endswith(": the LM is down")
@@ -1522,8 +1517,11 @@ def chunked(requests: list[list]) -> list:
 
 
 @contextlib.contextmanager
-def text_tool_server():
-    """A local coref, parse and rc endpoint answering from the fixture stub tables."""
+def text_tool_server(refuse_first=()):
+    """A local coref, parse and rc endpoint answering from the fixture stub tables.
+
+    The first request of each task in ``refuse_first`` gets HTTP 503.
+    """
     from http.server import BaseHTTPRequestHandler, HTTPServer
 
     coref = stubs.StubCorefProvider(stubs.fixture_path("coref.json"))
@@ -1540,6 +1538,9 @@ def text_tool_server():
         def do_POST(self):
             payload = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
             posts[payload["task"]] += 1
+            if payload["task"] in refuse_first and posts[payload["task"]] == 1:
+                self.send_error(503)
+                return
             body = json.dumps({"outputs": answer[payload["task"]](payload["inputs"])}).encode()
             self.send_response(200)
             self.send_header("Content-Type", "application/json")

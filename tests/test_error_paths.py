@@ -587,6 +587,7 @@ class TestConfigErrors:
         [
             ("retries", "0"),
             ("retries", "-1"),
+            ("retries", "11"),
             ("fps", "0"),
             ("fps", "-2.5"),
             ("fps", "Infinity"),
@@ -739,6 +740,33 @@ class TestConfigErrors:
         err = capsys.readouterr().err
         assert code == 3 and one_error_line(err), err
         assert str(path) in err and repr(sentence) in err and named in err
+
+    def test_a_bad_canned_parse_is_asked_once_and_never_waits_for_a_retry(
+        self, fixture_config, tmp_path, monkeypatch, capsys
+    ):
+        table = json.loads(fixture_path("parse.json").read_text(encoding="utf-8"))
+        tree = table[next(iter(table))]
+        tree["arcs"].append([0, tree["arcs"][0][1], "dep"])  # a second head
+        path = tmp_path / "parse.json"
+        path.write_text(json.dumps(table))
+        cfg = json.loads(fixture_config.read_text())  # the default retry_base_delay
+        cfg["providers"]["parse"]["path"] = str(path)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(cfg))
+        calls, sleeps = [], []
+        parse_many = StubParseProvider.parse_many
+        monkeypatch.setattr(
+            StubParseProvider, "parse_many", lambda self, s: calls.append(s) or parse_many(self, s)
+        )
+        with_retries = cli.with_retries
+        monkeypatch.setattr(
+            cli, "with_retries",
+            lambda fn, attempts, base_delay: with_retries(fn, attempts, base_delay, sleeps.append),
+        )
+        code = cli.main(["build-dataset", "--config", str(config), "--out", str(tmp_path / "r")])
+        assert code == 3 and "more than one head" in capsys.readouterr().err
+        # the table would answer a retry the same way
+        assert len(calls) == 1 and sleeps == []
 
     def test_provider_spec_without_its_url_exits_2(self, fixture_config, tmp_path, capsys):
         cfg = json.loads(fixture_config.read_text())

@@ -1,6 +1,8 @@
 import json
+import re
 from collections import Counter
 
+import pytest
 from hypothesis import given, strategies as st
 
 from actionsense.extraction import (
@@ -12,6 +14,7 @@ from actionsense.extraction import (
     filter_pairs_by_frequency,
     resolve_coreferences,
     resolve_videos,
+    unresolved,
 )
 from actionsense.providers import ProviderError
 from actionsense.stubs import fixture_path
@@ -99,21 +102,12 @@ class TestResolveVideos:
 
     def test_one_short_document_fails_the_request_and_flags_every_video(self, corpus):
         videos = corpus.videos[:3]
-        tries = []
-
-        def retry(resolve):
-            for _ in range(2):
-                try:
-                    return resolve()
-                except ProviderError as exc:
-                    tries.append(str(exc))
-            raise ProviderError(tries[-1])
-
         coref = ShortCoref(self.table(), cut=lambda sentences: sentences == document(videos[1]))
-        resolved = resolve_videos(videos, coref, retry)
-        assert len(coref.requests) == 2 and len(tries) == 2
-        assert f"(video {videos[1].video_id})" in tries[0]
-        for video, sentences in zip(videos, resolved):
+        with pytest.raises(ProviderError, match=re.escape(f"(video {videos[1].video_id})")):
+            resolve_videos(videos, coref)
+        assert len(coref.requests) == 1
+        # the fallback keeps every video of the failed request as it was, flagged
+        for video, sentences in zip(videos, unresolved(videos)):
             assert [s.resolved for s in sentences] == document(video)
             assert all(s.flagged for s in sentences)
 
