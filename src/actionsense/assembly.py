@@ -12,9 +12,8 @@ from __future__ import annotations
 import json
 import re
 import string
-from dataclasses import dataclass, field, fields
 from functools import cache
-from typing import Mapping, Protocol, Sequence
+from typing import Mapping, NamedTuple, Protocol, Sequence
 
 from . import shapes
 from .atomic import write_atomic
@@ -101,8 +100,8 @@ def normalize_phrase(text: str) -> str:
     return " ".join(words)
 
 
-@dataclass(frozen=True)
-class GroundedText:
+@shapes.checked
+class GroundedText(NamedTuple):
     """Sentence with object mentions rewritten as numbered tags.
 
     ``bindings`` maps every assigned tag to its annotation; tags whose object
@@ -111,10 +110,10 @@ class GroundedText:
     """
 
     template: str
-    bindings: dict[str, ObjectAnnotation] = field(default_factory=dict)
+    bindings: dict[str, ObjectAnnotation] = {}  # a default {} is shared: never mutate it
     image_only_tags: frozenset[str] = frozenset()
 
-    def __post_init__(self):
+    def _check(self) -> None:
         for tag in OBJECT_TAG_RE.findall(self.template):
             if f"[Object{tag}]" not in self.bindings:
                 raise ValueError(f"template tag [Object{tag}] has no binding")
@@ -123,15 +122,13 @@ class GroundedText:
         return [(tag, ann.label) for tag, ann in self.bindings.items()]
 
 
-@dataclass(frozen=True)
-class ProvenanceEntry:
+class ProvenanceEntry(NamedTuple):
     video_id: str
     triplet: SegmentTriplet
     image: FrameRef | None = None
 
 
-@dataclass(frozen=True)
-class CommonsenseInstance:
+class CommonsenseInstance(NamedTuple):
     instance_id: str
     image: FrameRef | None
     text_description: str
@@ -434,8 +431,7 @@ def merge_by_action_object(instances) -> list[CommonsenseInstance]:
     return merged
 
 
-@dataclass(frozen=True)
-class StatsReport:
+class StatsReport(NamedTuple):
     """Corpus-level dataset statistics.
 
     Goal, precondition, and effect totals sum the per-pair inference sets;
@@ -475,9 +471,7 @@ class StatsReport:
         return [(label, getattr(self, fieldname)) for fieldname, label in self.ROW_LABELS]
 
     def to_dict(self) -> dict:
-        out = {fieldname: getattr(self, fieldname) for fieldname, _ in self.ROW_LABELS}
-        out["notes"] = list(self.notes)
-        return out
+        return {**self._asdict(), "notes": list(self.notes)}
 
 
 def compute_statistics(instances) -> StatsReport:
@@ -515,16 +509,13 @@ def compute_statistics(instances) -> StatsReport:
     )
 
 
-_FRAME_FIELDS = [f.name for f in fields(FrameRef)]
-
-
 def _frame_to_dict(frame: FrameRef | None):
-    return None if frame is None else {name: getattr(frame, name) for name in _FRAME_FIELDS}
+    return None if frame is None else frame._asdict()
 
 
 def _frame_from_dict(raw) -> FrameRef | None:
     """The frame a record holds, of shape FRAME."""
-    return None if raw is None else FrameRef(**{k: raw[k] for k in _FRAME_FIELDS if k in raw})
+    return None if raw is None else FrameRef(**{k: raw[k] for k in FrameRef._fields if k in raw})
 
 
 def instance_to_dict(instance: CommonsenseInstance) -> dict:

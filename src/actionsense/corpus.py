@@ -16,8 +16,9 @@ from __future__ import annotations
 import json
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 from . import shapes
 from .shapes import NUMBER, STRING, TEXT
@@ -53,23 +54,20 @@ class MissingClip(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class TranscriptLine:
+class TranscriptLine(NamedTuple):
     t_start: float
     t_end: float
     text: str
 
 
-@dataclass(frozen=True)
-class ObjectAnnotation:
+class ObjectAnnotation(NamedTuple):
     """A lemmatized object label with its bounding boxes (t, x1, y1, x2, y2)."""
 
     label: str
     boxes: tuple[tuple[float, float, float, float, float], ...] = ()
 
 
-@dataclass(frozen=True)
-class Segment:
+class Segment(NamedTuple):
     index: int
     t_start: float
     t_end: float
@@ -81,21 +79,19 @@ class Segment:
         return (self.t_start + self.t_end) / 2.0
 
 
-@dataclass(frozen=True)
-class MediaRef:
+class MediaRef(NamedTuple):
     """Per-segment clip and representative-frame paths.
 
     Paths are only required to exist on disk when ``resolved`` is set; an
     unresolved MediaRef just records where media would live.
     """
 
-    clip_paths: dict[int, str] = field(default_factory=dict)
-    frame_paths: dict[int, str] = field(default_factory=dict)
+    clip_paths: dict[int, str] = {}  # a default {} is shared by every MediaRef: never mutate it
+    frame_paths: dict[int, str] = {}
     resolved: bool = False
 
 
-@dataclass(frozen=True)
-class VideoRecord:
+class VideoRecord(NamedTuple):
     video_id: str
     recipe_id: str
     segments: tuple[Segment, ...]
@@ -110,8 +106,7 @@ class VideoRecord:
         raise KeyError(f"video {self.video_id} has no segment {index}")
 
 
-@dataclass(frozen=True)
-class RecipeIndex:
+class RecipeIndex(NamedTuple):
     entries: dict[str, str]
 
     def name(self, recipe_id: str) -> str:
@@ -120,15 +115,13 @@ class RecipeIndex:
         return self.entries[recipe_id]
 
 
-@dataclass(frozen=True)
-class TranscriptWindow:
+class TranscriptWindow(NamedTuple):
     text: str
     lines: tuple[TranscriptLine, ...]
     flags: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
-class FrameRef:
+class FrameRef(NamedTuple):
     """A single decodable frame inside a segment clip."""
 
     video_id: str

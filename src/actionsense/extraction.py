@@ -9,8 +9,7 @@ pairs whose verb or noun is too rare to trust.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
-from typing import Protocol, Sequence
+from typing import NamedTuple, Protocol, Sequence
 
 from . import shapes
 from .corpus import VideoRecord
@@ -35,8 +34,7 @@ class ParseProvider(Protocol):
     def parse_many(self, sentences: Sequence[str]) -> list["ParseTree"]: ...
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     text: str
     lemma: str
     pos: str
@@ -49,8 +47,8 @@ TREE = shapes.obj({
 })
 
 
-@dataclass(frozen=True)
-class ParseTree:
+@shapes.checked
+class ParseTree(NamedTuple):
     """Dependency tree: arcs are (head_index, dependent_index, relation).
 
     Every token except the single root appears exactly once as a dependent.
@@ -65,7 +63,7 @@ class ParseTree:
         tokens = tuple(Token(t["text"], t["lemma"], t["pos"]) for t in raw["tokens"])
         return cls(tokens=tokens, arcs=tuple(map(tuple, raw["arcs"])))
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         n = len(self.tokens)
         dependents = [d for _, d, _ in self.arcs]
         if len(set(dependents)) != len(dependents):
@@ -83,22 +81,19 @@ class ParseTree:
         ]
 
 
-@dataclass(frozen=True)
-class VerbIngredientPair:
+class VerbIngredientPair(NamedTuple):
     verb: str
     ingredient: str
     video_id: str
     segment_index: int
 
 
-@dataclass(frozen=True)
-class LemmaCounts:
+class LemmaCounts(NamedTuple):
     verb_counts: Counter
     noun_counts: Counter
 
 
-@dataclass(frozen=True)
-class ResolvedSentence:
+class ResolvedSentence(NamedTuple):
     original: str
     resolved: str
     flagged: bool = False

@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import NamedTuple, Protocol, Sequence
 
+from . import shapes
 from .assembly import CommonsenseInstance, OBJECT_TAG_RE, object_tag
 from .corpus import ObjectAnnotation
 from .providers import ProviderError
@@ -127,13 +128,13 @@ def prompt_id(inference_type: InferenceType, variant: int) -> str:
     return f"P{_TYPE_LETTER[inference_type]}{variant}"
 
 
-@dataclass(frozen=True)
-class PromptSpec:
+@shapes.checked
+class PromptSpec(NamedTuple):
     inference_type: InferenceType
     variant: int
     modality_mask: frozenset[Modality]
 
-    def __post_init__(self):
+    def _check(self) -> None:
         if Modality.OG in self.modality_mask and Modality.IMAGE not in self.modality_mask:
             raise ValueError("object grounding requires the image modality")
 
@@ -152,14 +153,14 @@ def build_prompt(spec: PromptSpec) -> str:
         ) from None
 
 
-@dataclass(frozen=True)
-class VisualFeatures:
+@shapes.checked
+class VisualFeatures(NamedTuple):
     """One whole-image vector plus one per detected object, capped at 15 total."""
 
     global_vec: tuple[float, ...]
     objects: tuple[tuple[str, tuple[float, ...]], ...] = ()
 
-    def __post_init__(self):
+    def _check(self) -> None:
         if 1 + len(self.objects) > MAX_VISUAL_FEATURES:
             raise ValueError(f"more than {MAX_VISUAL_FEATURES} visual features")
         tags = [tag for tag, _ in self.objects]
@@ -188,8 +189,7 @@ class LMProvider(Protocol):
     def logprobs(self, sequence, continuation: str) -> list[float]: ...  # score_candidate only
 
 
-@dataclass(frozen=True)
-class FieldBlock:
+class FieldBlock(NamedTuple):
     name: str
     tokens: tuple[str, ...]
 
@@ -236,8 +236,7 @@ def _visual_tag_order(instance: CommonsenseInstance) -> list[tuple[str, str]]:
     return ordered[: MAX_VISUAL_FEATURES - 1]
 
 
-@dataclass(frozen=True)
-class MaskedInput:
+class MaskedInput(NamedTuple):
     """The mask step of composition: an instance's masked modality blocks and visual features.
 
     They depend only on (instance, mask), so one is shared by every prompt
@@ -435,8 +434,7 @@ def _conditioning_sequence(sequence: TokenSequence, keep: tuple[str, ...]) -> To
     )
 
 
-@dataclass(frozen=True)
-class LossResult:
+class LossResult(NamedTuple):
     loss: float
     terms: tuple[float, ...]
 
@@ -473,8 +471,7 @@ def seq2seq_loss(
     return LossResult(loss=sum(per_instance) / len(per_instance), terms=tuple(terms))
 
 
-@dataclass(frozen=True)
-class GenerationConfig:
+class GenerationConfig(NamedTuple):
     """Decoding and (recorded) fine-tuning defaults.
 
     The optimizer fields are configuration handed to backends that support

@@ -15,8 +15,9 @@ import random
 import re
 from collections import Counter
 from collections.abc import Callable, Iterable, Mapping, Sequence
-from dataclasses import dataclass
+from typing import NamedTuple
 
+from . import shapes
 from .assembly import OBJECT_TAG_RE
 
 OBJECT_PLACEHOLDER = "[Object]"
@@ -314,8 +315,7 @@ def cider(
     return scores, sum(scores.values()) / len(scores)
 
 
-@dataclass(frozen=True)
-class ScoredText:
+class ScoredText(NamedTuple):
     """A pool candidate; unscored until nll/perplexity are filled in."""
 
     text: str
@@ -326,14 +326,14 @@ class ScoredText:
         return ScoredText(self.text, perplexity, self.is_ground_truth)
 
 
-@dataclass(frozen=True)
-class CandidatePool:
+@shapes.checked
+class CandidatePool(NamedTuple):
     instance_id: str
     candidates: tuple[ScoredText, ...]
     gt_count: int
     size: int = DEFAULT_POOL_SIZE
 
-    def __post_init__(self):
+    def _check(self) -> None:
         if len(self.candidates) != self.size:
             raise ValueError(f"pool must hold exactly {self.size} candidates")
         if self.gt_count < 1:
@@ -577,8 +577,8 @@ def novelty(generated: Sequence[str], training_set) -> float:
 METRIC_COLUMNS = ("B", "M", "C", "A50", "unique", "novel")
 
 
-@dataclass(frozen=True)
-class ReportRow:
+@shapes.checked
+class ReportRow(NamedTuple):
     inference_type: str
     condition: str
     B: float
@@ -588,7 +588,7 @@ class ReportRow:
     unique: float
     novel: float
 
-    def __post_init__(self):
+    def _check(self) -> None:
         for name in ("B", "M", "A50", "unique", "novel"):
             value = getattr(self, name)
             if not (0.0 <= value <= 1.0):
@@ -602,8 +602,7 @@ class ReportRow:
         return cls(inference_type, condition, **{c: cell[c] for c in METRIC_COLUMNS})
 
 
-@dataclass(frozen=True)
-class EvalReport:
+class EvalReport(NamedTuple):
     """Rows of (inference type, condition) metric scores.
 
     Rows store fractions (CIDEr in [0, 10]); serialized tables use a 0-100

@@ -6,11 +6,13 @@ be) and a one-item list for a list of that item. Readers declare their shapes
 once, at module level, ``check`` what they decode and then trust the types. The
 first ``check`` of a shape compiles its declaration to one Python function, as
 fastjsonschema does for JSON Schema, that returns True for a value that fits and
-else the first place that does not, for the message.
+else the first place that does not, for the message. Records with invariants are
+NamedTuples made ``checked``, so that each one built holds to its own ``_check``.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import sys
 
@@ -144,3 +146,22 @@ def check(value, shape: Shape):
     keys, must, at = wrong
     path = "".join(f"[{k}]" if type(k) is int else f".{k}" for k in keys)
     raise error(path.removeprefix("."), must, at)
+
+
+def checked(record):
+    """Make the NamedTuple class ``record`` run its ``_check`` on each record it builds.
+
+    ``typing.NamedTuple`` takes no ``__new__`` in a class body, so the check wraps
+    the generated one here. ``_make`` and ``_replace`` skip it: nothing builds
+    such a record through them.
+    """
+    new = record.__new__
+
+    @functools.wraps(new)
+    def __new__(cls, *args, **kwargs):
+        self = new(cls, *args, **kwargs)
+        self._check()
+        return self
+
+    record.__new__ = staticmethod(__new__)
+    return record

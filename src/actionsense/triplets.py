@@ -8,14 +8,13 @@ three occurrences. Triplets never span videos.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import shapes
 from .atomic import write_atomic
 
 
-@dataclass(frozen=True)
-class EventRef:
+class EventRef(NamedTuple):
     """One ingredient occurrence in one segment.
 
     When several verbs act on the ingredient in the same segment they are
@@ -51,14 +50,14 @@ class EventRef:
         )
 
 
-@dataclass(frozen=True)
-class SegmentTriplet:
+@shapes.checked
+class SegmentTriplet(NamedTuple):
     ingredient: str
     past: EventRef
     current: EventRef
     future: EventRef
 
-    def __post_init__(self):
+    def _check(self) -> None:
         events = (self.past, self.current, self.future)
         if len({e.video_id for e in events}) != 1:
             raise ValueError("triplet events must come from one video")
