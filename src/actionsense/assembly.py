@@ -7,8 +7,6 @@ action-object pair are then merged across videos so that one pair accumulates
 the plausible inferences from every recipe it occurs in.
 """
 
-from __future__ import annotations
-
 import json
 import re
 import string

@@ -86,7 +86,8 @@ class RunConfig:
     acc_mode: str = _setting(
         "top_gt", lambda v: v in ("top_gt", "top1"), "one of top_gt, top1", ("evaluate",)
     )
-    workers: int = _setting(1, lambda v: v >= 1, "at least 1")
+    # kept so that configs written with it load; requests go out one at a time
+    workers: int = _setting(1, lambda v: v == 1, "1 (requests go one at a time)")
     # the grid fields pick cells rather than shape them; _check_grid makes them canonical cells
     modalities: list[str] = _setting(["all"], bool, "a non-empty list")
     variants: list[int] = _setting([1, 2, 3, 4], bool, "a non-empty list")
@@ -490,14 +491,8 @@ def _mask_inputs(instances, mask, vision) -> dict:
     return table
 
 
-def _in_chunks(ask, inputs: list, workers: int = 1) -> list:
-    """``ask``'s outputs for ``inputs``: one unretried call per chunk, over ``workers`` threads."""
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        # ordered collection keeps parallel runs byte-identical
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return [out for outs in pool.map(ask, chunks(inputs)) for out in outs]
+def _in_chunks(ask, inputs: list) -> list:
+    """``ask``'s outputs for ``inputs``: one unretried call per chunk, in order."""
     return [out for chunk in chunks(inputs) for out in ask(chunk)]
 
 
@@ -516,10 +511,10 @@ def _generate_cell(cfg: RunConfig, lm, instances, masked, label, specs) -> list[
     sample = lambda chunk: generation.generate_inferences(
         chunk, lm, cfg.n_samples, nucleus_p=cfg.nucleus_p, max_new=cfg.max_new_tokens
     )
-    samples = _in_chunks(sample, sequences, cfg.workers)
+    samples = _in_chunks(sample, sequences)
     distinct = [list(dict.fromkeys(t for t in texts if t)) for texts in samples]
     items = [(sequence, texts) for sequence, texts in zip(sequences, distinct) if texts]
-    scored = iter(_in_chunks(lambda c: generation.score_many(c, lm), items, cfg.workers))
+    scored = iter(_in_chunks(lambda c: generation.score_many(c, lm), items))
     lines = []
     for (instance_id, spec, _), texts, asked in zip(inputs, samples, distinct):
         by_text = {c.text: c for c in (next(scored) if asked else ())}
@@ -545,8 +540,8 @@ _LINE_ENCODER = json.JSONEncoder(ensure_ascii=False)
 def _generate(cfg: RunConfig, run: _Run, labels, variants, resume: bool, phase: str) -> Path:
     """Generate and score each (mask label, variant) cell, combine them and mark ``generate``.
 
-    Each instance's mask step is made once per mask label, in this thread, and
-    shared by the label's variants and inference types.
+    Each instance's mask step is made once per mask label and shared by the
+    label's variants and inference types.
     """
     failures = 0
     cell_paths: list[Path] = []

@@ -11,8 +11,6 @@ downstream stages can skip the affected components instead of aborting.
 All times are finite JSON numbers of seconds.
 """
 
-from __future__ import annotations
-
 import json
 import math
 import re

@@ -6,8 +6,6 @@ from parse trees, counting lemma frequencies across a corpus, and dropping
 pairs whose verb or noun is too rare to trust.
 """
 
-from __future__ import annotations
-
 from collections import Counter
 from typing import NamedTuple, Protocol, Sequence
 

@@ -10,8 +10,6 @@ embedding prefixes get feature slots with an additive-fusion annotation, and
 text-only backends get the visual content serialized as object-label text.
 """
 
-from __future__ import annotations
-
 import math
 import sys
 from dataclasses import dataclass, field

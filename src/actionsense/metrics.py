@@ -6,8 +6,6 @@ whitespace-split. This makes every metric invariant under object-tag
 renaming.
 """
 
-from __future__ import annotations
-
 import bisect
 import json
 import math

@@ -33,12 +33,12 @@ in one append-only log per run directory, ``cache/responses.log``: one
 ``<64-hex key>\\t<json>\\n`` line per response, keyed by the SHA-256 of the
 endpoint URL and the request payload and appended with a single write, so a
 run pointed at another endpoint asks it rather than reading the first one's
-answers. The first record of a key that reads back wins, across threads and
-across caches opened on one directory. A torn line (a write cut short), a
-record whose key does not match at its offset and a whole line that is not
-JSON do not read back; a key none of whose records reads back is a miss, and
-its next response is appended. Memory holds each key's byte offset, and
-those of any later records of it.
+answers. The first record of a key that reads back wins, across caches
+opened on one directory. A torn line (a write cut short), a record whose key
+does not match at its offset and a whole line that is not JSON do not read
+back; a key none of whose records reads back is a miss, and its next
+response is appended. Memory holds each key's byte offset, and those of any
+later records of it.
 Caches written in the earlier one-file-per-response layout, records keyed
 by the payload alone, coref records of one video's sentences, from before a
 request carried documents, and LM samples from before a sample carried the
@@ -51,18 +51,17 @@ parse tree, answer span, score lists) before it is logged, and a logged record
 the same way, so a malformed answer is never stored or returned and a retry
 asks again. A logged record without the answer's result key is a miss.
 
-A command sends its requests through one ``HttpSession``, which keeps
-connections alive: one per endpoint per thread sending at once. A thread
-takes an idle connection to the endpoint, or opens one, and gives it back
-once it has read the response, so no two threads share a connection. A
-reused connection that the server has dropped is reopened once, without a
-retry. After sending each request the client sets ``TCP_QUICKACK`` on the
-socket, because a server that writes headers and body in two writes
-without ``TCP_NODELAY`` (``http.server`` does) holds the body until the
-client acknowledges the headers, and a delayed acknowledgement costs about
-40 ms per request on a reused connection. On platforms without
-``TCP_QUICKACK`` that wait may remain. Without a session, each request
-opens and closes its own connection.
+A command sends its requests one at a time through one ``HttpSession``,
+which keeps one connection alive per endpoint. A reused connection that the
+server has dropped is reopened once, without a retry; a connection left
+mid-exchange by an error is closed, and the next request opens it again.
+After sending each request the client sets ``TCP_QUICKACK`` on the socket,
+because a server that writes headers and body in two writes without
+``TCP_NODELAY`` (``http.server`` does) holds the body until the client
+acknowledges the headers, and a delayed acknowledgement costs about 40 ms per
+request on a reused connection. On platforms without ``TCP_QUICKACK`` that
+wait may remain. Without a session, each request opens and closes its own
+connection.
 
 The HTTP stack (``http.client``, which brings ``socket``, ``ssl`` and
 ``email``) is imported when an HTTP provider is built, so that a run with
@@ -76,7 +75,6 @@ import hashlib
 import json
 import os
 import re
-import threading
 import time
 from pathlib import Path
 from urllib.parse import urlsplit
@@ -129,7 +127,6 @@ class ResponseCache:
     def __init__(self, root):
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
-        self._lock = threading.Lock()
         self._index: dict[bytes, int] = {}  # key -> byte offset of its first record
         self._later: dict[bytes, list[int]] = {}  # key -> offsets of its later records
         self._scanned = 0  # the log is indexed up to this byte
@@ -179,42 +176,37 @@ class ResponseCache:
 
     def get(self, payload):
         key = content_key(payload).encode("ascii")
-        with self._lock:
-            if self._reader is None:
-                self._open()
-            offset = self._index.get(key)
-            if offset is None:
-                return None
-            self._reader.seek(offset)
-            line = self._reader.readline()
-        response = _record(key, line)
+        if self._reader is None:
+            self._open()
+        offset = self._index.get(key)
+        if offset is None:
+            return None
+        self._reader.seek(offset)
+        response = _record(key, self._reader.readline())
         if response is None:  # a damaged record: a later one of the key may read back
-            with self._lock:
-                self._catch_up()
-                response = self._first_readable(key)
+            self._catch_up()
+            response = self._first_readable(key)
         return response
 
     def put(self, payload, response) -> None:
         key = content_key(payload)
         record = f"{key}\t{json.dumps(response, ensure_ascii=False)}\n".encode("utf-8")
         key = key.encode("ascii")
-        with self._lock:
-            if self._reader is None:
-                self._open()
-            self._catch_up()
-            if self._first_readable(key) is not None:
-                return  # the first record that reads back wins
-            rest = memoryview(record)
-            while rest:
-                rest = rest[self._writer.write(rest) :]
-            self._catch_up()
+        if self._reader is None:
+            self._open()
+        self._catch_up()
+        if self._first_readable(key) is not None:
+            return  # the first record that reads back wins
+        rest = memoryview(record)
+        while rest:
+            rest = rest[self._writer.write(rest) :]
+        self._catch_up()
 
     def close(self) -> None:
-        with self._lock:
-            for fh in (self._reader, self._writer):
-                if fh is not None:
-                    fh.close()
-            self._reader = self._writer = None
+        for fh in (self._reader, self._writer):
+            if fh is not None:
+                fh.close()
+        self._reader = self._writer = None
 
 
 def with_retries(fn, attempts: int = 3, base_delay: float = 0.1, sleep=time.sleep):
@@ -246,27 +238,24 @@ def _exchange(conn: http.client.HTTPConnection, target: str, body: bytes, header
 
 
 class HttpSession:
-    """Kept-alive HTTP connections for one command, given out one thread at a time."""
+    """One kept-alive HTTP connection per endpoint, for the requests of one command."""
 
     def __init__(self):
-        self._lock = threading.Lock()
-        self._idle: dict[tuple[str, str], list[http.client.HTTPConnection]] = {}
+        self._conns: dict[tuple[str, str], http.client.HTTPConnection] = {}
 
     def post(self, url: str, body: bytes, headers, timeout: float) -> tuple[int, bytes]:
-        """Status and body of one POST to ``url`` on an idle or new connection."""
+        """Status and body of one POST to ``url`` on the endpoint's connection."""
         import http.client
 
         parts = urlsplit(url)
         if parts.scheme not in ("http", "https"):
             raise ProviderError(f"unsupported URL scheme in {url!r}")
         endpoint = (parts.scheme, parts.netloc)
-        with self._lock:
-            idle = self._idle.get(endpoint)
-            conn = idle.pop() if idle else None
+        conn = self._conns.get(endpoint)
         if conn is None:
             https = parts.scheme == "https"
             factory = http.client.HTTPSConnection if https else http.client.HTTPConnection
-            conn = factory(parts.netloc, timeout=timeout)
+            conn = self._conns[endpoint] = factory(parts.netloc, timeout=timeout)
         target = (parts.path or "/") + (f"?{parts.query}" if parts.query else "")
         reused = conn.sock is not None
         try:
@@ -280,16 +269,12 @@ class HttpSession:
         except BaseException:
             conn.close()  # never reuse a connection left mid-exchange
             raise
-        with self._lock:
-            self._idle.setdefault(endpoint, []).append(conn)
         return result
 
     def close(self) -> None:
-        with self._lock:
-            idle = [conn for conns in self._idle.values() for conn in conns]
-            self._idle.clear()
-        for conn in idle:
+        for conn in self._conns.values():
             conn.close()
+        self._conns.clear()
 
 
 def _post_json(url: str, payload, timeout: float = 30.0, session: HttpSession | None = None):

@@ -5,8 +5,6 @@ adjoining (past, current, future) triplets, one per consecutive window of
 three occurrences. Triplets never span videos.
 """
 
-from __future__ import annotations
-
 import json
 from typing import NamedTuple
 

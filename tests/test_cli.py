@@ -649,26 +649,9 @@ class TestScoreOverflow:
         assert re.search(r"perplexity of '[^']+' overflows", manifest["failures"][-1])
 
 
-class TestWorkerPool:
-    def test_parallel_generation_matches_sequential(self, fixture_config, tmp_path):
-        outputs = []
-        for name, workers in (("seq", 1), ("par", 4)):
-            cfg = json.loads(fixture_config.read_text())
-            cfg["workers"] = workers
-            config = tmp_path / f"{name}.json"
-            config.write_text(json.dumps(cfg))
-            out = build(config, tmp_path / name)
-            assert cli.main(
-                ["generate", "--config", str(config), "--out", str(out),
-                 "--modalities", "AOPair,TextDesc", "--variants", "1"]
-            ) == 0
-            outputs.append((out / "generations_main.jsonl").read_bytes())
-        assert outputs[0] == outputs[1]
-
+class TestFullGrid:
     @pytest.mark.parametrize("case", list(FULL_GRID_DIGESTS))
-    def test_full_grid_bytes_are_pinned_for_one_and_two_workers(
-        self, fixture_config, tmp_path, case
-    ):
+    def test_full_grid_bytes_are_pinned(self, fixture_config, tmp_path, case):
         cfg = json.loads(fixture_config.read_text())
         if case.startswith("vision"):
             cfg["providers"]["vision"] = {"kind": "stub"}
@@ -679,15 +662,12 @@ class TestWorkerPool:
                 out / "dataset.jsonl",
                 lambda r: r.update(text_description=" ".join([r["text_description"]] * 6)),
             )
-        digests = []
-        for workers in (1, 2):
-            config = tmp_path / f"workers{workers}.json"
-            config.write_text(json.dumps({**cfg, "workers": workers}))
-            assert cli.main(["generate", "--config", str(config), "--out", str(out)]) == 0
-            data = (out / "generations_main.jsonl").read_bytes()
-            assert data.count(b"\n") == 1520  # 9 instances x 10 masks x 4 variants x 5 types - 280
-            digests.append(hashlib.sha256(data).hexdigest())
-        assert digests == [FULL_GRID_DIGESTS[case]] * 2
+        config = tmp_path / "grid.json"
+        config.write_text(json.dumps({**cfg, "workers": 1}))  # the one value the field takes
+        assert cli.main(["generate", "--config", str(config), "--out", str(out)]) == 0
+        data = (out / "generations_main.jsonl").read_bytes()
+        assert data.count(b"\n") == 1520  # 9 instances x 10 masks x 4 variants x 5 types - 280
+        assert hashlib.sha256(data).hexdigest() == FULL_GRID_DIGESTS[case]
 
 
 # Prints the modules that importing the CLI with load_config, then make_providers, loaded.

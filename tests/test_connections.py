@@ -143,20 +143,6 @@ class TestConnectionsPerCommand:
             started = time.perf_counter()
         assert time.perf_counter() - started < 2.0
 
-    def test_two_workers_write_what_one_writes(self, fixture_config, tmp_path):
-        outputs = []
-        with lm_server() as server:
-            for workers in (1, 2):
-                config = http_config(
-                    fixture_config, tmp_path, server.url, f"w{workers}", workers=workers
-                )
-                before = server.connections
-                out = build_and_generate(config, tmp_path / f"w{workers}")
-                outputs.append((out / "generations_main.jsonl").read_bytes())
-                # a connection serves one thread at a time and is reused across cells
-                assert 1 <= server.connections - before <= workers
-        assert outputs[0] == outputs[1]
-
     def test_dropped_connection_is_reopened_without_a_retry(
         self, fixture_config, tmp_path, monkeypatch
     ):

@@ -599,6 +599,7 @@ class TestConfigErrors:
             ("max_new_tokens", "0"),
             ("workers", "0"),
             ("workers", "-1"),
+            ("workers", "2"),
             ("nucleus_p", "1.5"),
             ("nucleus_p", "-0.1"),
             ("min_count", "-5"),
@@ -630,7 +631,7 @@ class TestConfigErrors:
     @settings(max_examples=50, deadline=None)
     @given(name=st.sampled_from(sorted(vars(cli.RunConfig()))), data=st.data())
     def test_one_replaced_field_never_escapes_the_exit_codes(self, tmp_path_factory, name, data):
-        if name in ("n_samples", "workers"):  # they size a list and a thread pool
+        if name in ("n_samples", "workers"):  # small ints: n_samples sizes a list, workers takes 1
             value = data.draw(st.integers(-2, 4) | JSON_VALUES.filter(lambda v: type(v) is not int))
         else:
             value = data.draw(JSON_VALUES)
